@@ -14,6 +14,7 @@ from .lie_data import (
     assemble_system,
     coweight_gram,
     domain_volume,
+    domain_volume as volume,
     exp_phase,
     make_system,
     pairing,
@@ -68,7 +69,6 @@ from .verify import (
     TABLE_IDS,
     errata_report,
     regenerate_table,
-    volume,
 )
 
 __version__ = "0.1.0"

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -27,7 +28,7 @@ from .lie_data import (
     system_from_selector,
 )
 from .weyl import even_subgroup, generate_weyl
-from .grids import build_point_grid, build_weight_grid, in_even_domain
+from .grids import build_point_grid, build_weight_grid, check_moduli, in_even_domain
 from .efunc import xi
 from .transform import (
     CoefficientSet,
@@ -35,10 +36,9 @@ from .transform import (
     gram_residual,
     inverse_discrete,
     make_samples,
-    set_default_threads,
     TOL_ORTHOGONALITY,
 )
-from . import transform, verify
+from . import transform
 from .verify import KNOWN_ERRATA, TABLE_IDS, pattern_string, regenerate_table
 
 
@@ -58,24 +58,23 @@ def _parse_fraction(text: str) -> Fraction:
         raise UsageError(f"not a rational number: {text!r}") from None
 
 
+def _finite(re_part, im_part, where) -> complex:
+    """A finite complex value from two real parts read from a file."""
+    try:
+        value = complex(float(re_part), float(im_part))
+    except (TypeError, ValueError):
+        raise UsageError(f"{where}: not a pair of real numbers") from None
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise UsageError(f"{where}: value is not finite")
+    return value
+
+
 def _system(args):
     if args.group not in SUPPORTED_SELECTORS:
         raise UsageError(
             f"unknown group selector {args.group!r}; use one of {', '.join(SUPPORTED_SELECTORS)}"
         )
     return system_from_selector(args.group)
-
-
-def _ms(system, args):
-    ms = tuple(args.M)
-    want = 1 if args.kind == "e" else len(system.factors)
-    if len(ms) != want:
-        raise UsageError(
-            f"kind {args.kind!r} for {system.selector} takes {want} modulus value(s), got {len(ms)}"
-        )
-    if any(m < 1 for m in ms):
-        raise UsageError("moduli must be positive integers")
-    return ms
 
 
 def _out_stream(args):
@@ -103,8 +102,7 @@ def _cmd_list_groups(args):
 
 def _cmd_grid(args):
     sysm = _system(args)
-    ms = _ms(sysm, args)
-    grid = build_point_grid(sysm, args.kind, ms)
+    grid = build_point_grid(sysm, args.kind, args.M)
     out = _out_stream(args)
     names = _label_names(sysm, "s")
     coords = [f"x{i + 1}" for i in range(sysm.n)]
@@ -121,8 +119,7 @@ def _cmd_grid(args):
 
 def _cmd_spectrum(args):
     sysm = _system(args)
-    ms = _ms(sysm, args)
-    spectrum = build_weight_grid(sysm, args.kind, ms)
+    spectrum = build_weight_grid(sysm, args.kind, args.M)
     out = _out_stream(args)
     names = _label_names(sysm, "t")
     coords = [f"a{i + 1}" for i in range(sysm.n)]
@@ -147,8 +144,7 @@ def _point_from_args(sysm, args):
     if args.label is not None:
         if not args.M:
             raise UsageError("--label requires --M")
-        ms = _ms(sysm, args)
-        per_factor = ms if args.kind == "ee" else ms * len(sysm.factors)
+        _, per_factor = check_moduli(sysm, args.kind, args.M)
         label = tuple(args.label)
         want = sysm.n + len(sysm.factors)
         if len(label) != want:
@@ -195,12 +191,15 @@ def _read_samples_csv(path, sysm, kind, ms):
         cells = row.split(",")
         if len(cells) != len(names):
             raise UsageError(f"malformed sample row: {row!r}")
-        label = tuple(int(c) for c in cells[: -2])
+        try:
+            label = tuple(int(c) for c in cells[: -2])
+        except ValueError:
+            raise UsageError(f"malformed sample row: {row!r}") from None
         if label != gp.label:
             raise UsageError(
                 f"sample row label {label} does not match canonical grid label {gp.label}"
             )
-        values.append(complex(float(cells[-2]), float(cells[-1])))
+        values.append(_finite(cells[-2], cells[-1], f"sample row {row!r}"))
     return make_samples(sysm, kind, ms, values)
 
 
@@ -237,16 +236,20 @@ def _read_coeff_json(path):
             data = json.load(fp)
         except json.JSONDecodeError as exc:
             raise UsageError(f"malformed coefficient JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise UsageError("coefficient JSON must be an object")
     for field in ("group", "kind", "M", "entries"):
         if field not in data:
             raise UsageError(f"coefficient JSON is missing field {field!r}")
+    if not isinstance(data["entries"], list):
+        raise UsageError("coefficient JSON field 'entries' must be a list")
     if data["group"] not in SUPPORTED_SELECTORS:
         raise UsageError(f"unknown group selector {data['group']!r} in JSON")
     sysm = system_from_selector(data["group"])
     kind = data["kind"]
     if kind not in ("e", "ee"):
         raise UsageError(f"unknown kind {kind!r} in JSON")
-    ms = tuple(int(m) for m in data["M"])
+    ms, _ = check_moduli(sysm, kind, data["M"])
     spectrum = build_weight_grid(sysm, kind, ms)
     if len(data["entries"]) != len(spectrum):
         raise UsageError(
@@ -254,18 +257,21 @@ def _read_coeff_json(path):
         )
     values = []
     for entry, sp in zip(data["entries"], spectrum):
-        if tuple(entry["t"]) != sp.label:
+        try:
+            label, re_part, im_part = tuple(entry["t"]), entry["re"], entry["im"]
+        except (KeyError, TypeError):
+            raise UsageError(f"malformed coefficient entry {entry!r}") from None
+        if label != sp.label:
             raise UsageError(
                 f"entry label {entry['t']} does not match canonical spectrum label {sp.label}"
             )
-        values.append(complex(entry["re"], entry["im"]))
+        values.append(_finite(re_part, im_part, f"coefficient entry {entry!r}"))
     return CoefficientSet(sysm, kind, ms, spectrum, tuple(values))
 
 
 def _cmd_forward(args):
     sysm = _system(args)
-    ms = _ms(sysm, args)
-    samples = _read_samples_csv(args.samples, sysm, args.kind, ms)
+    samples = _read_samples_csv(args.samples, sysm, args.kind, args.M)
     coeffs = forward_discrete(samples)
     out = _out_stream(args)
     _write_coeff_json(out, coeffs)
@@ -296,7 +302,7 @@ def _cmd_interp(args):
 
 def _cmd_verify(args):
     sysm = _system(args)
-    ms = _ms(sysm, args)
+    ms, _ = check_moduli(sysm, args.kind, args.M)
     rng = random.Random(args.seed)
     residual = gram_residual(sysm, args.kind, ms)
     grid = build_point_grid(sysm, args.kind, ms)
@@ -472,12 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="eweyl",
         description="Orbit functions of even Weyl groups: grids, transforms, checks.",
     )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=int(os.environ.get("EWEYL_THREADS", "1")),
-        help="worker threads for independent per-row sums (default 1: sequential)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("list-groups", help="list supported group selectors")
@@ -553,13 +553,19 @@ _COMMANDS = {
 }
 
 
+#: a negative rational such as ``-1/3``, which argparse would read as an
+#: option; it is passed on as ``" -1/3"``, which still parses as a Fraction
+_NEGATIVE_RATIONAL = re.compile(r"-\d+/\d+")
+
+
 def run(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    argv = [" " + a if _NEGATIVE_RATIONAL.fullmatch(a) else a for a in argv]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    set_default_threads(args.threads)
     try:
         return _COMMANDS[args.command](args)
     except (UsageError, ConfigurationError, FileNotFoundError) as exc:

@@ -1,18 +1,17 @@
 """Discrete point and weight grids on the even fundamental domains.
 
-Every grid is a union of two branches.  The first branch is the closed
-fundamental simplex product, enumerated by Kac-style labels: nonnegative
-integers ``[s0, s1, ...]`` per factor with ``s0 + sum(m_i s_i) = M``
-(marks ``m`` for point grids, dual marks for weight grids).  The second
-branch is a reflected copy of the interior, whose members keep the
-positive label of the unreflected parameters while the stored
+Both even domains are described once, by :func:`domain_blocks`, as a
+product of gluing blocks ``F_B u r_B(F_B interior)``; :func:`glue`
+enumerates any per-factor cells over that description, and every
+enumeration here (point and weight grids, dominant weights, domain
+membership) and the quadrature cells of :mod:`eweyl.transform` consume
+it.  Grid cells carry Kac-style labels: nonnegative integers
+``[s0, s1, ...]`` per factor with ``s0 + sum(m_i s_i) = M`` (marks ``m``
+for point grids, dual marks for weight grids).  Reflected cells keep
+the positive label of the unreflected parameters while the stored
 coordinates carry the reflection.
 
-Which reflection glues the second branch on is a fixed convention: the
-first simple root of the first rank >= 2 factor, or the very first
-coordinate when all factors are A1.  The product-even grids instead
-reflect every factor separately, and an A1 factor's even domain is
-parameterised directly as the half-open circle ``-M < s <= M``.
+Moduli are normalised in one place, :func:`check_moduli`.
 
 ``oracle_point_grid`` ignores all of the closed-form bookkeeping and
 intersects the finite torus group with the even fundamental domain by
@@ -23,6 +22,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -38,7 +39,7 @@ from .lie_data import (
 )
 from .weyl import (
     FULL_EVEN,
-    FULL_WEYL,
+    PRODUCT_EVEN,
     GroupElement,
     canonical_torus_point,
     canonical_weight_mod_mq,
@@ -99,115 +100,150 @@ def label_parameters(label):
     return label[1:]
 
 
-@lru_cache(maxsize=None)
 def _local_reflection(factor: SimpleFactor) -> GroupElement:
     return simple_reflection(assemble_system((factor.kind,)), 0)
 
 
 def reflection_coordinate(system: SemisimpleSystem) -> int:
-    """Coordinate of the reflection gluing the second branch on."""
+    """Coordinate of the reflection gluing the full even domain."""
     for off, f in zip(system.offsets, system.factors):
         if f.rank >= 2:
             return off
     return 0
 
 
-@lru_cache(maxsize=None)
 def domain_reflection(system: SemisimpleSystem) -> GroupElement:
     return simple_reflection(system, reflection_coordinate(system))
 
 
-def _expand_ms(system: SemisimpleSystem, kind: str, ms) -> tuple[int, ...]:
-    """Normalise the modulus argument and expand it to one entry per factor."""
-    check_kind(kind)
-    if kind == FULL_WEYL:
-        raise UsageError("grids are defined for the even kinds 'e' and 'ee' only")
-    if isinstance(ms, int):
+def _even_kind(kind: str) -> str:
+    if check_kind(kind) not in (FULL_EVEN, PRODUCT_EVEN):
+        raise UsageError("the even domain is defined for the kinds 'e' and 'ee' only")
+    return kind
+
+
+def check_moduli(system: SemisimpleSystem, kind: str, ms):
+    """Validate a modulus argument; return ``(ms, per_factor)``.
+
+    ``ms`` is an int or a sequence of ints, one modulus per block of
+    :func:`domain_blocks`: a single one for kind ``"e"``, one per factor
+    for kind ``"ee"``.  The first result is the tuple as given, the
+    second has one modulus per factor.
+    """
+    _even_kind(kind)
+    if isinstance(ms, numbers.Integral):
         ms = (ms,)
-    ms = tuple(int(m) for m in ms)
+    try:
+        ms = tuple(operator.index(m) for m in ms)
+    except TypeError:
+        raise UsageError(f"moduli must be integers, got {ms!r}") from None
     if any(m < 1 for m in ms):
         raise UsageError("moduli must be >= 1")
     k = len(system.factors)
-    if kind == FULL_EVEN:
-        if len(ms) != 1:
-            raise UsageError(f"kind 'e' takes a single modulus, got {len(ms)}")
-        return ms * k
-    if len(ms) != k:
-        raise UsageError(f"kind 'ee' takes {k} moduli, got {len(ms)}")
-    return ms
+    want = 1 if kind == FULL_EVEN else k
+    if len(ms) != want:
+        raise UsageError(
+            f"kind {kind!r} for {system.selector} takes {want} modulus value(s), got {len(ms)}"
+        )
+    return ms, (ms * k if kind == FULL_EVEN else ms)
+
+
+# ---------------------------------------------------------------------------
+# the even fundamental domain
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class GluingBlock:
+    """``F_B u r(F_B interior)`` over the product ``F_B`` of some factors.
+
+    ``reflection`` acts on the concatenated coordinates of ``factors``.
+    A ``circle`` block is one A1 factor whose two halves are enumerated
+    together as the signed circle ``-M < s <= M``.
+    """
+
+    factors: tuple[int, ...]
+    reflection: GroupElement
+    circle: bool
+
+
+@lru_cache(maxsize=None)
+def domain_blocks(system: SemisimpleSystem, kind: str) -> tuple[GluingBlock, ...]:
+    """The even fundamental domain of ``kind`` as a product of blocks.
+
+    Kind ``"e"`` glues the whole simplex product with one reflection:
+    the first simple root of the first rank >= 2 factor, or the very
+    first coordinate when all factors are A1.  Kind ``"ee"`` glues every
+    factor separately with its own first simple reflection.
+    """
+    if _even_kind(kind) == FULL_EVEN:
+        everything = tuple(range(len(system.factors)))
+        return (GluingBlock(everything, domain_reflection(system), False),)
+    return tuple(
+        GluingBlock((i,), _local_reflection(f), f.rank == 1)
+        for i, f in enumerate(system.factors)
+    )
+
+
+def _product(cell_lists):
+    """Lazy product of ``(coords, tags)`` cells, concatenating both parts."""
+    if len(cell_lists) == 1:  # nothing to concatenate; keeps a lone block lazy
+        yield from cell_lists[0]
+        return
+    for combo in itertools.product(*cell_lists):
+        yield (
+            tuple(c for cell in combo for c in cell[0]),
+            tuple(t for cell in combo for t in cell[1]),
+        )
+
+
+def _block_cells(block: GluingBlock, piece, dual: bool):
+    if block.circle:
+        yield from piece(block.factors[0], "circle")
+        return
+    refl = block.reflection
+    apply = refl.apply_weight if dual else refl.apply_point
+    yield from _product([piece(i, "closed") for i in block.factors])
+    for coords, tags in _product([piece(i, "interior") for i in block.factors]):
+        yield apply(coords), tags
+
+
+def glue(system: SemisimpleSystem, kind: str, piece, dual: bool):
+    """Enumerate the even domain of ``kind`` from per-factor cells.
+
+    ``piece(i, part)`` lists the ``(coords, tags)`` cells of factor
+    ``i`` for ``part`` in ``"closed"``, ``"interior"`` and ``"circle"``
+    (the latter only for circle blocks).  Each block gives its closed
+    product, then its reflected interior product; the blocks combine
+    by product.  ``dual`` reflects with the weight action.  Yields
+    ``(coords, tags)`` pairs, tags concatenated in factor order.
+    """
+    return _product([_block_cells(b, piece, dual) for b in domain_blocks(system, kind)])
 
 
 # ---------------------------------------------------------------------------
 # grid construction
 # ---------------------------------------------------------------------------
 
-def _marks_of(factor: SimpleFactor, dual: bool):
-    return factor.dual_marks if dual else factor.marks
-
-
-def _label_to_point(factor: SimpleFactor, label, modulus: int):
-    return tuple(Q(s, modulus) for s in label_parameters(label))
-
-
-def _label_to_weight(label):
-    return tuple(label_parameters(label))
-
-
-def _assemble(combos):
-    """Concatenate per-factor (coords, label) pieces."""
-    for pieces in combos:
-        coords = tuple(c for piece in pieces for c in piece[0])
-        label = tuple(l for piece in pieces for l in piece[1])
-        yield coords, label
-
-
 def _branches(system: SemisimpleSystem, kind: str, ms, dual: bool):
-    """Yield (coords, label) for both branches of a grid.
+    """(coords, label) of every grid cell, in canonical order.
 
     ``dual`` selects the weight-side conventions: dual marks, integer
     coordinates and the weight action of the gluing reflections.
     """
-    per_factor_ms = _expand_ms(system, kind, ms)
+    _, per_factor = check_moduli(system, kind, ms)
 
-    def local_value(factor, label, modulus):
+    def piece(i, part):
+        f, m = system.factors[i], per_factor[i]
+        if part == "circle":
+            labels = _circle_labels(m)
+        else:
+            marks = f.dual_marks if dual else f.marks
+            labels = _kac_labels(f, marks, m, strict=part == "interior")
         if dual:
-            return _label_to_weight(label)
-        return _label_to_point(factor, label, modulus)
+            return [(label_parameters(lab), lab) for lab in labels]
+        return [(tuple(Q(s, m) for s in label_parameters(lab)), lab) for lab in labels]
 
-    if kind == FULL_EVEN:
-        modulus = per_factor_ms[0]
-        closed = [
-            [(local_value(f, lab, modulus), lab)
-             for lab in _kac_labels(f, _marks_of(f, dual), modulus, strict=False)]
-            for f in system.factors
-        ]
-        strict = [
-            [(local_value(f, lab, modulus), lab)
-             for lab in _kac_labels(f, _marks_of(f, dual), modulus, strict=True)]
-            for f in system.factors
-        ]
-        refl = domain_reflection(system)
-        apply = refl.apply_weight if dual else refl.apply_point
-        for coords, label in _assemble(itertools.product(*closed)):
-            yield coords, label
-        for coords, label in _assemble(itertools.product(*strict)):
-            yield apply(coords), label
-    else:
-        locals_per_factor = []
-        for f, modulus in zip(system.factors, per_factor_ms):
-            cells = []
-            if f.rank == 1:
-                for lab in _circle_labels(modulus):
-                    cells.append((local_value(f, lab, modulus), lab))
-            else:
-                for lab in _kac_labels(f, _marks_of(f, dual), modulus, strict=False):
-                    cells.append((local_value(f, lab, modulus), lab))
-                refl = _local_reflection(f)
-                apply = refl.apply_weight if dual else refl.apply_point
-                for lab in _kac_labels(f, _marks_of(f, dual), modulus, strict=True):
-                    cells.append((apply(local_value(f, lab, modulus)), lab))
-            locals_per_factor.append(cells)
-        yield from _assemble(itertools.product(*locals_per_factor))
+    return glue(system, kind, piece, dual)
 
 
 @lru_cache(maxsize=None)
@@ -228,36 +264,35 @@ def build_point_grid(system: SemisimpleSystem, kind: str, ms) -> tuple[GridPoint
     """The discrete even fundamental domain with labels and orbit sizes.
 
     ``ms`` is a single modulus for kind ``"e"`` and one modulus per
-    factor for kind ``"ee"``.  Points come out in canonical order:
-    closed branch first, reflected branch second, each in nested label
-    order.
+    factor for kind ``"ee"``.  Points come out in the canonical order
+    of :func:`glue`, each part in nested label order.
     """
-    ms = (ms,) if isinstance(ms, int) else tuple(int(m) for m in ms)
-    return _point_grid_cached(system, check_kind(kind), ms)
+    ms, _ = check_moduli(system, kind, ms)
+    return _point_grid_cached(system, kind, ms)
 
 
 @lru_cache(maxsize=None)
 def _weight_grid_cached(system: SemisimpleSystem, kind: str, ms: tuple[int, ...]):
     group = even_subgroup(system, kind)
-    per_factor_ms = _expand_ms(system, kind, ms)
+    _, per_factor = check_moduli(system, kind, ms)
     weights = []
     seen = set()
     for coords, label in _branches(system, kind, ms, dual=True):
         coords = tuple(int(c) for c in coords)
-        canon = canonical_weight_mod_mq(system, coords, per_factor_ms)
+        canon = canonical_weight_mod_mq(system, coords, per_factor)
         if canon in seen:
             raise AssertionError(f"duplicate weight mod M*Q: {coords}")
         seen.add(canon)
         weights.append(
-            SpectralPoint(coords, label, weight_stab_mod_mq(group, coords, per_factor_ms))
+            SpectralPoint(coords, label, weight_stab_mod_mq(group, coords, per_factor))
         )
     return tuple(weights)
 
 
 def build_weight_grid(system: SemisimpleSystem, kind: str, ms) -> tuple[SpectralPoint, ...]:
     """The spectral grid dual to :func:`build_point_grid`."""
-    ms = (ms,) if isinstance(ms, int) else tuple(int(m) for m in ms)
-    return _weight_grid_cached(system, check_kind(kind), ms)
+    ms, _ = check_moduli(system, kind, ms)
+    return _weight_grid_cached(system, kind, ms)
 
 
 # ---------------------------------------------------------------------------
@@ -276,31 +311,23 @@ def _factor_in_interior(factor: SimpleFactor, coords) -> bool:
     return sum(m * c for m, c in zip(factor.marks, coords)) < 1
 
 
-def in_closed_fundamental(system: SemisimpleSystem, x: TorusPoint) -> bool:
-    return all(
-        _factor_in_closed(f, part) for f, part in zip(system.factors, system.split(x))
-    )
-
-
-def in_interior_fundamental(system: SemisimpleSystem, x: TorusPoint) -> bool:
-    return all(
-        _factor_in_interior(f, part) for f, part in zip(system.factors, system.split(x))
-    )
-
-
 def in_even_domain(system: SemisimpleSystem, kind: str, x: TorusPoint) -> bool:
-    """Exact membership in the even fundamental domain of the given kind."""
-    check_kind(kind)
-    x = tuple(Q(v) for v in x)
-    if kind == FULL_EVEN:
-        if in_closed_fundamental(system, x):
-            return True
-        return in_interior_fundamental(system, domain_reflection(system).apply_point(x))
-    for f, part in zip(system.factors, system.split(x)):
-        if _factor_in_closed(f, part):
+    """Exact membership in the even fundamental domain of the given kind.
+
+    Per block of :func:`domain_blocks`: closed, or reflected into the
+    interior.
+    """
+    parts = system.split(tuple(Q(v) for v in x))
+    for block in domain_blocks(system, kind):
+        factors = [system.factors[i] for i in block.factors]
+        local = [parts[i] for i in block.factors]
+        if all(_factor_in_closed(f, p) for f, p in zip(factors, local)):
             continue
-        reflected = _local_reflection(f).apply_point(part)
-        if not _factor_in_interior(f, reflected):
+        reflected = iter(block.reflection.apply_point(tuple(c for p in local for c in p)))
+        if not all(
+            _factor_in_interior(f, tuple(itertools.islice(reflected, f.rank)))
+            for f in factors
+        ):
             return False
     return True
 
@@ -347,8 +374,7 @@ def oracle_point_grid(system: SemisimpleSystem, kind: str, ms) -> frozenset:
     Returns canonical representatives modulo the coroot lattice, for
     comparison against :func:`build_point_grid`.
     """
-    ms = (ms,) if isinstance(ms, int) else tuple(int(m) for m in ms)
-    per_factor_ms = _expand_ms(system, kind, ms)
+    _, per_factor_ms = check_moduli(system, kind, ms)
     hits = set()
     for rep in _torus_classes(system, per_factor_ms):
         for shift in _translate_candidates(system, rep):
@@ -375,40 +401,23 @@ def enumerate_dominant(system: SemisimpleSystem, kind: str, bound: int):
     """A finite truncation of the even-orbit representative weights.
 
     Every generator integer runs through ``0..bound`` (``-bound..bound``
-    for the A1 circle directions of kind ``"ee"``), the reflected branch
-    through ``1..bound``; one representative per even-orbit class is
-    kept, in generation order.
+    along a circle block), the reflected part through ``1..bound``; one
+    representative per even-orbit class is kept, in generation order.
     """
-    check_kind(kind)
     if bound < 0:
         raise UsageError("bound must be >= 0")
+
+    def piece(i, part):
+        if part == "circle":
+            return [((a,), ()) for a in range(-bound, bound + 1)]
+        lo = 1 if part == "interior" else 0
+        rank = system.factors[i].rank
+        return [(c, ()) for c in itertools.product(range(lo, bound + 1), repeat=rank)]
+
     group = even_subgroup(system, kind)
-    raw = []
-    if kind == FULL_EVEN:
-        for combo in itertools.product(range(bound + 1), repeat=system.n):
-            raw.append(tuple(combo))
-        refl = domain_reflection(system)
-        for combo in itertools.product(range(1, bound + 1), repeat=system.n):
-            raw.append(refl.apply_weight(tuple(combo)))
-    else:
-        per_factor = []
-        for f in system.factors:
-            cells = []
-            if f.rank == 1:
-                cells = [(a,) for a in range(-bound, bound + 1)]
-            else:
-                cells = [tuple(c) for c in itertools.product(range(bound + 1), repeat=f.rank)]
-                refl = _local_reflection(f)
-                cells += [
-                    refl.apply_weight(tuple(c))
-                    for c in itertools.product(range(1, bound + 1), repeat=f.rank)
-                ]
-            per_factor.append(cells)
-        for pieces in itertools.product(*per_factor):
-            raw.append(tuple(v for piece in pieces for v in piece))
     out = []
     seen = set()
-    for w in raw:
+    for w, _ in glue(system, kind, piece, dual=True):
         key = orbit(group, w)[0]
         if key not in seen:
             seen.add(key)

@@ -246,8 +246,7 @@ def exp_phase(system: SemisimpleSystem, lam: Weight, x: TorusPoint) -> complex:
     The reduction happens in exact rational arithmetic, so huge integer
     parts of the phase cannot degrade the unit-circle value.
     """
-    frac = pairing(system, lam, x) % 1
-    return cmath.exp(2j * math.pi * float(frac))
+    return phase_to_complex(pairing(system, lam, x))
 
 
 def phase_to_complex(frac: Q) -> complex:

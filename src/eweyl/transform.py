@@ -26,9 +26,7 @@ orthogonality and round trips 1e-9, pointwise formula equivalence
 
 from __future__ import annotations
 
-import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -51,33 +49,16 @@ from .weyl import check_kind, even_subgroup, stab_order
 from .grids import (
     GridPoint,
     SpectralPoint,
-    _expand_ms,
-    _local_reflection,
     build_point_grid,
     build_weight_grid,
-    domain_reflection,
+    check_moduli,
     enumerate_dominant,
+    glue,
 )
 
 TOL_ORTHOGONALITY = 1e-9
 TOL_POINTWISE = 1e-10
 TOL_PHASE = 1e-12
-
-#: worker count used when callers do not override it; 1 = sequential
-DEFAULT_THREADS = 1
-
-
-def set_default_threads(n: int) -> None:
-    global DEFAULT_THREADS
-    DEFAULT_THREADS = max(1, int(n))
-
-
-def _map_rows(fn, items, threads=None):
-    threads = DEFAULT_THREADS if threads is None else max(1, int(threads))
-    if threads == 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 @dataclass(frozen=True)
@@ -112,7 +93,7 @@ class CoefficientSet:
 
 def make_samples(system, kind, ms, values) -> SampleSet:
     """Wrap raw values (or a callable on torus points) as a SampleSet."""
-    ms = (ms,) if isinstance(ms, int) else tuple(int(m) for m in ms)
+    ms, _ = check_moduli(system, kind, ms)
     grid = build_point_grid(system, kind, ms)
     if callable(values):
         values = [values(gp.point) for gp in grid]
@@ -121,7 +102,7 @@ def make_samples(system, kind, ms, values) -> SampleSet:
         raise UsageError(
             f"expected {len(grid)} sample values for this grid, got {len(values)}"
         )
-    return SampleSet(system, check_kind(kind), ms, grid, values)
+    return SampleSet(system, kind, ms, grid, values)
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +111,7 @@ def make_samples(system, kind, ms, values) -> SampleSet:
 
 def modulus_power(system: SemisimpleSystem, kind: str, ms) -> int:
     """``prod_f M_f^rank_f``; reduces to ``M^n`` for the full even kind."""
-    per_factor = _expand_ms(system, kind, ms)
+    _, per_factor = check_moduli(system, kind, ms)
     power = 1
     for f, m in zip(system.factors, per_factor):
         power *= m ** f.rank
@@ -160,8 +141,7 @@ def phase_matrix(system: SemisimpleSystem, kind: str, ms: tuple[int, ...]) -> np
             for u in paired
         ]
 
-    rows = _map_rows(row, spectrum)
-    out = np.array(rows, dtype=complex)
+    out = np.array([row(sp) for sp in spectrum], dtype=complex)
     out.setflags(write=False)
     return out
 
@@ -209,7 +189,7 @@ def interpolate(coeffs: CoefficientSet, x: TorusPoint) -> complex:
 
 def gram_matrix(system, kind, ms) -> np.ndarray:
     """``G[l, l'] = sum_x eps(x) Xi_l(x) conj(Xi_l'(x))`` over the grid."""
-    ms = (ms,) if isinstance(ms, int) else tuple(int(m) for m in ms)
+    ms, _ = check_moduli(system, kind, ms)
     ee = phase_matrix(system, kind, ms)
     eps = np.array([gp.epsilon for gp in build_point_grid(system, kind, ms)], dtype=float)
     return (ee * eps) @ ee.conj().T
@@ -217,7 +197,7 @@ def gram_matrix(system, kind, ms) -> np.ndarray:
 
 def gram_residual(system, kind, ms) -> float:
     """Max deviation of the discrete Gram matrix from its predicted diagonal."""
-    ms = (ms,) if isinstance(ms, int) else tuple(int(m) for m in ms)
+    ms, _ = check_moduli(system, kind, ms)
     gram = gram_matrix(system, kind, ms)
     return float(np.abs(gram - np.diag(normalizers(system, kind, ms))).max())
 
@@ -261,30 +241,16 @@ def quadrature_cells(system: SemisimpleSystem, kind: str, resolution: int):
     are cell volumes in coweight coordinates (the metric factor is
     applied by the caller).
     """
-    check_kind(kind)
-    if kind not in ("e", "ee"):
-        raise UsageError("quadrature is defined for the even kinds 'e' and 'ee' only")
-    if kind == "e":
-        per = [_factor_cells(f, resolution) for f in system.factors]
-        base = []
-        for pieces in itertools.product(*per):
-            coords = tuple(c for piece in pieces for c in piece[0])
-            weight = math.prod(float(piece[1]) for piece in pieces)
-            base.append((coords, weight))
-        refl = domain_reflection(system)
-        cells = base + [(refl.apply_point(c), w) for c, w in base]
+
+    def piece(i, part):
+        cells = [(c, (float(w),)) for c, w in _factor_cells(system.factors[i], resolution)]
+        if part == "circle":  # the A1 reflection is s -> -s
+            cells += [(tuple(-v for v in c), t) for c, t in cells]
         return cells
-    per = []
-    for f in system.factors:
-        closed = _factor_cells(f, resolution)
-        refl = _local_reflection(f)
-        per.append(closed + [(refl.apply_point(c), w) for c, w in closed])
-    cells = []
-    for pieces in itertools.product(*per):
-        coords = tuple(c for piece in pieces for c in piece[0])
-        weight = math.prod(float(piece[1]) for piece in pieces)
-        cells.append((coords, weight))
-    return cells
+
+    return [
+        (coords, math.prod(ws)) for coords, ws in glue(system, kind, piece, dual=False)
+    ]
 
 
 @dataclass(frozen=True)
@@ -340,7 +306,7 @@ def continuous_coefficients(
         integral = np.sum(wts * fvals * np.conj(xi_vals))
         return complex(integral / (vol * group.order * d_lam)), d_lam
 
-    results = _map_rows(coefficient, spectrum)
+    results = [coefficient(lam) for lam in spectrum]
     return ContinuousCoefficients(
         system,
         kind,

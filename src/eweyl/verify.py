@@ -23,8 +23,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lie_data import Q, SemisimpleSystem, domain_volume, system_from_selector
-from .weyl import even_subgroup, check_kind, stab_order, torus_orbit_size, weight_stab_mod_mq
+from .lie_data import Q, SemisimpleSystem, UsageError, system_from_selector
+from .weyl import FULL_EVEN, even_subgroup, stab_order, torus_orbit_size, weight_stab_mod_mq
+from .grids import check_moduli
 from . import efunc
 
 TABLE_IDS = ("T1_A1A1", "T2_d_ee", "T3_d_e", "T4_disk_ee", "T5_disk_e", "T6_A1A1A1")
@@ -377,7 +378,7 @@ def _compute_h(system, kind, flags, modulus):
     if not instances:
         return None
     group = even_subgroup(system, kind)
-    ms = (modulus,) * len(system.factors)
+    _, ms = check_moduli(system, FULL_EVEN, modulus)
     best = None
     for label in instances:
         weight = _label_coordinates(system, label)
@@ -465,9 +466,9 @@ def regenerate_table(table_id: str, m: int = 5) -> TableReport:
     retried at the next few moduli, recorded in the row.
     """
     if table_id not in TABLE_IDS:
-        raise ValueError(f"unknown table id {table_id!r}; known: {TABLE_IDS}")
+        raise UsageError(f"unknown table id {table_id!r}; known: {TABLE_IDS}")
     if m < 5:
-        raise ValueError("discrete tables need m >= 5 to realise all patterns")
+        raise UsageError("discrete tables need m >= 5 to realise all patterns")
     rows = []
     if table_id == "T1_A1A1":
         rows += _regenerate_rows("a1xa1", "e", "d", _T1_D, 0, m)
@@ -491,11 +492,6 @@ def regenerate_table(table_id: str, m: int = 5) -> TableReport:
         rows += _regenerate_rows("a1xa1xa1", "e", "eps", _T6_EPS, 0, m)
         rows += _regenerate_rows("a1xa1xa1", "e", "h", _T6_H, 0, m)
     return TableReport(table_id, m, tuple(rows))
-
-
-def volume(system: SemisimpleSystem, kind: str) -> float:
-    """Volume of the even fundamental domain (2 copies of F per gluing)."""
-    return domain_volume(system, check_kind(kind))
 
 
 # ---------------------------------------------------------------------------

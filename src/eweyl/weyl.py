@@ -164,10 +164,6 @@ def even_subgroup(system: SemisimpleSystem, kind: str) -> WeylGroup:
     return WeylGroup(system, kind, elements)
 
 
-def group_for_kind(system: SemisimpleSystem, kind: str) -> WeylGroup:
-    return even_subgroup(system, check_kind(kind))
-
-
 # ---------------------------------------------------------------------------
 # orbits and stabilizers
 # ---------------------------------------------------------------------------
@@ -218,17 +214,6 @@ def torus_congruent(system: SemisimpleSystem, x: TorusPoint, y: TorusPoint) -> b
     return all(z.denominator == 1 for z in map(Q, coroot_coordinates(system, diff)))
 
 
-def _expand_moduli(system: SemisimpleSystem, ms) -> tuple[int, ...]:
-    ms = tuple(int(m) for m in ms)
-    if len(ms) != len(system.factors):
-        raise UsageError(
-            f"need one modulus per factor ({len(system.factors)}), got {len(ms)}"
-        )
-    if any(m < 1 for m in ms):
-        raise UsageError("moduli must be positive")
-    return ms
-
-
 @lru_cache(maxsize=None)
 def _factor_inv_cartan_t(factor):
     return mat_transpose(mat_inverse(factor.cartan))
@@ -236,7 +221,12 @@ def _factor_inv_cartan_t(factor):
 
 def weight_congruent_mod_mq(system, a: Weight, b: Weight, ms) -> bool:
     """``a = b`` modulo the sublattice ``M_f * (root lattice of factor f)``."""
-    ms = _expand_moduli(system, ms)
+    from .grids import check_moduli  # deferred: grids imports this module
+
+    return _congruent_mod_mq(system, a, b, check_moduli(system, PRODUCT_EVEN, ms)[1])
+
+
+def _congruent_mod_mq(system, a: Weight, b: Weight, ms) -> bool:
     for (lo, hi), factor, m in zip(system.factor_slices(), system.factors, ms):
         diff = tuple(a[j] - b[j] for j in range(lo, hi))
         z = mat_vec(_factor_inv_cartan_t(factor), diff)
@@ -247,7 +237,9 @@ def weight_congruent_mod_mq(system, a: Weight, b: Weight, ms) -> bool:
 
 def canonical_weight_mod_mq(system, a: Weight, ms) -> Weight:
     """Canonical representative of a weight modulo ``M * root lattice``."""
-    ms = _expand_moduli(system, ms)
+    from .grids import check_moduli
+
+    _, ms = check_moduli(system, PRODUCT_EVEN, ms)
     out = []
     for (lo, hi), factor, m in zip(system.factor_slices(), system.factors, ms):
         part = tuple(a[j] for j in range(lo, hi))
@@ -263,8 +255,9 @@ def canonical_weight_mod_mq(system, a: Weight, ms) -> Weight:
 
 def weight_stab_mod_mq(group: WeylGroup, lam: Weight, ms) -> int:
     """Order of the stabilizer of a weight modulo ``M * root lattice``."""
+    from .grids import check_moduli
+
     lam = tuple(lam)
     sys = group.system
-    return sum(
-        1 for w in group if weight_congruent_mod_mq(sys, w.apply_weight(lam), lam, ms)
-    )
+    _, ms = check_moduli(sys, PRODUCT_EVEN, ms)
+    return sum(1 for w in group if _congruent_mod_mq(sys, w.apply_weight(lam), lam, ms))

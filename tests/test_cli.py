@@ -26,7 +26,55 @@ def test_bad_inputs_exit_2(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json")
     assert run(["inverse", "--coeffs", str(bad)]) == 2
+    assert run(["--threads", "2", "list-groups"]) == 2  # the knob is gone
     capsys.readouterr()
+
+    # malformed or non-finite file contents and out-of-range options:
+    # exit 2 with one error line, never a traceback
+    grid = E.build_point_grid(E.system_from_selector("a1xa1"), "e", 2)
+    rows = [[str(v) for v in gp.label] + ["0.5", "0.0"] for gp in grid]
+
+    def samples_with(row0):
+        path = tmp_path / "samples.csv"
+        lines = ["s0,s1,s0',s2,re,im"] + [",".join(r) for r in [row0] + rows[1:]]
+        path.write_text("\n".join(lines) + "\n")
+        return ["forward", "--group", "a1xa1", "--kind", "e", "--M", "2",
+                "--samples", str(path)]
+
+    def coeffs_with(**changes):
+        path = tmp_path / "coeffs.json"
+        spectrum = E.build_weight_grid(E.system_from_selector("a1xa1"), "e", 2)
+        entries = [{"t": list(sp.label), "re": 0.5, "im": 0.0} for sp in spectrum]
+        payload = {"group": "a1xa1", "kind": "e", "M": [2], "entries": entries}
+        entry = changes.pop("entry", None)
+        if entry is not None:
+            entries[0] = entry
+        payload.update(changes)
+        path.write_text(json.dumps(payload))
+        return ["inverse", "--coeffs", str(path)]
+
+    label = rows[0][:-2]
+    t0 = list(E.build_weight_grid(E.system_from_selector("a1xa1"), "e", 2)[0].label)
+    for argv in [
+        samples_with(label + ["abc", "0.0"]),
+        samples_with(label + ["0.5", "x"]),
+        samples_with(["one"] + label[1:] + ["0.5", "0.0"]),
+        samples_with(label + ["nan", "0.0"]),
+        samples_with(label + ["0.5", "inf"]),
+        coeffs_with(entry={"re": 0.5, "im": 0.0}),
+        coeffs_with(entry={"t": t0, "im": 0.0}),
+        coeffs_with(entry={"t": t0, "re": 0.5}),
+        coeffs_with(entry={"t": t0, "re": "abc", "im": 0.0}),
+        coeffs_with(entry={"t": t0, "re": float("nan"), "im": 0.0}),
+        coeffs_with(entry={"t": t0, "re": 0.5, "im": float("-inf")}),
+        coeffs_with(M=["x"]),
+        coeffs_with(M=[2.5]),
+        coeffs_with(entries=5),
+        ["tables", "--M", "3"],
+    ]:
+        assert run(argv) == 2, argv
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), (argv, err)
 
 
 def test_grid_csv(capsys):
@@ -63,6 +111,32 @@ def test_eval_matches_cosine(capsys):
     want = 2 * math.cos(math.pi * (1 / 3 + 1 / 2))
     assert abs(float(out[0]) - want) < 1e-12
     assert abs(float(out[1])) < 1e-12
+
+
+def test_negative_rational_point(tmp_path, capsys):
+    argv = ["eval", "--group", "a1xa1", "--kind", "e", "--lambda", "1", "1", "--point"]
+    assert run(argv + ["-1/3", "1/2"]) == 0
+    out = capsys.readouterr().out.split()
+    want = 2 * math.cos(math.pi * (-1 / 3 + 1 / 2))
+    assert abs(float(out[0]) - want) < 1e-12
+    assert run(argv + [" -1/3", "1/2"]) == 0  # the spaced form keeps working
+    assert capsys.readouterr().out.split() == out
+
+    system = E.system_from_selector("a1xa1")
+    grid = E.build_point_grid(system, "e", 2)
+    rows = ["s0,s1,s0',s2,re,im"]
+    for gp in grid:
+        rows.append(",".join([str(x) for x in gp.label] + ["1.0", "0.0"]))
+    samples = tmp_path / "s.csv"
+    samples.write_text("\n".join(rows) + "\n")
+    coeffs = tmp_path / "c.json"
+    assert run(["forward", "--group", "a1xa1", "--kind", "e", "--M", "2",
+                "--samples", str(samples), "--out", str(coeffs)]) == 0
+    capsys.readouterr()
+    assert run(["interp", "--coeffs", str(coeffs), "--point", "-3/4", "-1/5"]) == 0
+    value = complex(*map(float, capsys.readouterr().out.split()))
+    coeff_set = E.forward_discrete(E.make_samples(system, "e", 2, [1.0] * len(grid)))
+    assert abs(value - E.interpolate(coeff_set, (Q(-3, 4), Q(-1, 5)))) < 1e-12
 
 
 def test_eval_by_label(capsys):
