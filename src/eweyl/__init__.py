@@ -45,9 +45,9 @@ from .grids import (
 from .efunc import (
     TRUSTED_CLOSED_FORMS,
     UnsupportedFormulaError,
+    orbit_sums,
     xi,
     xi_closed,
-    xi_fast,
     xi_orbit,
 )
 from .transform import (

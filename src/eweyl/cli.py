@@ -29,7 +29,7 @@ from .lie_data import (
 )
 from .weyl import even_subgroup, generate_weyl
 from .grids import build_point_grid, build_weight_grid, check_moduli, in_even_domain
-from .efunc import xi
+from .efunc import orbit_sums, xi
 from .transform import (
     CoefficientSet,
     forward_discrete,
@@ -414,17 +414,18 @@ def _cmd_contour(args):
     print("x,y,re,im", file=out)
     import itertools
 
+    kept = []
     for uv in itertools.product(ticks, repeat=len(free)):
         coords = [Q(0)] * sysm.n
         if pin is not None:
             coords[pin[0]] = pin[1]
         for i, v in zip(free, uv):
             coords[i] = v
-        point = tuple(coords)
-        if not in_even_domain(sysm, args.kind, point):
-            continue
+        if in_even_domain(sysm, args.kind, coords):
+            kept.append((uv, tuple(coords)))
+    values = orbit_sums(sysm, args.kind, [lam], [point for _, point in kept])[0]
+    for (uv, _), value in zip(kept, values):
         cart = embed @ np.array([float(v) for v in uv])
-        value = xi(sysm, args.kind, lam, point)
         print(
             f"{_fmt17(cart[0])},{_fmt17(cart[1])},{_fmt17(value.real)},{_fmt17(value.imag)}",
             file=out,

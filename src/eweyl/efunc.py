@@ -6,16 +6,20 @@ even group; it equals the stabiliser order times the plain orbit sum
 each supported group and kind, transcribed verbatim; two of those
 closed forms (both for a1xg2) are known to be misprinted, and
 ``xi_closed`` intentionally reproduces the misprints so that the
-verification suite can exhibit them.  ``xi_fast`` picks the closed form
-when it is trusted and falls back to the generic sum otherwise.
+verification suite can exhibit them.  ``orbit_sums`` evaluates ``xi``
+for many weights and points at once, exactly, equal to ``xi`` bit for bit.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from functools import lru_cache
 
-from .lie_data import SemisimpleSystem, TorusPoint, Weight, exp_phase
+import numpy as np
+
+from .lie_data import Q, SemisimpleSystem, TorusPoint, UsageError, Weight
+from .lie_data import exp_phase, phase_to_complex
 from .weyl import even_subgroup, check_kind, stab_order
 
 
@@ -34,6 +38,46 @@ def xi(system: SemisimpleSystem, kind: str, lam: Weight, x: TorusPoint) -> compl
     total = 0j
     for w in group:
         total += exp_phase(system, w.apply_weight(lam), x)
+    return total
+
+
+def orbit_sums(system: SemisimpleSystem, kind: str, weights, points) -> np.ndarray:
+    """``xi`` of every weight (rows) at every point (columns).
+
+    ``weights`` is a sequence of integer weights and ``points`` a
+    sequence of points with ``int`` or ``Fraction`` coordinates.
+
+    With ``L`` the lcm of the point denominators and ``n = L |det C|``,
+    the points ``X = L x`` and the matrix ``A = |det C| C^{-1}`` are
+    integral, so each pairing is the exact residue ``k = (w lam) A X``
+    mod ``n``.  A term is ``phase_to_complex(k / n)``, the phasor ``xi``
+    adds, and the terms are summed in canonical group order.  The
+    residues are int64 when a bound on ``|k|`` proves they fit and exact
+    Python ints otherwise.
+    """
+    group = even_subgroup(system, check_kind(kind))
+    dim = system.n
+    if any(len(v) != dim for v in (*weights, *points)):
+        raise UsageError(f"weights and points need length {dim} for {system.selector}")
+    lcm = math.lcm(*(v.denominator for p in points for v in p))
+    det = abs(system.det_cartan)
+    n = lcm * det
+    adj = np.array([[int(v * det) for v in row] for row in system.inv_cartan], dtype=object)
+    lam = np.array(weights, dtype=object).reshape(len(weights), dim)
+    rows = [lam @ np.array(w.weight_matrix, dtype=object).T @ adj for w in group]
+    cols = np.array(
+        [v.numerator * (lcm // v.denominator) for p in points for v in p], dtype=object
+    ).reshape(len(points), dim).T
+    bound = dim * max(abs(r).max(initial=0) for r in rows) * abs(cols).max(initial=0)
+    dtype = np.int64 if max(bound, n) < 2**63 else object
+    cols = cols.astype(dtype)
+    phasor = lru_cache(maxsize=None)(lambda k: phase_to_complex(Q(k, n)))
+    total = np.zeros((len(weights), len(points)), dtype=complex)
+    for r in rows:
+        k = r.astype(dtype) @ cols % n
+        residues = np.unique(k)
+        table = np.array([phasor(v) for v in residues.tolist()], dtype=complex)
+        total += table[np.searchsorted(residues, k)]
     return total
 
 
@@ -176,7 +220,7 @@ def xi_closed(system: SemisimpleSystem, kind: str, lam: Weight, x: TorusPoint) -
 
     Raises :class:`UnsupportedFormulaError` when no closed form is
     tabulated.  The two a1xg2 forms reproduce their misprints; use
-    :func:`xi_fast` for a value that is always correct.
+    :func:`xi` for a value that is always correct.
     """
     key = (system.selector, check_kind(kind))
     fn = _CLOSED_FORMS.get(key)
@@ -187,9 +231,3 @@ def xi_closed(system: SemisimpleSystem, kind: str, lam: Weight, x: TorusPoint) -
     args = [float(v) for v in lam] + [float(v) for v in x]
     return complex(fn(*args))
 
-
-def xi_fast(system: SemisimpleSystem, kind: str, lam: Weight, x: TorusPoint) -> complex:
-    """Closed form when trusted, generic orbit sum otherwise."""
-    if (system.selector, kind) in TRUSTED_CLOSED_FORMS:
-        return xi_closed(system, kind, lam, x)
-    return xi(system, kind, lam, x)

@@ -70,7 +70,7 @@ class SpectralPoint:
 # label enumeration per factor
 # ---------------------------------------------------------------------------
 
-def _kac_labels(factor: SimpleFactor, marks, modulus: int, strict: bool):
+def kac_labels(factor: SimpleFactor, marks, modulus: int, strict: bool):
     """Labels ``(s0, s1, ..)`` with ``s0 + sum(m_i s_i) = modulus``.
 
     ``strict`` restricts to the interior: every entry >= 1.
@@ -238,7 +238,7 @@ def _branches(system: SemisimpleSystem, kind: str, ms, dual: bool):
             labels = _circle_labels(m)
         else:
             marks = f.dual_marks if dual else f.marks
-            labels = _kac_labels(f, marks, m, strict=part == "interior")
+            labels = kac_labels(f, marks, m, strict=part == "interior")
         if dual:
             return [(label_parameters(lab), lab) for lab in labels]
         return [(tuple(Q(s, m) for s in label_parameters(lab)), lab) for lab in labels]

@@ -11,8 +11,8 @@ Coordinate conventions used throughout the package:
 
 Long roots are normalised to squared length 2.  That choice fixes every
 Gram matrix and fundamental-domain volume computed here.  All lattice
-arithmetic is exact (``fractions.Fraction``); floating point enters only
-when a phase is finally exponentiated.
+arithmetic is exact (``fractions.Fraction`` or integers); floating point
+enters only when a phase is finally exponentiated.
 """
 
 from __future__ import annotations
@@ -154,6 +154,10 @@ class SemisimpleSystem:
     inv_cartan_t: RatMatrix
     det_cartan: int
     offsets: tuple[int, ...]
+
+    def __hash__(self):
+        # equal systems have equal selectors; the nested fields hash ~100x slower
+        return hash(self.selector)
 
     def factor_slices(self):
         """(start, stop) index pair of each factor's coordinate block."""

@@ -17,7 +17,8 @@ even fundamental domain with a midpoint/centroid product rule: interval
 midpoints along A1 directions and centroid-weighted triangle
 subdivisions over the rank-2 simplices, reflected copies included.  The
 spectrum of the continuous transform is the finite truncation produced
-by :func:`eweyl.grids.enumerate_dominant`.
+by :func:`eweyl.grids.enumerate_dominant`.  Both transforms take their
+orbit sums from :func:`eweyl.efunc.orbit_sums`, so every phase is exact.
 
 Centralised numeric tolerances, used across the test-suite:
 orthogonality and round trips 1e-9, pointwise formula equivalence
@@ -41,10 +42,8 @@ from .lie_data import (
     coweight_gram,
     domain_volume,
     mat_det,
-    mat_vec,
-    phase_to_complex,
-    vec_dot,
 )
+from .efunc import orbit_sums, xi
 from .weyl import check_kind, even_subgroup, stab_order
 from .grids import (
     GridPoint,
@@ -126,22 +125,15 @@ def normalizers(system, kind, ms) -> np.ndarray:
     return np.array([base * sp.h for sp in spectrum], dtype=float)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def phase_matrix(system: SemisimpleSystem, kind: str, ms: tuple[int, ...]) -> np.ndarray:
     """Matrix of orbit-sum values, spectrum rows by grid columns."""
-    grid = build_point_grid(system, kind, ms)
-    spectrum = build_weight_grid(system, kind, ms)
-    group = even_subgroup(system, kind)
-    paired = [mat_vec(system.inv_cartan, gp.point) for gp in grid]
-
-    def row(sp: SpectralPoint):
-        images = [w.apply_weight(sp.weight) for w in group]
-        return [
-            sum(phase_to_complex(vec_dot(img, u)) for img in images)
-            for u in paired
-        ]
-
-    out = np.array([row(sp) for sp in spectrum], dtype=complex)
+    out = orbit_sums(
+        system,
+        kind,
+        [sp.weight for sp in build_weight_grid(system, kind, ms)],
+        [gp.point for gp in build_point_grid(system, kind, ms)],
+    )
     out.setflags(write=False)
     return out
 
@@ -178,8 +170,6 @@ def inverse_discrete(coeffs: CoefficientSet) -> SampleSet:
 
 def interpolate(coeffs: CoefficientSet, x: TorusPoint) -> complex:
     """Evaluate the finite series at an arbitrary torus point."""
-    from .efunc import xi
-
     x = tuple(Q(v) for v in x)
     total = 0j
     for sp, c in zip(coeffs.spectrum, coeffs.values):
@@ -253,6 +243,10 @@ def quadrature_cells(system: SemisimpleSystem, kind: str, resolution: int):
     ]
 
 
+#: quadrature cells per orbit-sum block of :func:`continuous_coefficients`
+_CELL_BLOCK = 2**14
+
+
 @dataclass(frozen=True)
 class ContinuousCoefficients:
     """Quadrature approximations of continuous expansion coefficients."""
@@ -287,33 +281,25 @@ def continuous_coefficients(
     The coefficient of weight ``lam`` is the integral of
     ``f * conj(Xi_lam)`` divided by ``|domain| * |group| * d_lam``.
     """
-    check_kind(kind)
-    group = even_subgroup(system, kind)
+    group = even_subgroup(system, check_kind(kind))
     cells = quadrature_cells(system, kind, resolution)
     metric = math.sqrt(float(mat_det(coweight_gram(system))))
-    pts = np.array([[float(c) for c in coords] for coords, _ in cells])
-    wts = np.array([w for _, w in cells]) * metric
-    fvals = np.array([complex(f(coords)) for coords, _ in cells])
-    inv_c = np.array([[float(v) for v in row] for row in system.inv_cartan])
-    vol = domain_volume(system, kind)
+    weighted = np.array([w * complex(f(coords)) for coords, w in cells]) * metric
     spectrum = enumerate_dominant(system, kind, weight_bound)
-
-    def coefficient(lam):
-        images = np.array([w.apply_weight(lam) for w in group], dtype=float)
-        phases = (images @ inv_c) @ pts.T
-        xi_vals = np.exp(2j * np.pi * phases).sum(axis=0)
-        d_lam = stab_order(group, lam)
-        integral = np.sum(wts * fvals * np.conj(xi_vals))
-        return complex(integral / (vol * group.order * d_lam)), d_lam
-
-    results = [coefficient(lam) for lam in spectrum]
+    integrals = np.zeros(len(spectrum), dtype=complex)
+    for start in range(0, len(cells), _CELL_BLOCK):
+        points = [coords for coords, _ in cells[start:start + _CELL_BLOCK]]
+        xi_vals = orbit_sums(system, kind, spectrum, points)
+        integrals += np.conj(xi_vals) @ weighted[start:start + _CELL_BLOCK]
+    stabilizers = tuple(stab_order(group, lam) for lam in spectrum)
+    norm = domain_volume(system, kind) * group.order
     return ContinuousCoefficients(
         system,
         kind,
         weight_bound,
         tuple(spectrum),
-        tuple(v for v, _ in results),
-        tuple(d for _, d in results),
+        tuple(complex(v / (norm * d)) for v, d in zip(integrals, stabilizers)),
+        stabilizers,
     )
 
 

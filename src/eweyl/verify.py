@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .lie_data import Q, SemisimpleSystem, UsageError, system_from_selector
 from .weyl import FULL_EVEN, even_subgroup, stab_order, torus_orbit_size, weight_stab_mod_mq
-from .grids import check_moduli
+from .grids import check_moduli, kac_labels, label_parameters
 from . import efunc
 
 TABLE_IDS = ("T1_A1A1", "T2_d_ee", "T3_d_e", "T4_disk_ee", "T5_disk_e", "T6_A1A1A1")
@@ -308,80 +308,44 @@ def weight_pattern_string(flags) -> str:
     return "(" + ",".join(names[i] if f else "0" for i, f in enumerate(flags)) + ")"
 
 
-def _factor_slot_flags(system: SemisimpleSystem, flags):
-    """Split a label zero-pattern into per-factor (s0_flag, coord_flags)."""
-    out = []
-    pos = 0
-    for f in system.factors:
-        out.append((flags[pos], tuple(flags[pos + 1: pos + 1 + f.rank])))
-        pos += 1 + f.rank
-    return out
-
-
-def _factor_assignments(factor, s0_flag, coord_flags, marks, modulus):
-    """All per-factor label tuples realising the zero pattern at this modulus."""
-    ranges = [
-        range(1, modulus + 1) if flag else range(0, 1) for flag in coord_flags
-    ]
-    out = []
-    for coords in itertools.product(*ranges):
-        s0 = modulus - sum(m * s for m, s in zip(marks, coords))
-        if s0 < 0:
-            continue
-        if (s0 != 0) != bool(s0_flag):
-            continue
-        out.append((s0,) + coords)
-    return out
-
-
-def _label_instances(system, flags, modulus, dual):
-    """Full-label instances of a zero pattern, or [] when unrealisable."""
+def _pattern_coordinates(system, flags, modulus, dual):
+    """Labels realising a zero pattern, ``s0`` entries dropped; [] if none."""
     per_factor = []
-    for f, (s0_flag, coord_flags) in zip(system.factors, _factor_slot_flags(system, flags)):
-        marks = f.dual_marks if dual else f.marks
-        cells = _factor_assignments(f, s0_flag, coord_flags, marks, modulus)
-        if not cells:
-            return []
-        per_factor.append(cells)
-    return [
-        tuple(v for piece in combo for v in piece)
-        for combo in itertools.product(*per_factor)
-    ]
-
-
-def _label_coordinates(system, label):
-    """Strip the derived s0 entries, keeping one coordinate per rank."""
-    coords = []
     pos = 0
     for f in system.factors:
-        coords.extend(label[pos + 1: pos + 1 + f.rank])
+        want = tuple(bool(flag) for flag in flags[pos: pos + 1 + f.rank])
         pos += 1 + f.rank
-    return tuple(coords)
+        marks = f.dual_marks if dual else f.marks
+        per_factor.append([
+            label_parameters(label)
+            for label in kac_labels(f, marks, modulus, strict=False)
+            if tuple(s != 0 for s in label) == want
+        ])
+    return [sum(combo, ()) for combo in itertools.product(*per_factor)]
 
 
 def _compute_eps(system, kind, flags, modulus):
     """Generic torus-orbit size on a label stratum (max over instances)."""
-    instances = _label_instances(system, flags, modulus, dual=False)
+    instances = _pattern_coordinates(system, flags, modulus, dual=False)
     if not instances:
         return None
     group = even_subgroup(system, kind)
     best = 0
-    for label in instances:
-        point = tuple(Q(s, modulus) for s in _label_coordinates(system, label))
+    for coords in instances:
+        point = tuple(Q(s, modulus) for s in coords)
         best = max(best, torus_orbit_size(group, point))
     return best
 
 
 def _compute_h(system, kind, flags, modulus):
     """Generic congruence stabiliser order on a stratum (min over instances)."""
-    instances = _label_instances(system, flags, modulus, dual=True)
+    instances = _pattern_coordinates(system, flags, modulus, dual=True)
     if not instances:
         return None
     group = even_subgroup(system, kind)
     _, ms = check_moduli(system, FULL_EVEN, modulus)
     best = None
-    for label in instances:
-        weight = _label_coordinates(system, label)
+    for weight in instances:
         value = weight_stab_mod_mq(group, weight, ms)
         best = value if best is None else min(best, value)
     return best

@@ -10,7 +10,7 @@ import random
 import numpy as np
 
 import eweyl as E
-from eweyl.efunc import TRUSTED_CLOSED_FORMS, xi, xi_closed, xi_fast
+from eweyl.efunc import TRUSTED_CLOSED_FORMS, xi, xi_closed
 from eweyl.grids import grid_canonical_set
 from eweyl.transform import (
     forward_discrete,
@@ -170,11 +170,10 @@ def test_criterion_8_closed_form_cross_validation():
             lam = int_weight(rng, 3)
             x = rational_point(rng, 3)
             worst = max(worst, abs(xi_closed(system, kind, lam, x) - xi(system, kind, lam, x)))
-            assert xi_fast(system, kind, lam, x) == xi(system, kind, lam, x)
         assert worst > 1e-3, "a1xg2 closed form unexpectedly matches"
     _pass(8, f"8 closed forms match the orbit sums within 1e-10 "
-             f"(worst {worst_trusted:.2e}); both a1xg2 forms deviate and "
-             f"fall back to the generic sum")
+             f"(worst {worst_trusted:.2e}); both a1xg2 forms deviate from "
+             f"the generic sum")
 
 
 def test_criterion_9_oracle_grids_and_cardinalities():

@@ -125,9 +125,6 @@ def test_a1xg2_closed_forms_misprinted():
             x = rational_point(rng, 3)
             worst = max(worst, abs(E.xi_closed(system, kind, lam, x) - E.xi(system, kind, lam, x)))
         assert worst > 1e-3
-        # the fast path falls back to the generic sum
-        lam, x = (1, 2, 1), (Q(1, 5), Q(1, 7), Q(2, 7))
-        assert E.xi_fast(system, kind, lam, x) == E.xi(system, kind, lam, x)
 
 
 def test_closed_form_at_zero_weight():

@@ -53,6 +53,16 @@ def test_make_system_fields():
         )
 
 
+def test_systems_hash_by_value():
+    # a fresh (uncached) assembly equals the cached one and hashes the same
+    for kinds in (("a1", "g2"), ("a1", "a1", "a1"), ("g2",), ("c2", "a2")):
+        cached = E.assemble_system(kinds)
+        fresh = E.assemble_system.__wrapped__(kinds)
+        assert fresh is not cached
+        assert fresh == cached and hash(fresh) == hash(cached)
+    assert E.assemble_system(("a1", "a2")) != E.assemble_system(("a2", "a1"))
+
+
 def test_make_system_rejects_unsupported():
     with pytest.raises(E.ConfigurationError):
         E.make_system(["a2", "a1"])

@@ -236,6 +236,11 @@ def test_phase_matrix_rebuild_is_bitwise_equal():
     rebuilt = phase_matrix(system, "e", (2,))
     phase_matrix.cache_clear()
     assert np.array_equal(base, rebuilt)
+    oracle = np.array([
+        [xi(system, "e", sp.weight, gp.point) for gp in E.build_point_grid(system, "e", (2,))]
+        for sp in E.build_weight_grid(system, "e", (2,))
+    ])
+    assert np.array_equal(base, oracle)
 
 
 def test_normalizer_values():
