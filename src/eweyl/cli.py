@@ -27,8 +27,8 @@ from .lie_data import (
     coweight_gram,
     system_from_selector,
 )
-from .weyl import even_subgroup, generate_weyl
-from .grids import build_point_grid, build_weight_grid, check_moduli, in_even_domain
+from .weyl import check_moduli, even_subgroup, generate_weyl
+from .grids import build_point_grid, build_weight_grid, in_even_domain
 from .efunc import orbit_sums, xi
 from .transform import (
     CoefficientSet,

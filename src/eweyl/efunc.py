@@ -20,7 +20,7 @@ import numpy as np
 
 from .lie_data import Q, SemisimpleSystem, TorusPoint, UsageError, Weight
 from .lie_data import exp_phase, phase_to_complex
-from .weyl import even_subgroup, check_kind, stab_order
+from .weyl import check_kind, even_subgroup, int_dtype, orbit, stab_order, torus_keys
 
 
 class UnsupportedFormulaError(ValueError):
@@ -47,44 +47,33 @@ def orbit_sums(system: SemisimpleSystem, kind: str, weights, points) -> np.ndarr
     ``weights`` is a sequence of integer weights and ``points`` a
     sequence of points with ``int`` or ``Fraction`` coordinates.
 
-    With ``L`` the lcm of the point denominators and ``n = L |det C|``,
-    the points ``X = L x`` and the matrix ``A = |det C| C^{-1}`` are
-    integral, so each pairing is the exact residue ``k = (w lam) A X``
-    mod ``n``.  A term is ``phase_to_complex(k / n)``, the phasor ``xi``
-    adds, and the terms are summed in canonical group order.  The
-    residues are int64 when a bound on ``|k|`` proves they fit and exact
-    Python ints otherwise.
+    With ``K, n = torus_keys(system, points)`` each pairing is the exact
+    residue ``k = (W lam) . K mod n``.  A term is
+    ``phase_to_complex(k / n)``, the phasor ``xi`` adds, and the terms
+    are summed in canonical group order.  The residues are int64 when a
+    bound on ``|k|`` proves they fit and exact Python ints otherwise.
     """
     group = even_subgroup(system, check_kind(kind))
     dim = system.n
     if any(len(v) != dim for v in (*weights, *points)):
         raise UsageError(f"weights and points need length {dim} for {system.selector}")
-    lcm = math.lcm(*(v.denominator for p in points for v in p))
-    det = abs(system.det_cartan)
-    n = lcm * det
-    adj = np.array([[int(v * det) for v in row] for row in system.inv_cartan], dtype=object)
+    keys, n = torus_keys(system, points)
     lam = np.array(weights, dtype=object).reshape(len(weights), dim)
-    rows = [lam @ np.array(w.weight_matrix, dtype=object).T @ adj for w in group]
-    cols = np.array(
-        [v.numerator * (lcm // v.denominator) for p in points for v in p], dtype=object
-    ).reshape(len(points), dim).T
-    bound = dim * max(abs(r).max(initial=0) for r in rows) * abs(cols).max(initial=0)
-    dtype = np.int64 if max(bound, n) < 2**63 else object
-    cols = cols.astype(dtype)
+    rows = [lam @ np.array(w.weight_matrix, dtype=object).T for w in group]
+    dtype = int_dtype(max(dim * max(abs(r).max(initial=0) for r in rows) * n, n))
+    cols = keys.T.astype(dtype)
     phasor = lru_cache(maxsize=None)(lambda k: phase_to_complex(Q(k, n)))
     total = np.zeros((len(weights), len(points)), dtype=complex)
     for r in rows:
         k = r.astype(dtype) @ cols % n
-        residues = np.unique(k)
-        table = np.array([phasor(v) for v in residues.tolist()], dtype=complex)
-        total += table[np.searchsorted(residues, k)]
+        seen = np.unique(k)
+        table = np.array([phasor(v) for v in seen.tolist()], dtype=complex)
+        total += table[np.searchsorted(seen, k)]
     return total
 
 
 def xi_orbit(system: SemisimpleSystem, kind: str, lam: Weight, x: TorusPoint) -> complex:
     """Sum over the distinct orbit members only: ``xi / stab_order``."""
-    from .weyl import orbit
-
     group = even_subgroup(system, check_kind(kind))
     total = 0j
     for mu in orbit(group, tuple(lam)):

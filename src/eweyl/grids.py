@@ -11,7 +11,9 @@ for point grids, dual marks for weight grids).  Reflected cells keep
 the positive label of the unreflected parameters while the stored
 coordinates carry the reflection.
 
-Moduli are normalised in one place, :func:`check_moduli`.
+Moduli are normalised in one place, :func:`eweyl.weyl.check_moduli`.
+Orbit sizes, stabiliser orders and duplicate checks run on the residue
+keys of :mod:`eweyl.weyl`, for all cells of a grid at once.
 
 ``oracle_point_grid`` ignores all of the closed-form bookkeeping and
 intersects the finite torus group with the even fundamental domain by
@@ -22,8 +24,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -39,16 +39,17 @@ from .lie_data import (
 )
 from .weyl import (
     FULL_EVEN,
-    PRODUCT_EVEN,
     GroupElement,
     canonical_torus_point,
-    canonical_weight_mod_mq,
-    check_kind,
+    check_even_kind,
+    check_moduli,
     even_subgroup,
     orbit,
     simple_reflection,
-    torus_orbit_size,
-    weight_stab_mod_mq,
+    torus_keys,
+    torus_orbit_sizes,
+    weight_keys,
+    weight_stabs_mod_mq,
 )
 
 
@@ -70,7 +71,7 @@ class SpectralPoint:
 # label enumeration per factor
 # ---------------------------------------------------------------------------
 
-def kac_labels(factor: SimpleFactor, marks, modulus: int, strict: bool):
+def _kac_labels(factor: SimpleFactor, marks, modulus: int, strict: bool):
     """Labels ``(s0, s1, ..)`` with ``s0 + sum(m_i s_i) = modulus``.
 
     ``strict`` restricts to the interior: every entry >= 1.
@@ -116,38 +117,6 @@ def domain_reflection(system: SemisimpleSystem) -> GroupElement:
     return simple_reflection(system, reflection_coordinate(system))
 
 
-def _even_kind(kind: str) -> str:
-    if check_kind(kind) not in (FULL_EVEN, PRODUCT_EVEN):
-        raise UsageError("the even domain is defined for the kinds 'e' and 'ee' only")
-    return kind
-
-
-def check_moduli(system: SemisimpleSystem, kind: str, ms):
-    """Validate a modulus argument; return ``(ms, per_factor)``.
-
-    ``ms`` is an int or a sequence of ints, one modulus per block of
-    :func:`domain_blocks`: a single one for kind ``"e"``, one per factor
-    for kind ``"ee"``.  The first result is the tuple as given, the
-    second has one modulus per factor.
-    """
-    _even_kind(kind)
-    if isinstance(ms, numbers.Integral):
-        ms = (ms,)
-    try:
-        ms = tuple(operator.index(m) for m in ms)
-    except TypeError:
-        raise UsageError(f"moduli must be integers, got {ms!r}") from None
-    if any(m < 1 for m in ms):
-        raise UsageError("moduli must be >= 1")
-    k = len(system.factors)
-    want = 1 if kind == FULL_EVEN else k
-    if len(ms) != want:
-        raise UsageError(
-            f"kind {kind!r} for {system.selector} takes {want} modulus value(s), got {len(ms)}"
-        )
-    return ms, (ms * k if kind == FULL_EVEN else ms)
-
-
 # ---------------------------------------------------------------------------
 # the even fundamental domain
 # ---------------------------------------------------------------------------
@@ -175,7 +144,7 @@ def domain_blocks(system: SemisimpleSystem, kind: str) -> tuple[GluingBlock, ...
     first coordinate when all factors are A1.  Kind ``"ee"`` glues every
     factor separately with its own first simple reflection.
     """
-    if _even_kind(kind) == FULL_EVEN:
+    if check_even_kind(kind) == FULL_EVEN:
         everything = tuple(range(len(system.factors)))
         return (GluingBlock(everything, domain_reflection(system), False),)
     return tuple(
@@ -238,7 +207,7 @@ def _branches(system: SemisimpleSystem, kind: str, ms, dual: bool):
             labels = _circle_labels(m)
         else:
             marks = f.dual_marks if dual else f.marks
-            labels = kac_labels(f, marks, m, strict=part == "interior")
+            labels = _kac_labels(f, marks, m, strict=part == "interior")
         if dual:
             return [(label_parameters(lab), lab) for lab in labels]
         return [(tuple(Q(s, m) for s in label_parameters(lab)), lab) for lab in labels]
@@ -246,18 +215,20 @@ def _branches(system: SemisimpleSystem, kind: str, ms, dual: bool):
     return glue(system, kind, piece, dual)
 
 
-@lru_cache(maxsize=None)
+def _require_distinct(keys, what: str):
+    rows = [tuple(k) for k in keys.tolist()]
+    if len(set(rows)) != len(rows):
+        raise AssertionError(f"duplicate {what} in a grid")
+
+
+# bounded caches: a ``tables`` run at one modulus fills 12 entries of each
+@lru_cache(maxsize=32)
 def _point_grid_cached(system: SemisimpleSystem, kind: str, ms: tuple[int, ...]):
-    group = even_subgroup(system, kind)
-    points = []
-    seen = set()
-    for coords, label in _branches(system, kind, ms, dual=False):
-        canon = canonical_torus_point(system, coords)
-        if canon in seen:
-            raise AssertionError(f"duplicate grid point mod coroot lattice: {coords}")
-        seen.add(canon)
-        points.append(GridPoint(coords, label, torus_orbit_size(group, coords)))
-    return tuple(points)
+    cells = list(_branches(system, kind, ms, dual=False))
+    points = [coords for coords, _ in cells]
+    _require_distinct(torus_keys(system, points)[0], "point mod coroot lattice")
+    eps = torus_orbit_sizes(even_subgroup(system, kind), points)
+    return tuple(GridPoint(p, label, e) for (p, label), e in zip(cells, eps))
 
 
 def build_point_grid(system: SemisimpleSystem, kind: str, ms) -> tuple[GridPoint, ...]:
@@ -271,22 +242,17 @@ def build_point_grid(system: SemisimpleSystem, kind: str, ms) -> tuple[GridPoint
     return _point_grid_cached(system, kind, ms)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _weight_grid_cached(system: SemisimpleSystem, kind: str, ms: tuple[int, ...]):
-    group = even_subgroup(system, kind)
     _, per_factor = check_moduli(system, kind, ms)
-    weights = []
-    seen = set()
-    for coords, label in _branches(system, kind, ms, dual=True):
-        coords = tuple(int(c) for c in coords)
-        canon = canonical_weight_mod_mq(system, coords, per_factor)
-        if canon in seen:
-            raise AssertionError(f"duplicate weight mod M*Q: {coords}")
-        seen.add(canon)
-        weights.append(
-            SpectralPoint(coords, label, weight_stab_mod_mq(group, coords, per_factor))
-        )
-    return tuple(weights)
+    cells = [
+        (tuple(int(c) for c in coords), label)
+        for coords, label in _branches(system, kind, ms, dual=True)
+    ]
+    weights = [w for w, _ in cells]
+    _require_distinct(weight_keys(system, weights, per_factor), "weight mod M*Q")
+    hs = weight_stabs_mod_mq(even_subgroup(system, kind), weights, per_factor)
+    return tuple(SpectralPoint(w, label, h) for (w, label), h in zip(cells, hs))
 
 
 def build_weight_grid(system: SemisimpleSystem, kind: str, ms) -> tuple[SpectralPoint, ...]:

@@ -9,10 +9,15 @@ Coordinate conventions used throughout the package:
   of ``C`` in the coweight basis, and the pairing of a weight ``a`` with
   a point ``s`` is the exact rational ``a . C^{-1} s``.
 
+Every system also carries the integral ``A = |det C| C^{-1}``
+(``adj_cartan``): pairings and lattice congruences become integer
+residues of ``A`` (see :mod:`eweyl.weyl`).
+
 Long roots are normalised to squared length 2.  That choice fixes every
 Gram matrix and fundamental-domain volume computed here.  All lattice
-arithmetic is exact (``fractions.Fraction`` or integers); floating point
-enters only when a phase is finally exponentiated.
+arithmetic is exact (integer residues, or ``fractions.Fraction`` in the
+reference paths); floating point enters only when a phase is finally
+exponentiated.
 """
 
 from __future__ import annotations
@@ -151,7 +156,7 @@ class SemisimpleSystem:
     n: int
     cartan: IntMatrix
     inv_cartan: RatMatrix
-    inv_cartan_t: RatMatrix
+    adj_cartan: IntMatrix  # |det C| C^{-1}, integral
     det_cartan: int
     offsets: tuple[int, ...]
 
@@ -189,6 +194,7 @@ def assemble_system(kinds: tuple[str, ...]) -> SemisimpleSystem:
         raise ConfigurationError(f"unknown simple factor {exc.args[0]!r}") from None
     cartan = block_diagonal([f.cartan for f in factors])
     inv = mat_inverse(cartan)
+    det = mat_det(cartan)
     offsets = []
     off = 0
     for f in factors:
@@ -200,8 +206,8 @@ def assemble_system(kinds: tuple[str, ...]) -> SemisimpleSystem:
         n=off,
         cartan=cartan,
         inv_cartan=inv,
-        inv_cartan_t=mat_transpose(inv),
-        det_cartan=mat_det(cartan),
+        adj_cartan=tuple(tuple(int(v * abs(det)) for v in row) for row in inv),
+        det_cartan=det,
         offsets=tuple(offsets),
     )
 

@@ -44,13 +44,12 @@ from .lie_data import (
     mat_det,
 )
 from .efunc import orbit_sums, xi
-from .weyl import check_kind, even_subgroup, stab_order
+from .weyl import check_kind, check_moduli, even_subgroup, stab_order
 from .grids import (
     GridPoint,
     SpectralPoint,
     build_point_grid,
     build_weight_grid,
-    check_moduli,
     enumerate_dominant,
     glue,
 )

@@ -23,9 +23,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lie_data import Q, SemisimpleSystem, UsageError, system_from_selector
-from .weyl import FULL_EVEN, even_subgroup, stab_order, torus_orbit_size, weight_stab_mod_mq
-from .grids import check_moduli, kac_labels, label_parameters
+from .lie_data import SemisimpleSystem, UsageError, system_from_selector
+from .weyl import even_subgroup, stab_order
+from .grids import build_point_grid, build_weight_grid, domain_blocks
 from . import efunc
 
 TABLE_IDS = ("T1_A1A1", "T2_d_ee", "T3_d_e", "T4_disk_ee", "T5_disk_e", "T6_A1A1A1")
@@ -308,47 +308,20 @@ def weight_pattern_string(flags) -> str:
     return "(" + ",".join(names[i] if f else "0" for i, f in enumerate(flags)) + ")"
 
 
-def _pattern_coordinates(system, flags, modulus, dual):
-    """Labels realising a zero pattern, ``s0`` entries dropped; [] if none."""
-    per_factor = []
-    pos = 0
-    for f in system.factors:
-        want = tuple(bool(flag) for flag in flags[pos: pos + 1 + f.rank])
-        pos += 1 + f.rank
-        marks = f.dual_marks if dual else f.marks
-        per_factor.append([
-            label_parameters(label)
-            for label in kac_labels(f, marks, modulus, strict=False)
-            if tuple(s != 0 for s in label) == want
-        ])
-    return [sum(combo, ()) for combo in itertools.product(*per_factor)]
+def _stratum_value(system, kind, coefficient, flags, modulus):
+    """eps (max) or h (min) over the grid cells whose label has the zero
+    pattern ``flags``, at ``modulus`` for every block; None if none has.
 
-
-def _compute_eps(system, kind, flags, modulus):
-    """Generic torus-orbit size on a label stratum (max over instances)."""
-    instances = _pattern_coordinates(system, flags, modulus, dual=False)
-    if not instances:
-        return None
-    group = even_subgroup(system, kind)
-    best = 0
-    for coords in instances:
-        point = tuple(Q(s, modulus) for s in coords)
-        best = max(best, torus_orbit_size(group, point))
-    return best
-
-
-def _compute_h(system, kind, flags, modulus):
-    """Generic congruence stabiliser order on a stratum (min over instances)."""
-    instances = _pattern_coordinates(system, flags, modulus, dual=True)
-    if not instances:
-        return None
-    group = even_subgroup(system, kind)
-    _, ms = check_moduli(system, FULL_EVEN, modulus)
-    best = None
-    for weight in instances:
-        value = weight_stab_mod_mq(group, weight, ms)
-        best = value if best is None else min(best, value)
-    return best
+    Reflected and circle cells carry the values of their unreflected
+    twins, because the even subgroups are normal in the Weyl group.
+    """
+    ms = (modulus,) * len(domain_blocks(system, kind))
+    if coefficient == "h":
+        cells, pick = [(sp.label, sp.h) for sp in build_weight_grid(system, kind, ms)], min
+    else:
+        cells, pick = [(gp.label, gp.epsilon) for gp in build_point_grid(system, kind, ms)], max
+    want = tuple(bool(f) for f in flags)
+    return pick((v for label, v in cells if tuple(s != 0 for s in label) == want), default=None)
 
 
 def _compute_d(system, kind, flags):
@@ -402,16 +375,14 @@ def _regenerate_rows(selector, kind, coefficient, rows, column, modulus):
             used = None
             pattern = weight_pattern_string(flags)
         else:
-            dual = coefficient == "h"
             computed = None
             used = None
             for m in range(modulus, modulus + _FALLBACK_SPAN + 1):
-                fn = _compute_h if dual else _compute_eps
-                computed = fn(system, kind, flags, m)
+                computed = _stratum_value(system, kind, coefficient, flags, m)
                 if computed is not None:
                     used = m
                     break
-            pattern = pattern_string(system, flags, "t" if dual else "s")
+            pattern = pattern_string(system, flags, "t" if coefficient == "h" else "s")
         if computed is None:
             status = "skipped"
         elif computed == reference:

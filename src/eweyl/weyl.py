@@ -17,16 +17,25 @@ Two subgroup selections are supported, addressed by a ``kind`` string:
   elements whose every factor block has determinant +1;
 * ``"w"``  -- the full Weyl group (mostly for internal use).
 
-Congruences on the torus and on the weight lattice are decided exactly:
-``x = y  mod  coroot lattice`` iff ``C^{-1}(x - y)`` is integral, and
-``a = b  mod  M * root lattice`` iff ``C^{-T}(a - b) / M`` is integral,
-blockwise with each factor's own modulus.
+Congruences are decided on integer residue keys, built from the
+integral ``A = |det C| C^{-1}``: points are congruent modulo the coroot
+lattice iff their keys ``A (L x) mod L |det C|`` are equal (``L`` a
+common denominator), weights modulo ``M_f`` times the root lattice of
+each factor ``f`` iff their keys ``A^T a mod |det C| M_f`` are equal.
+Orbit sizes and stabilisers are counted on the keys of many points or
+weights at once.  ``torus_congruent`` and ``weight_congruent_mod_mq``
+are the ``Fraction`` references, straight from the definitions.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from .lie_data import (
     Q,
@@ -54,6 +63,38 @@ def check_kind(kind: str) -> str:
     if kind not in _KINDS:
         raise UsageError(f"unknown group kind {kind!r}; expected one of {_KINDS}")
     return kind
+
+
+def check_even_kind(kind: str) -> str:
+    if check_kind(kind) not in (FULL_EVEN, PRODUCT_EVEN):
+        raise UsageError("the even domain is defined for the kinds 'e' and 'ee' only")
+    return kind
+
+
+def check_moduli(system: SemisimpleSystem, kind: str, ms):
+    """Validate a modulus argument; return ``(ms, per_factor)``.
+
+    ``ms`` is an int or a sequence of ints, one modulus per gluing block
+    of the even domain (:func:`eweyl.grids.domain_blocks`): a single one
+    for kind ``"e"``, one per factor for kind ``"ee"``.  The first result
+    is the tuple as given, the second has one modulus per factor.
+    """
+    check_even_kind(kind)
+    if isinstance(ms, numbers.Integral):
+        ms = (ms,)
+    try:
+        ms = tuple(operator.index(m) for m in ms)
+    except TypeError:
+        raise UsageError(f"moduli must be integers, got {ms!r}") from None
+    if any(m < 1 for m in ms):
+        raise UsageError("moduli must be >= 1")
+    k = len(system.factors)
+    want = 1 if kind == FULL_EVEN else k
+    if len(ms) != want:
+        raise UsageError(
+            f"kind {kind!r} for {system.selector} takes {want} modulus value(s), got {len(ms)}"
+        )
+    return ms, (ms * k if kind == FULL_EVEN else ms)
 
 
 @dataclass(frozen=True)
@@ -179,85 +220,108 @@ def stab_order(group: WeylGroup, lam: Weight) -> int:
     return sum(1 for w in group if w.apply_weight(lam) == lam)
 
 
-def orbit_points(group: WeylGroup, x: TorusPoint) -> tuple[TorusPoint, ...]:
-    """Distinct images of a torus point modulo the coroot lattice."""
-    x = tuple(Q(v) for v in x)
-    sys = group.system
-    return tuple(sorted({canonical_torus_point(sys, w.apply_point(x)) for w in group}))
-
-
-def torus_orbit_size(group: WeylGroup, x: TorusPoint) -> int:
-    return len(orbit_points(group, x))
-
-
 # ---------------------------------------------------------------------------
-# exact congruences
+# integer residue keys
 # ---------------------------------------------------------------------------
 
-def coroot_coordinates(system: SemisimpleSystem, x: TorusPoint):
-    """Coordinates of a point in the coroot basis: ``C^{-1} s``."""
-    return mat_vec(system.inv_cartan, x)
+def int_dtype(bound: int):
+    """int64 when ``bound`` caps every magnitude computed, else exact Python ints."""
+    return np.int64 if bound < 2**63 else object
+
+
+def _residues(rows, matrices, mods) -> np.ndarray:
+    """``rows @ m % mods`` for each integer matrix ``m``, stacked on axis 0."""
+    mats = np.array(matrices, dtype=object)
+    rows = np.array(rows, dtype=object).reshape(len(rows), mats.shape[1])
+    mods = np.array(mods, dtype=object)
+    bound = rows.shape[1] * np.abs(mats).max(initial=0) * np.abs(rows).max(initial=0)
+    dtype = int_dtype(max(bound, mods.max()))
+    return rows.astype(dtype) @ mats.astype(dtype) % mods.astype(dtype)
+
+
+def torus_keys(system: SemisimpleSystem, points) -> tuple[np.ndarray, int]:
+    """Residue keys ``K`` (one row per point) and their modulus ``n``.
+
+    With ``L`` the lcm of the point denominators, ``K = A (L x) mod n``
+    and ``n = L |det C|``.  ``K / n`` are the coroot coordinates of ``x``
+    reduced into [0, 1).
+    """
+    lcm = math.lcm(*(v.denominator for p in points for v in p))
+    n = lcm * abs(system.det_cartan)
+    scaled = [v.numerator * (lcm // v.denominator) for p in points for v in p]
+    scaled = np.array(scaled, dtype=object).reshape(len(points), system.n)
+    return _residues(scaled, [mat_transpose(system.adj_cartan)], n)[0], n
 
 
 def canonical_torus_point(system: SemisimpleSystem, x: TorusPoint) -> TorusPoint:
-    """Representative of ``x`` modulo the coroot lattice.
+    """Representative of ``x`` modulo the coroot lattice: ``C K / n``.
 
-    The coroot coordinates are reduced into [0, 1) and mapped back; two
-    points are congruent iff their canonical forms are equal.
+    Two points are congruent iff their canonical forms are equal.
     """
-    reduced = tuple(z % 1 for z in coroot_coordinates(system, x))
-    return tuple(mat_vec(system.cartan, reduced))
+    keys, n = torus_keys(system, [x])
+    return mat_vec(system.cartan, [Q(int(k), n) for k in keys[0]])
+
+
+def torus_orbit_sizes(group: WeylGroup, points) -> tuple[int, ...]:
+    """Number of distinct images modulo the coroot lattice of every point.
+
+    ``w`` maps a key ``k`` to ``W^{-T} k``, so the orbit size is the group
+    order over the number of elements with ``W^T k = k mod n``.
+    """
+    keys, n = torus_keys(group.system, points)
+    images = _residues(keys, [w.weight_matrix for w in group], n)
+    return tuple(group.order // int(c) for c in (images == keys).all(axis=2).sum(axis=0))
+
+
+def torus_orbit_size(group: WeylGroup, x: TorusPoint) -> int:
+    return torus_orbit_sizes(group, [x])[0]
 
 
 def torus_congruent(system: SemisimpleSystem, x: TorusPoint, y: TorusPoint) -> bool:
+    """``x = y`` modulo the coroot lattice: ``C^{-1}(x - y)`` is integral."""
     diff = tuple(a - b for a, b in zip(x, y))
-    return all(z.denominator == 1 for z in map(Q, coroot_coordinates(system, diff)))
+    return all(Q(z).denominator == 1 for z in mat_vec(system.inv_cartan, diff))
 
 
-@lru_cache(maxsize=None)
-def _factor_inv_cartan_t(factor):
-    return mat_transpose(mat_inverse(factor.cartan))
+def _weight_moduli(system: SemisimpleSystem, ms) -> list[int]:
+    _, per_factor = check_moduli(system, PRODUCT_EVEN, ms)
+    det = abs(system.det_cartan)
+    return [det * m for f, m in zip(system.factors, per_factor) for _ in range(f.rank)]
 
 
-def weight_congruent_mod_mq(system, a: Weight, b: Weight, ms) -> bool:
-    """``a = b`` modulo the sublattice ``M_f * (root lattice of factor f)``."""
-    from .grids import check_moduli  # deferred: grids imports this module
+def weight_keys(system: SemisimpleSystem, weights, ms) -> np.ndarray:
+    """Residue keys of weights modulo ``M_f * (root lattice of factor f)``.
 
-    return _congruent_mod_mq(system, a, b, check_moduli(system, PRODUCT_EVEN, ms)[1])
-
-
-def _congruent_mod_mq(system, a: Weight, b: Weight, ms) -> bool:
-    for (lo, hi), factor, m in zip(system.factor_slices(), system.factors, ms):
-        diff = tuple(a[j] - b[j] for j in range(lo, hi))
-        z = mat_vec(_factor_inv_cartan_t(factor), diff)
-        if any(Q(v) % m != 0 for v in z):
-            return False
-    return True
+    A row is ``A^T a`` reduced mod ``|det C| M_f`` on factor f's block;
+    ``ms`` holds one modulus per factor.
+    """
+    return _residues(weights, [system.adj_cartan], _weight_moduli(system, ms))[0]
 
 
-def canonical_weight_mod_mq(system, a: Weight, ms) -> Weight:
-    """Canonical representative of a weight modulo ``M * root lattice``."""
-    from .grids import check_moduli
+def weight_stabs_mod_mq(group: WeylGroup, weights, ms) -> tuple[int, ...]:
+    """Order of the stabilizer modulo ``M * root lattice`` of every weight.
 
-    _, ms = check_moduli(system, PRODUCT_EVEN, ms)
-    out = []
-    for (lo, hi), factor, m in zip(system.factor_slices(), system.factors, ms):
-        part = tuple(a[j] for j in range(lo, hi))
-        z = tuple(Q(v) % m for v in mat_vec(_factor_inv_cartan_t(factor), part))
-        back = mat_vec(mat_transpose(factor.cartan), z)
-        for v in back:
-            v = Q(v)
-            if v.denominator != 1:
-                raise AssertionError("weight reduction left a non-integer")
-            out.append(int(v))
-    return tuple(out)
+    Counts the elements ``w`` whose key ``A^T (W a)`` equals that of ``a``.
+    """
+    adj, mods = group.system.adj_cartan, _weight_moduli(group.system, ms)
+    images = _residues(weights, [mat_mul(mat_transpose(w.weight_matrix), adj) for w in group], mods)
+    keys = weight_keys(group.system, weights, ms)
+    return tuple(int(c) for c in (images == keys).all(axis=2).sum(axis=0))
 
 
 def weight_stab_mod_mq(group: WeylGroup, lam: Weight, ms) -> int:
-    """Order of the stabilizer of a weight modulo ``M * root lattice``."""
-    from .grids import check_moduli
+    return weight_stabs_mod_mq(group, [lam], ms)[0]
 
-    lam = tuple(lam)
-    sys = group.system
-    _, ms = check_moduli(sys, PRODUCT_EVEN, ms)
-    return sum(1 for w in group if _congruent_mod_mq(sys, w.apply_weight(lam), lam, ms))
+
+def weight_congruent_mod_mq(system, a: Weight, b: Weight, ms) -> bool:
+    """``a = b`` modulo ``M_f * (root lattice of factor f)``, blockwise.
+
+    Decided from the definition: ``C_f^{-T}(a - b) / M_f`` is integral.
+    """
+    _, ms = check_moduli(system, PRODUCT_EVEN, ms)
+    for (lo, hi), factor, m in zip(system.factor_slices(), system.factors, ms):
+        diff = tuple(a[j] - b[j] for j in range(lo, hi))
+        z = mat_vec(mat_transpose(mat_inverse(factor.cartan)), diff)
+        if any(Q(v) % m != 0 for v in z):
+            return False
+    return True

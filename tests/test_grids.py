@@ -4,7 +4,7 @@ import pytest
 
 import eweyl as E
 from eweyl.grids import grid_canonical_set, label_parameters
-from eweyl.weyl import torus_orbit_size, weight_stab_mod_mq, even_subgroup
+from eweyl.weyl import even_subgroup, torus_congruent, weight_congruent_mod_mq
 from conftest import SELECTORS
 
 
@@ -74,10 +74,16 @@ def test_grid_coefficients_match_group_computation():
         for kind, ms in [("e", (2,)), ("ee", (2,) * k)]:
             group = even_subgroup(system, kind)
             for gp in E.build_point_grid(system, kind, ms):
-                assert gp.epsilon == torus_orbit_size(group, gp.point)
+                x = gp.point
+                fixing = sum(torus_congruent(system, w.apply_point(x), x) for w in group)
+                assert gp.epsilon == group.order // fixing
             per_factor = ms * k if kind == "e" else ms
             for sp in E.build_weight_grid(system, kind, ms):
-                assert sp.h == weight_stab_mod_mq(group, sp.weight, per_factor)
+                lam = sp.weight
+                assert sp.h == sum(
+                    weight_congruent_mod_mq(system, w.apply_weight(lam), lam, per_factor)
+                    for w in group
+                )
 
 
 def test_bad_moduli_rejected():
