@@ -7,7 +7,9 @@ each supported group and kind, transcribed verbatim; two of those
 closed forms (both for a1xg2) are known to be misprinted, and
 ``xi_closed`` intentionally reproduces the misprints so that the
 verification suite can exhibit them.  ``orbit_sums`` evaluates ``xi``
-for many weights and points at once, exactly, equal to ``xi`` bit for bit.
+for many weights and points at once, exactly, equal to ``xi`` bit for bit;
+``scaled_orbit_sums`` does the same for points given as integer
+numerators over one denominator.
 """
 
 from __future__ import annotations
@@ -20,7 +22,15 @@ import numpy as np
 
 from .lie_data import Q, SemisimpleSystem, TorusPoint, UsageError, Weight
 from .lie_data import exp_phase, phase_to_complex
-from .weyl import check_kind, even_subgroup, int_dtype, orbit, stab_order, torus_keys
+from .weyl import (
+    check_kind,
+    even_subgroup,
+    int_dtype,
+    orbit,
+    scaled_torus_keys,
+    stab_order,
+    torus_keys,
+)
 
 
 class UnsupportedFormulaError(ValueError):
@@ -53,17 +63,52 @@ def orbit_sums(system: SemisimpleSystem, kind: str, weights, points) -> np.ndarr
     are summed in canonical group order.  The residues are int64 when a
     bound on ``|k|`` proves they fit and exact Python ints otherwise.
     """
+    if any(len(v) != system.n for v in points):
+        raise UsageError(f"weights and points need length {system.n} for {system.selector}")
+    return _orbit_sums(system, kind, weights, *torus_keys(system, points))
+
+
+def scaled_orbit_sums(system: SemisimpleSystem, kind: str, weights, numerators, lcm: int):
+    """:func:`orbit_sums` at the points ``numerators / lcm``, with no ``Fraction``.
+
+    ``numerators`` is an integer array of shape ``(N, n)``.  The result
+    equals ``orbit_sums`` of the same points bit for bit, because a term
+    depends only on the value ``k / n``.
+    """
+    if np.ndim(numerators) != 2 or np.shape(numerators)[1] != system.n:
+        raise UsageError(f"weights and points need length {system.n} for {system.selector}")
+    return _orbit_sums(system, kind, weights, *scaled_torus_keys(system, numerators, lcm))
+
+
+#: largest key modulus whose phasors are tabulated for every residue
+_TABLE_MAX = 2**16
+
+
+@lru_cache(maxsize=4)
+def _phasor_table(n: int) -> np.ndarray:
+    """``phase_to_complex(k / n)`` for every residue ``0 <= k < n``."""
+    table = np.array([phase_to_complex(Q(k, n)) for k in range(n)], dtype=complex)
+    table.setflags(write=False)
+    return table
+
+
+def _orbit_sums(system: SemisimpleSystem, kind: str, weights, keys: np.ndarray, n: int):
+    """The orbit-sum kernel on torus keys ``(keys, n)``; see :func:`orbit_sums`."""
     group = even_subgroup(system, check_kind(kind))
     dim = system.n
-    if any(len(v) != dim for v in (*weights, *points)):
+    if any(len(v) != dim for v in weights):
         raise UsageError(f"weights and points need length {dim} for {system.selector}")
-    keys, n = torus_keys(system, points)
     lam = np.array(weights, dtype=object).reshape(len(weights), dim)
     rows = [lam @ np.array(w.weight_matrix, dtype=object).T for w in group]
     dtype = int_dtype(max(dim * max(abs(r).max(initial=0) for r in rows) * n, n))
     cols = keys.T.astype(dtype)
+    total = np.zeros((len(weights), len(keys)), dtype=complex)
+    if dtype is np.int64 and n <= min(total.size, _TABLE_MAX):
+        table = _phasor_table(n)
+        for r in rows:
+            total += table[r.astype(dtype) @ cols % n]
+        return total
     phasor = lru_cache(maxsize=None)(lambda k: phase_to_complex(Q(k, n)))
-    total = np.zeros((len(weights), len(points)), dtype=complex)
     for r in rows:
         k = r.astype(dtype) @ cols % n
         seen = np.unique(k)

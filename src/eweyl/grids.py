@@ -4,16 +4,22 @@ Both even domains are described once, by :func:`domain_blocks`, as a
 product of gluing blocks ``F_B u r_B(F_B interior)``; :func:`glue`
 enumerates any per-factor cells over that description, and every
 enumeration here (point and weight grids, dominant weights, domain
-membership) and the quadrature cells of :mod:`eweyl.transform` consume
-it.  Grid cells carry Kac-style labels: nonnegative integers
-``[s0, s1, ...]`` per factor with ``s0 + sum(m_i s_i) = M`` (marks ``m``
-for point grids, dual marks for weight grids).  Reflected cells keep
-the positive label of the unreflected parameters while the stored
-coordinates carry the reflection.
+membership) consumes it; :func:`glue_arrays` does the same on integer
+arrays for the quadrature cells of :mod:`eweyl.transform`.  Each gluing
+reflection acts on one factor only, so it is applied to that factor's
+cells before the product is taken.
 
-Moduli are normalised in one place, :func:`eweyl.weyl.check_moduli`.
-Orbit sizes, stabiliser orders and duplicate checks run on the residue
-keys of :mod:`eweyl.weyl`, for all cells of a grid at once.
+Grid cells carry Kac-style labels: nonnegative integers ``[s0, s1, ...]``
+per factor with ``s0 + sum(m_i s_i) = M`` (marks ``m`` for point grids,
+dual marks for weight grids).  Reflected cells keep the positive label
+of the unreflected parameters while the stored coordinates carry the
+reflection.
+
+Moduli are normalised in one place, :func:`eweyl.weyl.check_moduli`;
+grids estimated past ``MAX_GRID_CELLS`` cells are refused before they
+are enumerated.  Orbit sizes, stabiliser orders and duplicate checks
+run on the residue keys of :mod:`eweyl.weyl`, for all cells of a grid
+at once.
 
 ``oracle_point_grid`` ignores all of the closed-form bookkeeping and
 intersects the finite torus group with the even fundamental domain by
@@ -27,6 +33,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .lie_data import (
     Q,
     SemisimpleSystem,
@@ -35,6 +43,7 @@ from .lie_data import (
     UsageError,
     Weight,
     assemble_system,
+    identity_matrix,
     mat_vec,
 )
 from .weyl import (
@@ -165,15 +174,40 @@ def _product(cell_lists):
         )
 
 
-def _block_cells(block: GluingBlock, piece, dual: bool):
+def _factor_reflections(system: SemisimpleSystem, block: GluingBlock, dual: bool):
+    """The gluing reflection of ``block`` split into one matrix per factor.
+
+    Every gluing reflection is a simple reflection, so its matrix is
+    the identity outside the diagonal block of the one factor holding
+    its root.  Returns one entry per factor of ``block``: that factor's
+    diagonal block (weight action if ``dual``, else coweight action),
+    or ``None`` where it is the identity.
+    """
+    refl = block.reflection
+    matrix = refl.weight_matrix if dual else refl.coweight_matrix
+    out, lo = [], 0
+    for i in block.factors:
+        hi = lo + system.factors[i].rank
+        sub = tuple(row[lo:hi] for row in matrix[lo:hi])
+        if any(v for row in matrix[lo:hi] for v in row[:lo] + row[hi:]):
+            raise AssertionError("a gluing reflection mixes factors")
+        out.append(None if sub == identity_matrix(hi - lo) else sub)
+        lo = hi
+    return out
+
+
+def _block_cells(system: SemisimpleSystem, block: GluingBlock, piece, dual: bool):
     if block.circle:
         yield from piece(block.factors[0], "circle")
         return
-    refl = block.reflection
-    apply = refl.apply_weight if dual else refl.apply_point
     yield from _product([piece(i, "closed") for i in block.factors])
-    for coords, tags in _product([piece(i, "interior") for i in block.factors]):
-        yield apply(coords), tags
+    interiors = []
+    for i, sub in zip(block.factors, _factor_reflections(system, block, dual)):
+        cells = piece(i, "interior")
+        if sub is not None:
+            cells = [(mat_vec(sub, coords), tags) for coords, tags in cells]
+        interiors.append(cells)
+    yield from _product(interiors)
 
 
 def glue(system: SemisimpleSystem, kind: str, piece, dual: bool):
@@ -186,7 +220,48 @@ def glue(system: SemisimpleSystem, kind: str, piece, dual: bool):
     by product.  ``dual`` reflects with the weight action.  Yields
     ``(coords, tags)`` pairs, tags concatenated in factor order.
     """
-    return _product([_block_cells(b, piece, dual) for b in domain_blocks(system, kind)])
+    return _product(
+        [_block_cells(system, b, piece, dual) for b in domain_blocks(system, kind)]
+    )
+
+
+def _array_product(parts):
+    """Product of ``(coords, weights)`` arrays in ``itertools.product`` order.
+
+    Coordinates are concatenated and weights multiplied, left to right.
+    """
+    coords, weights = parts[0]
+    for c, w in parts[1:]:
+        k = len(weights)
+        coords = np.hstack([np.repeat(coords, len(w), axis=0), np.tile(c, (k, 1))])
+        weights = np.repeat(weights, len(w)) * np.tile(w, k)
+    return coords, weights
+
+
+def glue_arrays(system: SemisimpleSystem, kind: str, piece):
+    """:func:`glue` on integer arrays, for cells of the point domain.
+
+    ``piece(i, part)`` returns factor ``i``'s cells as an integer
+    coordinate array of shape ``(k, rank)`` and a float weight array of
+    shape ``(k,)``.  Returns the coordinates ``(N, n)`` and weights
+    ``(N,)`` of every cell in the order of :func:`glue`; a cell's
+    weight is the product of its factors' weights in factor order.
+    """
+    blocks = []
+    for block in domain_blocks(system, kind):
+        if block.circle:
+            blocks.append(piece(block.factors[0], "circle"))
+            continue
+        closed = _array_product([piece(i, "closed") for i in block.factors])
+        interiors = []
+        for i, sub in zip(block.factors, _factor_reflections(system, block, False)):
+            coords, weights = piece(i, "interior")
+            if sub is not None:
+                coords = coords @ np.array(sub, dtype=coords.dtype).T
+            interiors.append((coords, weights))
+        interior = _array_product(interiors)
+        blocks.append(tuple(np.concatenate([a, b]) for a, b in zip(closed, interior)))
+    return _array_product(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +290,41 @@ def _branches(system: SemisimpleSystem, kind: str, ms, dual: bool):
     return glue(system, kind, piece, dual)
 
 
+#: the largest grid built; moduli past it are refused before enumerating
+MAX_GRID_CELLS = 10**6
+
+
+def _closed_labels_bound(factor: SimpleFactor, marks, modulus: int) -> int:
+    """Upper bound, within ~15% past small moduli, on the closed labels."""
+    if factor.rank == 1:
+        return modulus + 1
+    a, b = (modulus // k for k in marks)
+    return (a + 2) * (b + 2) // 2
+
+
+def _check_grid_size(system: SemisimpleSystem, kind: str, ms, dual: bool) -> None:
+    """Refuse moduli whose grid would exceed :data:`MAX_GRID_CELLS` cells.
+
+    The estimate per block is twice its closed label product (closed
+    plus reflected interior), or ``2M`` for a circle block.
+    """
+    _, per_factor = check_moduli(system, kind, ms)
+    size = 1
+    for block in domain_blocks(system, kind):
+        if block.circle:
+            size *= 2 * per_factor[block.factors[0]]
+            continue
+        for i in block.factors:
+            f = system.factors[i]
+            size *= _closed_labels_bound(f, f.dual_marks if dual else f.marks, per_factor[i])
+        size *= 2
+    if size > MAX_GRID_CELLS:
+        raise UsageError(
+            f"moduli {list(ms)} give a grid of about {size} cells; "
+            f"the limit is {MAX_GRID_CELLS}"
+        )
+
+
 def _require_distinct(keys, what: str):
     rows = [tuple(k) for k in keys.tolist()]
     if len(set(rows)) != len(rows):
@@ -224,6 +334,7 @@ def _require_distinct(keys, what: str):
 # bounded caches: a ``tables`` run at one modulus fills 12 entries of each
 @lru_cache(maxsize=32)
 def _point_grid_cached(system: SemisimpleSystem, kind: str, ms: tuple[int, ...]):
+    _check_grid_size(system, kind, ms, dual=False)
     cells = list(_branches(system, kind, ms, dual=False))
     points = [coords for coords, _ in cells]
     _require_distinct(torus_keys(system, points)[0], "point mod coroot lattice")
@@ -244,6 +355,7 @@ def build_point_grid(system: SemisimpleSystem, kind: str, ms) -> tuple[GridPoint
 
 @lru_cache(maxsize=32)
 def _weight_grid_cached(system: SemisimpleSystem, kind: str, ms: tuple[int, ...]):
+    _check_grid_size(system, kind, ms, dual=True)
     _, per_factor = check_moduli(system, kind, ms)
     cells = [
         (tuple(int(c) for c in coords), label)

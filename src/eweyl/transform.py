@@ -9,16 +9,23 @@ orders, the forward coefficients are
     N(lam) = detC * |group| * prod_f M_f^rank_f * h[lam],
 
 and the inverse is plain series evaluation on the grid.  The transform
-is a direct dense summation; grid sizes here are at most a few thousand
-points, so no fast factorisation is attempted.
+is a direct dense summation, refused past ``MAX_PHASE_MATRIX_N`` grid
+points so that the dense matrix stays within 1 GiB; no fast
+factorisation is attempted.
 
 The continuous transform integrates against the orbit sums over the
 even fundamental domain with a midpoint/centroid product rule: interval
 midpoints along A1 directions and centroid-weighted triangle
 subdivisions over the rank-2 simplices, reflected copies included.  The
-spectrum of the continuous transform is the finite truncation produced
-by :func:`eweyl.grids.enumerate_dominant`.  Both transforms take their
-orbit sums from :func:`eweyl.efunc.orbit_sums`, so every phase is exact.
+cells are integer numerators over one common denominator ``D``
+(:class:`QuadratureCells`), glued as arrays by
+:func:`eweyl.grids.glue_arrays`; the integrand ``f`` still receives
+``Fraction`` tuples, built block by block from a table of the few
+distinct numerators.  The spectrum of the continuous transform is the
+finite truncation produced by :func:`eweyl.grids.enumerate_dominant`.
+Both transforms take their orbit sums from the exact integer kernel of
+:mod:`eweyl.efunc` (the continuous one straight from the numerators),
+so every phase is exact.
 
 Centralised numeric tolerances, used across the test-suite:
 orthogonality and round trips 1e-9, pointwise formula equivalence
@@ -28,6 +35,7 @@ orthogonality and round trips 1e-9, pointwise formula equivalence
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -43,7 +51,7 @@ from .lie_data import (
     domain_volume,
     mat_det,
 )
-from .efunc import orbit_sums, xi
+from .efunc import orbit_sums, scaled_orbit_sums, xi
 from .weyl import check_kind, check_moduli, even_subgroup, stab_order
 from .grids import (
     GridPoint,
@@ -51,7 +59,7 @@ from .grids import (
     build_point_grid,
     build_weight_grid,
     enumerate_dominant,
-    glue,
+    glue_arrays,
 )
 
 TOL_ORTHOGONALITY = 1e-9
@@ -124,14 +132,24 @@ def normalizers(system, kind, ms) -> np.ndarray:
     return np.array([base * sp.h for sp in spectrum], dtype=float)
 
 
+#: largest grid with a dense phase matrix: N^2 complex entries stay <= 1 GiB
+MAX_PHASE_MATRIX_N = 8192
+
+
 @lru_cache(maxsize=8)
 def phase_matrix(system: SemisimpleSystem, kind: str, ms: tuple[int, ...]) -> np.ndarray:
     """Matrix of orbit-sum values, spectrum rows by grid columns."""
+    grid = build_point_grid(system, kind, ms)
+    if len(grid) > MAX_PHASE_MATRIX_N:
+        raise UsageError(
+            f"a grid of {len(grid)} points is too large for the dense phase matrix; "
+            f"the limit is {MAX_PHASE_MATRIX_N}"
+        )
     out = orbit_sums(
         system,
         kind,
         [sp.weight for sp in build_weight_grid(system, kind, ms)],
-        [gp.point for gp in build_point_grid(system, kind, ms)],
+        [gp.point for gp in grid],
     )
     out.setflags(write=False)
     return out
@@ -195,55 +213,91 @@ def gram_residual(system, kind, ms) -> float:
 # continuous transform
 # ---------------------------------------------------------------------------
 
-def _interval_cells(resolution: int):
-    w = Q(1, resolution)
-    return [((Q(2 * i + 1, 2 * resolution),), w) for i in range(resolution)]
+def _factor_cells(factor, resolution: int, denominator: int):
+    """Midpoint/centroid cells of one factor's simplex over ``denominator``.
 
-
-def _triangle_cells(marks, resolution: int):
-    """Centroid rule over {u, v >= 0, m1 u + m2 v <= 1} by subdivision."""
-    m1, m2 = marks
+    Returns integer numerators of shape ``(k, rank)`` and the cell
+    weight.  Intervals of A1 have midpoints ``(2i+1)/2r``; the triangle
+    ``{u, v >= 0, m1 u + m2 v <= 1}`` is cut into ``r^2`` triangles with
+    centroids ``((3i+1)/(3r m1), (3j+1)/(3r m2))`` (upright) and
+    ``((3i+2)/(3r m1), (3j+2)/(3r m2))`` (inverted).
+    """
     n = resolution
-    w = Q(1, 2 * n * n) / (m1 * m2)
-    cells = []
-    for i in range(n):
-        for j in range(n - i):
-            p, q = Q(3 * i + 1, 3 * n), Q(3 * j + 1, 3 * n)
-            cells.append(((p / m1, q / m2), w))
-    for i in range(n):
-        for j in range(n - i - 1):
-            p, q = Q(3 * i + 2, 3 * n), Q(3 * j + 2, 3 * n)
-            cells.append(((p / m1, q / m2), w))
-    return cells
-
-
-def _factor_cells(factor, resolution):
     if factor.rank == 1:
-        return _interval_cells(resolution)
-    return _triangle_cells(factor.marks, resolution)
+        step = denominator // (2 * n)
+        return np.array([[(2 * i + 1) * step] for i in range(n)], dtype=np.int64), Q(1, n)
+    m1, m2 = factor.marks
+    s1, s2 = denominator // (3 * n * m1), denominator // (3 * n * m2)
+    cells = [((3 * i + 1) * s1, (3 * j + 1) * s2) for i in range(n) for j in range(n - i)]
+    cells += [((3 * i + 2) * s1, (3 * j + 2) * s2) for i in range(n) for j in range(n - i - 1)]
+    return np.array(cells, dtype=np.int64).reshape(-1, 2), Q(1, 2 * n * n) / (m1 * m2)
 
 
-def quadrature_cells(system: SemisimpleSystem, kind: str, resolution: int):
-    """Midpoint/centroid cells covering the even fundamental domain.
+def _cell_denominator(system: SemisimpleSystem, resolution: int) -> int:
+    """Common denominator of every cell: ``2r`` per A1, ``3r m1 m2`` per rank 2."""
+    return math.lcm(*(
+        2 * resolution if f.rank == 1 else 3 * resolution * math.prod(f.marks)
+        for f in system.factors
+    ))
 
-    Returns (points, weights) with exact rational points; the weights
-    are cell volumes in coweight coordinates (the metric factor is
-    applied by the caller).
+
+#: quadrature cells per block of Fraction points and orbit sums
+_CELL_BLOCK = 2**14
+
+
+@dataclass(frozen=True, eq=False)
+class QuadratureCells:
+    """Cells of :func:`quadrature_cells` as integer numerators over one denominator.
+
+    Cell ``k`` is the point ``numerators[k] / denominator`` with weight
+    ``weights[k]``.  Iterating yields ``(point, weight)`` pairs with
+    ``Fraction`` coordinates and a float weight.
     """
 
+    numerators: np.ndarray
+    denominator: int
+    weights: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.weights)
+
+    def points(self, start: int = 0, stop: int | None = None) -> list[TorusPoint]:
+        """``Fraction`` tuples of the cells ``start:stop``."""
+        block = self.numerators[start:stop]
+        values, index = np.unique(block, return_inverse=True)
+        table = np.array([Q(int(v), self.denominator) for v in values], dtype=object)
+        return list(zip(*table[index.reshape(block.shape)].T.tolist()))
+
+    def __iter__(self):
+        for start in range(0, len(self), _CELL_BLOCK):
+            stop = start + _CELL_BLOCK
+            yield from zip(self.points(start, stop), self.weights[start:stop].tolist())
+
+
+def quadrature_cells(system: SemisimpleSystem, kind: str, resolution: int) -> QuadratureCells:
+    """Midpoint/centroid cells covering the even fundamental domain.
+
+    Points are exact: integer numerators over one common denominator
+    ``D``, the lcm over factors of ``2r`` (A1) and ``3r m1 m2`` (rank
+    2), so the gluing reflections and the circle's ``s -> -s`` stay
+    integer.  The weights are cell volumes in coweight coordinates (the
+    metric factor is applied by the caller), multiplied in factor order.
+    """
+    if not isinstance(resolution, numbers.Integral) or resolution < 1:
+        raise UsageError(f"resolution must be an integer >= 1, got {resolution!r}")
+    resolution = int(resolution)
+    denominator = _cell_denominator(system, resolution)
+
     def piece(i, part):
-        cells = [(c, (float(w),)) for c, w in _factor_cells(system.factors[i], resolution)]
+        coords, w = _factor_cells(system.factors[i], resolution, denominator)
         if part == "circle":  # the A1 reflection is s -> -s
-            cells += [(tuple(-v for v in c), t) for c, t in cells]
-        return cells
+            coords = np.concatenate([coords, -coords])
+        return coords, np.full(len(coords), float(w))
 
-    return [
-        (coords, math.prod(ws)) for coords, ws in glue(system, kind, piece, dual=False)
-    ]
-
-
-#: quadrature cells per orbit-sum block of :func:`continuous_coefficients`
-_CELL_BLOCK = 2**14
+    numerators, weights = glue_arrays(system, kind, piece)
+    numerators.setflags(write=False)
+    weights.setflags(write=False)
+    return QuadratureCells(numerators, denominator, weights)
 
 
 @dataclass(frozen=True)
@@ -283,13 +337,17 @@ def continuous_coefficients(
     group = even_subgroup(system, check_kind(kind))
     cells = quadrature_cells(system, kind, resolution)
     metric = math.sqrt(float(mat_det(coweight_gram(system))))
-    weighted = np.array([w * complex(f(coords)) for coords, w in cells]) * metric
     spectrum = enumerate_dominant(system, kind, weight_bound)
     integrals = np.zeros(len(spectrum), dtype=complex)
     for start in range(0, len(cells), _CELL_BLOCK):
-        points = [coords for coords, _ in cells[start:start + _CELL_BLOCK]]
-        xi_vals = orbit_sums(system, kind, spectrum, points)
-        integrals += np.conj(xi_vals) @ weighted[start:start + _CELL_BLOCK]
+        stop = start + _CELL_BLOCK
+        weights = cells.weights[start:stop].tolist()
+        points = cells.points(start, stop)
+        weighted = np.array([w * complex(f(p)) for p, w in zip(points, weights)]) * metric
+        xi_vals = scaled_orbit_sums(
+            system, kind, spectrum, cells.numerators[start:stop], cells.denominator
+        )
+        integrals += np.conj(xi_vals) @ weighted
     stabilizers = tuple(stab_order(group, lam) for lam in spectrum)
     norm = domain_volume(system, kind) * group.order
     return ContinuousCoefficients(

@@ -232,9 +232,11 @@ def int_dtype(bound: int):
 def _residues(rows, matrices, mods) -> np.ndarray:
     """``rows @ m % mods`` for each integer matrix ``m``, stacked on axis 0."""
     mats = np.array(matrices, dtype=object)
-    rows = np.array(rows, dtype=object).reshape(len(rows), mats.shape[1])
+    if not isinstance(rows, np.ndarray) or rows.dtype != np.int64:
+        rows = np.array(rows, dtype=object)
+    rows = rows.reshape(len(rows), mats.shape[1])
     mods = np.array(mods, dtype=object)
-    bound = rows.shape[1] * np.abs(mats).max(initial=0) * np.abs(rows).max(initial=0)
+    bound = rows.shape[1] * np.abs(mats).max(initial=0) * int(np.abs(rows).max(initial=0))
     dtype = int_dtype(max(bound, mods.max()))
     return rows.astype(dtype) @ mats.astype(dtype) % mods.astype(dtype)
 
@@ -247,10 +249,20 @@ def torus_keys(system: SemisimpleSystem, points) -> tuple[np.ndarray, int]:
     reduced into [0, 1).
     """
     lcm = math.lcm(*(v.denominator for p in points for v in p))
-    n = lcm * abs(system.det_cartan)
     scaled = [v.numerator * (lcm // v.denominator) for p in points for v in p]
     scaled = np.array(scaled, dtype=object).reshape(len(points), system.n)
-    return _residues(scaled, [mat_transpose(system.adj_cartan)], n)[0], n
+    return scaled_torus_keys(system, scaled, lcm)
+
+
+def scaled_torus_keys(system: SemisimpleSystem, numerators, lcm: int) -> tuple[np.ndarray, int]:
+    """:func:`torus_keys` of the points ``numerators / lcm``.
+
+    ``numerators`` holds integer rows of length ``n`` (an int64 array
+    or nested sequences); ``lcm`` need not be the least denominator,
+    and ``K / n`` comes out the same.
+    """
+    n = lcm * abs(system.det_cartan)
+    return _residues(numerators, [mat_transpose(system.adj_cartan)], n)[0], n
 
 
 def canonical_torus_point(system: SemisimpleSystem, x: TorusPoint) -> TorusPoint:

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import time
 
 import eweyl as E
 from eweyl.cli import run
@@ -202,6 +203,32 @@ def test_verify_subcommand(capsys):
     assert run(["verify", "--group", "a1xc2", "--kind", "ee", "--M", "2", "2"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "gram residual" in out
+
+
+def _one_error_line(capsys):
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    return captured.out == "" and len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_oversize_moduli_exit_2_quickly(capsys):
+    # refused from an estimate of the grid size, before any enumeration
+    for argv in (
+        ["grid", "--group", "a1xa1", "--kind", "e", "--M", "99999999999999999999"],
+        ["verify", "--group", "a1xa2", "--kind", "e", "--M", "200"],
+        ["tables", "--M", "1000000"],
+    ):
+        t0 = time.monotonic()
+        assert run(argv) == 2, argv
+        assert time.monotonic() - t0 < 5, argv
+        assert _one_error_line(capsys), argv
+
+
+def test_dense_phase_matrix_size_limit(capsys, monkeypatch):
+    monkeypatch.setattr(E.transform, "MAX_PHASE_MATRIX_N", 100)
+    # 22 x 26 = 572 points; moduli no other test builds a phase matrix for
+    assert run(["verify", "--group", "a1xa1", "--kind", "ee", "--M", "11", "13"]) == 2
+    assert _one_error_line(capsys)
 
 
 def test_tables_subcommand(capsys):

@@ -3,6 +3,9 @@
 Each digest is the sha256 of ``repr`` of one output, so any change of a
 value *or of the order* of grid points, spectrum entries, dominant
 weights, quadrature cells or domain membership shows up here.  The
+quadrature cells are hashed as the list of their ``(point, weight)``
+pairs, which is what ``quadrature_cells`` returned when the digests
+were recorded.  The
 digests were recorded from the hand-written per-kind enumerators and
 pin the canonical order that the CLI prints.
 
@@ -34,7 +37,7 @@ def _outputs(sel, kind):
         "points": [E.build_point_grid(system, kind, ms) for ms in moduli],
         "weights": [E.build_weight_grid(system, kind, ms) for ms in moduli],
         "dominant": E.enumerate_dominant(system, kind, 2),
-        "cells": quadrature_cells(system, kind, 3),
+        "cells": list(quadrature_cells(system, kind, 3)),
         "domain": [
             E.in_even_domain(system, kind, x)
             for x in itertools.product(_PROBE, repeat=system.n)
