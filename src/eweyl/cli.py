@@ -10,6 +10,7 @@ as ``num/den`` strings.  Exit codes: 0 success, 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import random
@@ -28,7 +29,7 @@ from .lie_data import (
     system_from_selector,
 )
 from .weyl import check_moduli, even_subgroup, generate_weyl
-from .grids import build_point_grid, build_weight_grid, in_even_domain
+from .grids import MAX_GRID_CELLS, build_point_grid, build_weight_grid, in_even_domain
 from .efunc import orbit_sums, xi
 from .transform import (
     CoefficientSet,
@@ -149,6 +150,8 @@ def _point_from_args(sysm, args):
         want = sysm.n + len(sysm.factors)
         if len(label) != want:
             raise UsageError(f"--label needs {want} integers for {sysm.selector}")
+        if min(label) < 0:
+            raise UsageError("--label entries must be >= 0 (a closed-branch label)")
         coords = []
         pos = 0
         for f, m in zip(sysm.factors, per_factor):
@@ -303,6 +306,8 @@ def _cmd_interp(args):
 def _cmd_verify(args):
     sysm = _system(args)
     ms, _ = check_moduli(sysm, args.kind, args.M)
+    if args.trials < 1:
+        raise UsageError("--trials must be >= 1")
     rng = random.Random(args.seed)
     residual = gram_residual(sysm, args.kind, ms)
     grid = build_point_grid(sysm, args.kind, ms)
@@ -404,6 +409,11 @@ def _cmd_contour(args):
         raise UsageError("--pin only applies to rank-3 groups")
     free = [i for i in range(sysm.n) if pin is None or i != pin[0]]
     n_samples = args.samples_per_axis
+    if n_samples < 1 or (2 * n_samples) ** len(free) > MAX_GRID_CELLS:
+        raise UsageError(
+            f"--samples-per-axis must be >= 1 and probe at most {MAX_GRID_CELLS} points "
+            f"((2n)^{len(free)}), got {n_samples}"
+        )
     ticks = [Q(2 * k + 1, 2 * n_samples) - 1 for k in range(2 * n_samples)]
     gram = coweight_gram(sysm)
     sub = np.array(
@@ -412,8 +422,6 @@ def _cmd_contour(args):
     embed = np.linalg.cholesky(sub).T
     out = _out_stream(args)
     print("x,y,re,im", file=out)
-    import itertools
-
     kept = []
     for uv in itertools.product(ticks, repeat=len(free)):
         coords = [Q(0)] * sysm.n

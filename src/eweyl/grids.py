@@ -2,18 +2,19 @@
 
 Both even domains are described once, by :func:`domain_blocks`, as a
 product of gluing blocks ``F_B u r_B(F_B interior)``; :func:`glue`
-enumerates any per-factor cells over that description, and every
-enumeration here (point and weight grids, dominant weights, domain
-membership) consumes it; :func:`glue_arrays` does the same on integer
-arrays for the quadrature cells of :mod:`eweyl.transform`.  Each gluing
+enumerates integer per-factor cells over that description, and every
+enumeration here (point and weight grids, dominant weights) and the
+quadrature cells of :mod:`eweyl.transform` consume it.  Each gluing
 reflection acts on one factor only, so it is applied to that factor's
 cells before the product is taken.
 
 Grid cells carry Kac-style labels: nonnegative integers ``[s0, s1, ...]``
 per factor with ``s0 + sum(m_i s_i) = M`` (marks ``m`` for point grids,
-dual marks for weight grids).  Reflected cells keep the positive label
-of the unreflected parameters while the stored coordinates carry the
-reflection.
+dual marks for weight grids).  The grids are glued from the integer
+label parameters ``s1, ...``: weights are those integers, and points
+divide them by ``M_f`` per factor only once they are glued.  Reflected
+cells keep the positive label of the unreflected parameters while the
+coordinates carry the reflection.
 
 Moduli are normalised in one place, :func:`eweyl.weyl.check_moduli`;
 grids estimated past ``MAX_GRID_CELLS`` cells are refused before they
@@ -54,8 +55,8 @@ from .weyl import (
     check_moduli,
     even_subgroup,
     orbit,
+    scaled_torus_keys,
     simple_reflection,
-    torus_keys,
     torus_orbit_sizes,
     weight_keys,
     weight_stabs_mod_mq,
@@ -162,18 +163,6 @@ def domain_blocks(system: SemisimpleSystem, kind: str) -> tuple[GluingBlock, ...
     )
 
 
-def _product(cell_lists):
-    """Lazy product of ``(coords, tags)`` cells, concatenating both parts."""
-    if len(cell_lists) == 1:  # nothing to concatenate; keeps a lone block lazy
-        yield from cell_lists[0]
-        return
-    for combo in itertools.product(*cell_lists):
-        yield (
-            tuple(c for cell in combo for c in cell[0]),
-            tuple(t for cell in combo for t in cell[1]),
-        )
-
-
 def _factor_reflections(system: SemisimpleSystem, block: GluingBlock, dual: bool):
     """The gluing reflection of ``block`` split into one matrix per factor.
 
@@ -196,56 +185,32 @@ def _factor_reflections(system: SemisimpleSystem, block: GluingBlock, dual: bool
     return out
 
 
-def _block_cells(system: SemisimpleSystem, block: GluingBlock, piece, dual: bool):
-    if block.circle:
-        yield from piece(block.factors[0], "circle")
-        return
-    yield from _product([piece(i, "closed") for i in block.factors])
-    interiors = []
-    for i, sub in zip(block.factors, _factor_reflections(system, block, dual)):
-        cells = piece(i, "interior")
-        if sub is not None:
-            cells = [(mat_vec(sub, coords), tags) for coords, tags in cells]
-        interiors.append(cells)
-    yield from _product(interiors)
+def _array_product(parts):
+    """Product of ``(coords, tags)`` arrays in ``itertools.product`` order.
+
+    Both arrays of a cell are concatenated, left factor first.
+    """
+    acc = parts[0]
+    for part in parts[1:]:
+        k, j = len(acc[0]), len(part[0])
+        acc = tuple(
+            np.hstack([np.repeat(a, j, axis=0), np.tile(b, (k, 1))])
+            for a, b in zip(acc, part)
+        )
+    return acc
 
 
 def glue(system: SemisimpleSystem, kind: str, piece, dual: bool):
     """Enumerate the even domain of ``kind`` from per-factor cells.
 
-    ``piece(i, part)`` lists the ``(coords, tags)`` cells of factor
-    ``i`` for ``part`` in ``"closed"``, ``"interior"`` and ``"circle"``
-    (the latter only for circle blocks).  Each block gives its closed
-    product, then its reflected interior product; the blocks combine
-    by product.  ``dual`` reflects with the weight action.  Yields
-    ``(coords, tags)`` pairs, tags concatenated in factor order.
-    """
-    return _product(
-        [_block_cells(system, b, piece, dual) for b in domain_blocks(system, kind)]
-    )
-
-
-def _array_product(parts):
-    """Product of ``(coords, weights)`` arrays in ``itertools.product`` order.
-
-    Coordinates are concatenated and weights multiplied, left to right.
-    """
-    coords, weights = parts[0]
-    for c, w in parts[1:]:
-        k = len(weights)
-        coords = np.hstack([np.repeat(coords, len(w), axis=0), np.tile(c, (k, 1))])
-        weights = np.repeat(weights, len(w)) * np.tile(w, k)
-    return coords, weights
-
-
-def glue_arrays(system: SemisimpleSystem, kind: str, piece):
-    """:func:`glue` on integer arrays, for cells of the point domain.
-
-    ``piece(i, part)`` returns factor ``i``'s cells as an integer
-    coordinate array of shape ``(k, rank)`` and a float weight array of
-    shape ``(k,)``.  Returns the coordinates ``(N, n)`` and weights
-    ``(N,)`` of every cell in the order of :func:`glue`; a cell's
-    weight is the product of its factors' weights in factor order.
+    ``piece(i, part)`` returns factor ``i``'s cells for ``part`` in
+    ``"closed"``, ``"interior"`` and ``"circle"`` (circle blocks only)
+    as an int64 coordinate array ``(k, rank)`` and an int64 tag array
+    ``(k, t)``.  Each block gives its closed product, then its reflected
+    interior product; the blocks combine by product.  ``dual`` reflects
+    with the weight action, else the coweight action.  Returns the
+    coordinates ``(N, n)`` and tags of every cell, both concatenated in
+    factor order; only coordinates are reflected.
     """
     blocks = []
     for block in domain_blocks(system, kind):
@@ -254,11 +219,11 @@ def glue_arrays(system: SemisimpleSystem, kind: str, piece):
             continue
         closed = _array_product([piece(i, "closed") for i in block.factors])
         interiors = []
-        for i, sub in zip(block.factors, _factor_reflections(system, block, False)):
-            coords, weights = piece(i, "interior")
+        for i, sub in zip(block.factors, _factor_reflections(system, block, dual)):
+            coords, tags = piece(i, "interior")
             if sub is not None:
-                coords = coords @ np.array(sub, dtype=coords.dtype).T
-            interiors.append((coords, weights))
+                coords = coords @ np.array(sub, dtype=np.int64).T
+            interiors.append((coords, tags))
         interior = _array_product(interiors)
         blocks.append(tuple(np.concatenate([a, b]) for a, b in zip(closed, interior)))
     return _array_product(blocks)
@@ -268,13 +233,14 @@ def glue_arrays(system: SemisimpleSystem, kind: str, piece):
 # grid construction
 # ---------------------------------------------------------------------------
 
-def _branches(system: SemisimpleSystem, kind: str, ms, dual: bool):
-    """(coords, label) of every grid cell, in canonical order.
+def _branches(system: SemisimpleSystem, kind: str, per_factor, dual: bool):
+    """Integer label parameters and labels of every grid cell, in canonical order.
 
-    ``dual`` selects the weight-side conventions: dual marks, integer
-    coordinates and the weight action of the gluing reflections.
+    Returns int64 arrays: the parameters ``(N, n)``, reflected on the
+    reflected branches, and the labels ``(N, n + factors)``.  ``dual``
+    selects the weight-side conventions: dual marks and the weight
+    action of the gluing reflections.
     """
-    _, per_factor = check_moduli(system, kind, ms)
 
     def piece(i, part):
         f, m = system.factors[i], per_factor[i]
@@ -283,11 +249,20 @@ def _branches(system: SemisimpleSystem, kind: str, ms, dual: bool):
         else:
             marks = f.dual_marks if dual else f.marks
             labels = _kac_labels(f, marks, m, strict=part == "interior")
-        if dual:
-            return [(label_parameters(lab), lab) for lab in labels]
-        return [(tuple(Q(s, m) for s in label_parameters(lab)), lab) for lab in labels]
+        labels = np.array(labels, dtype=np.int64).reshape(len(labels), f.rank + 1)
+        return labels[:, 1:], labels
 
     return glue(system, kind, piece, dual)
+
+
+def fraction_rows(numerators: np.ndarray, denominator: int) -> list[TorusPoint]:
+    """The rows of an integer array over ``denominator`` as ``Fraction`` tuples.
+
+    One ``Fraction`` is made per distinct numerator and shared.
+    """
+    values, index = np.unique(numerators, return_inverse=True)
+    table = np.array([Q(int(v), denominator) for v in values], dtype=object)
+    return list(zip(*table[index.reshape(numerators.shape)].T.tolist()))
 
 
 #: the largest grid built; moduli past it are refused before enumerating
@@ -335,11 +310,18 @@ def _require_distinct(keys, what: str):
 @lru_cache(maxsize=32)
 def _point_grid_cached(system: SemisimpleSystem, kind: str, ms: tuple[int, ...]):
     _check_grid_size(system, kind, ms, dual=False)
-    cells = list(_branches(system, kind, ms, dual=False))
-    points = [coords for coords, _ in cells]
-    _require_distinct(torus_keys(system, points)[0], "point mod coroot lattice")
-    eps = torus_orbit_sizes(even_subgroup(system, kind), points)
-    return tuple(GridPoint(p, label, e) for (p, label), e in zip(cells, eps))
+    _, per_factor = check_moduli(system, kind, ms)
+    params, labels = _branches(system, kind, per_factor, dual=False)
+    denominator = math.lcm(*per_factor)
+    scale = [denominator // m for f, m in zip(system.factors, per_factor) for _ in range(f.rank)]
+    numerators = params * np.array(scale, dtype=np.int64)
+    keys, n = scaled_torus_keys(system, numerators, denominator)
+    _require_distinct(keys, "point mod coroot lattice")
+    eps = torus_orbit_sizes(even_subgroup(system, kind), keys, n)
+    points = fraction_rows(numerators, denominator)
+    return tuple(
+        GridPoint(p, tuple(label), e) for p, label, e in zip(points, labels.tolist(), eps)
+    )
 
 
 def build_point_grid(system: SemisimpleSystem, kind: str, ms) -> tuple[GridPoint, ...]:
@@ -357,14 +339,13 @@ def build_point_grid(system: SemisimpleSystem, kind: str, ms) -> tuple[GridPoint
 def _weight_grid_cached(system: SemisimpleSystem, kind: str, ms: tuple[int, ...]):
     _check_grid_size(system, kind, ms, dual=True)
     _, per_factor = check_moduli(system, kind, ms)
-    cells = [
-        (tuple(int(c) for c in coords), label)
-        for coords, label in _branches(system, kind, ms, dual=True)
-    ]
-    weights = [w for w, _ in cells]
+    weights, labels = _branches(system, kind, per_factor, dual=True)
     _require_distinct(weight_keys(system, weights, per_factor), "weight mod M*Q")
     hs = weight_stabs_mod_mq(even_subgroup(system, kind), weights, per_factor)
-    return tuple(SpectralPoint(w, label, h) for (w, label), h in zip(cells, hs))
+    return tuple(
+        SpectralPoint(tuple(w), tuple(label), h)
+        for w, label, h in zip(weights.tolist(), labels.tolist(), hs)
+    )
 
 
 def build_weight_grid(system: SemisimpleSystem, kind: str, ms) -> tuple[SpectralPoint, ...]:
@@ -486,16 +467,16 @@ def enumerate_dominant(system: SemisimpleSystem, kind: str, bound: int):
         raise UsageError("bound must be >= 0")
 
     def piece(i, part):
-        if part == "circle":
-            return [((a,), ()) for a in range(-bound, bound + 1)]
-        lo = 1 if part == "interior" else 0
+        lo = {"closed": 0, "interior": 1, "circle": -bound}[part]
         rank = system.factors[i].rank
-        return [(c, ()) for c in itertools.product(range(lo, bound + 1), repeat=rank)]
+        coords = list(itertools.product(range(lo, bound + 1), repeat=rank))
+        coords = np.array(coords, dtype=np.int64).reshape(-1, rank)
+        return coords, np.empty((len(coords), 0), dtype=np.int64)
 
     group = even_subgroup(system, kind)
     out = []
     seen = set()
-    for w, _ in glue(system, kind, piece, dual=True):
+    for w in map(tuple, glue(system, kind, piece, dual=True)[0].tolist()):
         key = orbit(group, w)[0]
         if key not in seen:
             seen.add(key)

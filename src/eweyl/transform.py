@@ -18,11 +18,11 @@ even fundamental domain with a midpoint/centroid product rule: interval
 midpoints along A1 directions and centroid-weighted triangle
 subdivisions over the rank-2 simplices, reflected copies included.  The
 cells are integer numerators over one common denominator ``D``
-(:class:`QuadratureCells`), glued as arrays by
-:func:`eweyl.grids.glue_arrays`; the integrand ``f`` still receives
-``Fraction`` tuples, built block by block from a table of the few
-distinct numerators.  The spectrum of the continuous transform is the
-finite truncation produced by :func:`eweyl.grids.enumerate_dominant`.
+(:class:`QuadratureCells`), glued by :func:`eweyl.grids.glue`, and all
+share one weight, the volume of a cell; the integrand ``f`` still
+receives ``Fraction`` tuples, built block by block from a table of the
+few distinct numerators.  The spectrum of the continuous transform is
+the finite truncation produced by :func:`eweyl.grids.enumerate_dominant`.
 Both transforms take their orbit sums from the exact integer kernel of
 :mod:`eweyl.efunc` (the continuous one straight from the numerators),
 so every phase is exact.
@@ -34,6 +34,7 @@ orthogonality and round trips 1e-9, pointwise formula equivalence
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -59,7 +60,8 @@ from .grids import (
     build_point_grid,
     build_weight_grid,
     enumerate_dominant,
-    glue_arrays,
+    fraction_rows,
+    glue,
 )
 
 TOL_ORTHOGONALITY = 1e-9
@@ -213,11 +215,11 @@ def gram_residual(system, kind, ms) -> float:
 # continuous transform
 # ---------------------------------------------------------------------------
 
-def _factor_cells(factor, resolution: int, denominator: int):
-    """Midpoint/centroid cells of one factor's simplex over ``denominator``.
+def _factor_cells(factor, resolution: int, denominator: int) -> np.ndarray:
+    """Midpoint/centroid numerators of one factor's simplex over ``denominator``.
 
-    Returns integer numerators of shape ``(k, rank)`` and the cell
-    weight.  Intervals of A1 have midpoints ``(2i+1)/2r``; the triangle
+    Returns integer numerators of shape ``(k, rank)``.  Intervals of
+    A1 have midpoints ``(2i+1)/2r``; the triangle
     ``{u, v >= 0, m1 u + m2 v <= 1}`` is cut into ``r^2`` triangles with
     centroids ``((3i+1)/(3r m1), (3j+1)/(3r m2))`` (upright) and
     ``((3i+2)/(3r m1), (3j+2)/(3r m2))`` (inverted).
@@ -225,12 +227,12 @@ def _factor_cells(factor, resolution: int, denominator: int):
     n = resolution
     if factor.rank == 1:
         step = denominator // (2 * n)
-        return np.array([[(2 * i + 1) * step] for i in range(n)], dtype=np.int64), Q(1, n)
+        return np.array([[(2 * i + 1) * step] for i in range(n)], dtype=np.int64)
     m1, m2 = factor.marks
     s1, s2 = denominator // (3 * n * m1), denominator // (3 * n * m2)
     cells = [((3 * i + 1) * s1, (3 * j + 1) * s2) for i in range(n) for j in range(n - i)]
     cells += [((3 * i + 2) * s1, (3 * j + 2) * s2) for i in range(n) for j in range(n - i - 1)]
-    return np.array(cells, dtype=np.int64).reshape(-1, 2), Q(1, 2 * n * n) / (m1 * m2)
+    return np.array(cells, dtype=np.int64).reshape(-1, 2)
 
 
 def _cell_denominator(system: SemisimpleSystem, resolution: int) -> int:
@@ -249,29 +251,25 @@ _CELL_BLOCK = 2**14
 class QuadratureCells:
     """Cells of :func:`quadrature_cells` as integer numerators over one denominator.
 
-    Cell ``k`` is the point ``numerators[k] / denominator`` with weight
-    ``weights[k]``.  Iterating yields ``(point, weight)`` pairs with
-    ``Fraction`` coordinates and a float weight.
+    Cell ``k`` is the point ``numerators[k] / denominator``; every cell
+    has the same ``weight``.  Iterating yields ``(point, weight)`` pairs
+    with ``Fraction`` coordinates and a float weight.
     """
 
     numerators: np.ndarray
     denominator: int
-    weights: np.ndarray
+    weight: float
 
     def __len__(self) -> int:
-        return len(self.weights)
+        return len(self.numerators)
 
     def points(self, start: int = 0, stop: int | None = None) -> list[TorusPoint]:
         """``Fraction`` tuples of the cells ``start:stop``."""
-        block = self.numerators[start:stop]
-        values, index = np.unique(block, return_inverse=True)
-        table = np.array([Q(int(v), self.denominator) for v in values], dtype=object)
-        return list(zip(*table[index.reshape(block.shape)].T.tolist()))
+        return fraction_rows(self.numerators[start:stop], self.denominator)
 
     def __iter__(self):
         for start in range(0, len(self), _CELL_BLOCK):
-            stop = start + _CELL_BLOCK
-            yield from zip(self.points(start, stop), self.weights[start:stop].tolist())
+            yield from zip(self.points(start, start + _CELL_BLOCK), itertools.repeat(self.weight))
 
 
 def quadrature_cells(system: SemisimpleSystem, kind: str, resolution: int) -> QuadratureCells:
@@ -280,8 +278,10 @@ def quadrature_cells(system: SemisimpleSystem, kind: str, resolution: int) -> Qu
     Points are exact: integer numerators over one common denominator
     ``D``, the lcm over factors of ``2r`` (A1) and ``3r m1 m2`` (rank
     2), so the gluing reflections and the circle's ``s -> -s`` stay
-    integer.  The weights are cell volumes in coweight coordinates (the
-    metric factor is applied by the caller), multiplied in factor order.
+    integer.  The weight is the volume of one cell in coweight
+    coordinates (the metric factor is applied by the caller): each
+    factor's simplex, of volume ``1 / (rank! prod(marks))``, is cut
+    into ``r^rank`` equal cells.
     """
     if not isinstance(resolution, numbers.Integral) or resolution < 1:
         raise UsageError(f"resolution must be an integer >= 1, got {resolution!r}")
@@ -289,15 +289,18 @@ def quadrature_cells(system: SemisimpleSystem, kind: str, resolution: int) -> Qu
     denominator = _cell_denominator(system, resolution)
 
     def piece(i, part):
-        coords, w = _factor_cells(system.factors[i], resolution, denominator)
+        coords = _factor_cells(system.factors[i], resolution, denominator)
         if part == "circle":  # the A1 reflection is s -> -s
             coords = np.concatenate([coords, -coords])
-        return coords, np.full(len(coords), float(w))
+        return coords, np.empty((len(coords), 0), dtype=np.int64)
 
-    numerators, weights = glue_arrays(system, kind, piece)
+    numerators, _ = glue(system, kind, piece, dual=False)
     numerators.setflags(write=False)
-    weights.setflags(write=False)
-    return QuadratureCells(numerators, denominator, weights)
+    weight = math.prod(
+        1 / (math.factorial(f.rank) * math.prod(f.marks) * resolution**f.rank)
+        for f in system.factors
+    )
+    return QuadratureCells(numerators, denominator, weight)
 
 
 @dataclass(frozen=True)
@@ -341,9 +344,8 @@ def continuous_coefficients(
     integrals = np.zeros(len(spectrum), dtype=complex)
     for start in range(0, len(cells), _CELL_BLOCK):
         stop = start + _CELL_BLOCK
-        weights = cells.weights[start:stop].tolist()
         points = cells.points(start, stop)
-        weighted = np.array([w * complex(f(p)) for p, w in zip(points, weights)]) * metric
+        weighted = np.array([cells.weight * complex(f(p)) for p in points]) * metric
         xi_vals = scaled_orbit_sums(
             system, kind, spectrum, cells.numerators[start:stop], cells.denominator
         )

@@ -274,19 +274,20 @@ def canonical_torus_point(system: SemisimpleSystem, x: TorusPoint) -> TorusPoint
     return mat_vec(system.cartan, [Q(int(k), n) for k in keys[0]])
 
 
-def torus_orbit_sizes(group: WeylGroup, points) -> tuple[int, ...]:
+def torus_orbit_sizes(group: WeylGroup, keys: np.ndarray, n: int) -> tuple[int, ...]:
     """Number of distinct images modulo the coroot lattice of every point.
 
-    ``w`` maps a key ``k`` to ``W^{-T} k``, so the orbit size is the group
-    order over the number of elements with ``W^T k = k mod n``.
+    Takes the points' residue keys ``keys, n`` (:func:`torus_keys` or
+    :func:`scaled_torus_keys`).  ``w`` maps a key ``k`` to ``W^{-T} k``,
+    so the orbit size is the group order over the number of elements
+    with ``W^T k = k mod n``.
     """
-    keys, n = torus_keys(group.system, points)
     images = _residues(keys, [w.weight_matrix for w in group], n)
     return tuple(group.order // int(c) for c in (images == keys).all(axis=2).sum(axis=0))
 
 
 def torus_orbit_size(group: WeylGroup, x: TorusPoint) -> int:
-    return torus_orbit_sizes(group, [x])[0]
+    return torus_orbit_sizes(group, *torus_keys(group.system, [x]))[0]
 
 
 def torus_congruent(system: SemisimpleSystem, x: TorusPoint, y: TorusPoint) -> bool:

@@ -72,6 +72,13 @@ def test_bad_inputs_exit_2(capsys, tmp_path):
         coeffs_with(M=[2.5]),
         coeffs_with(entries=5),
         ["tables", "--M", "3"],
+        ["eval", "--group", "a1xa1", "--kind", "e", "--lambda", "1", "1",
+         "--label", "4", "-1", "5", "-2", "--M", "3"],
+        ["contour", "--group", "a1xa1", "--kind", "e", "--lambda", "1", "1",
+         "--samples-per-axis", "0"],
+        ["contour", "--group", "a1xa1", "--kind", "e", "--lambda", "1", "1",
+         "--samples-per-axis", "100000"],
+        ["verify", "--group", "a1xa1", "--kind", "e", "--M", "3", "--trials", "-2"],
     ]:
         assert run(argv) == 2, argv
         err = capsys.readouterr().err.strip().splitlines()

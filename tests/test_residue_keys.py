@@ -9,6 +9,7 @@ import eweyl as E
 from eweyl.weyl import (
     canonical_torus_point,
     torus_congruent,
+    torus_keys,
     torus_orbit_sizes,
     weight_congruent_mod_mq,
     weight_stabs_mod_mq,
@@ -47,7 +48,7 @@ def test_torus_orbit_sizes_match_congruence(sel, kind, data):
         group.order // sum(torus_congruent(system, w.apply_point(x), x) for w in group)
         for x in points
     ]
-    assert list(torus_orbit_sizes(group, points)) == want
+    assert list(torus_orbit_sizes(group, *torus_keys(system, points))) == want
 
 
 @pytest.mark.parametrize("sel,kind", CASES)
