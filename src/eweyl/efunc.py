@@ -2,26 +2,34 @@
 
 ``xi`` is the normalised orbit sum over all elements of the selected
 even group; it equals the stabiliser order times the plain orbit sum
-``xi_orbit``.  ``xi_closed`` evaluates the closed form tabulated for
-each supported group and kind, transcribed verbatim; two of those
-closed forms (both for a1xg2) are known to be misprinted, and
-``xi_closed`` intentionally reproduces the misprints so that the
-verification suite can exhibit them.  ``orbit_sums`` evaluates ``xi``
-for many weights and points at once, exactly, equal to ``xi`` bit for bit;
+``xi_orbit``.  ``xi`` pairs on the point's integer residue key
+(:func:`eweyl.weyl.torus_keys`) and turns each residue into a phasor
+with :func:`eweyl.lie_data.residue_phasor`; the ``Fraction`` sum of
+``exp_phase`` terms it replaces lives on in the tests as the reference
+that ``xi`` and ``orbit_sums`` match bit for bit.  ``orbit_sums``
+evaluates ``xi`` for many weights and points at once on the same keys;
 ``scaled_orbit_sums`` does the same for points given as integer
 numerators over one denominator.
+
+``xi_closed`` evaluates the closed form tabulated for each supported
+group and kind, transcribed verbatim; two of those closed forms (both
+for a1xg2) are known to be misprinted, and ``xi_closed`` intentionally
+reproduces the misprints so that the verification suite can exhibit
+them.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
 from .lie_data import Q, SemisimpleSystem, TorusPoint, UsageError, Weight
-from .lie_data import exp_phase, phase_to_complex
+from .lie_data import exp_phase, residue_phasor
 from .weyl import (
     check_kind,
     even_subgroup,
@@ -40,14 +48,28 @@ class UnsupportedFormulaError(ValueError):
 def xi(system: SemisimpleSystem, kind: str, lam: Weight, x: TorusPoint) -> complex:
     """Sum of ``exp(2 pi i <w lam, x>)`` over the whole even group.
 
-    Terms are accumulated in the canonical group-element order, so the
-    result is bitwise reproducible.
+    The point's residue key ``K, n`` (:func:`eweyl.weyl.torus_keys`)
+    turns each pairing into the integer ``k = (w lam) . K``, and each
+    term is ``residue_phasor(k, n)``.  Terms are accumulated in the
+    canonical group-element order, so the result is bitwise
+    reproducible and equal to the ``Fraction`` sum of ``exp_phase``
+    terms, which the tests keep as the reference.
     """
-    lam = tuple(lam)
+    try:
+        lam = tuple(operator.index(a) for a in lam)
+    except TypeError:
+        raise UsageError(f"weight entries must be integers, got {lam!r}") from None
+    x = tuple(Q(v) for v in x)
+    if len(lam) != system.n or len(x) != system.n:
+        raise UsageError(f"weights and points need length {system.n} for {system.selector}")
     group = even_subgroup(system, check_kind(kind))
+    keys, n = torus_keys(system, [x])
+    # (w lam) . K = sum_ij W_ij K_i lam_j, one flat product per element
+    outer = [a * b for a in keys[0].tolist() for b in lam]
     total = 0j
     for w in group:
-        total += exp_phase(system, w.apply_weight(lam), x)
+        k = sum(map(operator.mul, chain.from_iterable(w.weight_matrix), outer))
+        total += residue_phasor(k, n)
     return total
 
 
@@ -59,7 +81,7 @@ def orbit_sums(system: SemisimpleSystem, kind: str, weights, points) -> np.ndarr
 
     With ``K, n = torus_keys(system, points)`` each pairing is the exact
     residue ``k = (W lam) . K mod n``.  A term is
-    ``phase_to_complex(k / n)``, the phasor ``xi`` adds, and the terms
+    ``residue_phasor(k, n)``, the phasor ``xi`` adds, and the terms
     are summed in canonical group order.  The residues are int64 when a
     bound on ``|k|`` proves they fit and exact Python ints otherwise.
     """
@@ -86,8 +108,8 @@ _TABLE_MAX = 2**16
 
 @lru_cache(maxsize=4)
 def _phasor_table(n: int) -> np.ndarray:
-    """``phase_to_complex(k / n)`` for every residue ``0 <= k < n``."""
-    table = np.array([phase_to_complex(Q(k, n)) for k in range(n)], dtype=complex)
+    """``residue_phasor(k, n)`` for every residue ``0 <= k < n``."""
+    table = np.array([residue_phasor(k, n) for k in range(n)], dtype=complex)
     table.setflags(write=False)
     return table
 
@@ -108,7 +130,7 @@ def _orbit_sums(system: SemisimpleSystem, kind: str, weights, keys: np.ndarray, 
         for r in rows:
             total += table[r.astype(dtype) @ cols % n]
         return total
-    phasor = lru_cache(maxsize=None)(lambda k: phase_to_complex(Q(k, n)))
+    phasor = lru_cache(maxsize=None)(lambda k: residue_phasor(k, n))
     for r in rows:
         k = r.astype(dtype) @ cols % n
         seen = np.unique(k)

@@ -106,11 +106,6 @@ def _circle_labels(modulus: int):
     return [(modulus - s, s) for s in range(-modulus + 1, modulus + 1)]
 
 
-def label_parameters(label):
-    """Drop the derived ``s0`` entry of a per-factor label."""
-    return label[1:]
-
-
 def _local_reflection(factor: SimpleFactor) -> GroupElement:
     return simple_reflection(assemble_system((factor.kind,)), 0)
 
@@ -358,33 +353,38 @@ def build_weight_grid(system: SemisimpleSystem, kind: str, ms) -> tuple[Spectral
 # domain membership (exact)
 # ---------------------------------------------------------------------------
 
-def _factor_in_closed(factor: SimpleFactor, coords) -> bool:
+def _factor_in_closed(factor: SimpleFactor, coords, lcm: int) -> bool:
     if any(c < 0 for c in coords):
         return False
-    return sum(m * c for m, c in zip(factor.marks, coords)) <= 1
+    return sum(m * c for m, c in zip(factor.marks, coords)) <= lcm
 
 
-def _factor_in_interior(factor: SimpleFactor, coords) -> bool:
+def _factor_in_interior(factor: SimpleFactor, coords, lcm: int) -> bool:
     if any(c <= 0 for c in coords):
         return False
-    return sum(m * c for m, c in zip(factor.marks, coords)) < 1
+    return sum(m * c for m, c in zip(factor.marks, coords)) < lcm
 
 
 def in_even_domain(system: SemisimpleSystem, kind: str, x: TorusPoint) -> bool:
     """Exact membership in the even fundamental domain of the given kind.
 
     Per block of :func:`domain_blocks`: closed, or reflected into the
-    interior.
+    interior.  The point is scaled once to integer numerators over the
+    lcm ``L`` of its denominators, so a factor's simplex is
+    ``c >= 0, sum(m c) <= L`` and the reflection is the block's integer
+    coweight matrix.
     """
-    parts = system.split(tuple(Q(v) for v in x))
+    x = tuple(Q(v) for v in x)
+    lcm = math.lcm(*(v.denominator for v in x))
+    parts = system.split([v.numerator * (lcm // v.denominator) for v in x])
     for block in domain_blocks(system, kind):
         factors = [system.factors[i] for i in block.factors]
         local = [parts[i] for i in block.factors]
-        if all(_factor_in_closed(f, p) for f, p in zip(factors, local)):
+        if all(_factor_in_closed(f, p, lcm) for f, p in zip(factors, local)):
             continue
         reflected = iter(block.reflection.apply_point(tuple(c for p in local for c in p)))
         if not all(
-            _factor_in_interior(f, tuple(itertools.islice(reflected, f.rank)))
+            _factor_in_interior(f, tuple(itertools.islice(reflected, f.rank)), lcm)
             for f in factors
         ):
             return False

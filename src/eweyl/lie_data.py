@@ -16,8 +16,8 @@ residues of ``A`` (see :mod:`eweyl.weyl`).
 Long roots are normalised to squared length 2.  That choice fixes every
 Gram matrix and fundamental-domain volume computed here.  All lattice
 arithmetic is exact (integer residues, or ``fractions.Fraction`` in the
-reference paths); floating point enters only when a phase is finally
-exponentiated.
+reference paths); floating point enters only when a phase ``k / n`` is
+finally exponentiated, by :func:`residue_phasor`.
 """
 
 from __future__ import annotations
@@ -261,7 +261,17 @@ def exp_phase(system: SemisimpleSystem, lam: Weight, x: TorusPoint) -> complex:
 
 def phase_to_complex(frac: Q) -> complex:
     """Unit phasor of an exact rational number of turns."""
-    return cmath.exp(2j * math.pi * float(frac % 1))
+    frac = Q(frac)
+    return residue_phasor(frac.numerator, frac.denominator)
+
+
+def residue_phasor(k: int, n: int) -> complex:
+    """Unit phasor of ``k / n`` turns, from the integers alone.
+
+    ``(k % n) / n`` is the correctly rounded double of the exact residue,
+    so the value is that of ``float(Fraction(k, n) % 1)``.
+    """
+    return cmath.exp(2j * math.pi * ((k % n) / n))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import eweyl as E
+from eweyl.lie_data import exp_phase
 
 SELECTORS = E.SUPPORTED_SELECTORS
 
@@ -32,3 +33,15 @@ def rational_point(rng: random.Random, n: int):
 
 def int_weight(rng: random.Random, n: int, lo=-4, hi=4):
     return tuple(rng.randrange(lo, hi + 1) for _ in range(n))
+
+
+def fraction_xi(system, kind, lam, x):
+    """The reference orbit sum: ``Fraction`` pairings, canonical element order.
+
+    ``efunc.xi`` and ``efunc.orbit_sums`` must equal it bit for bit.
+    """
+    lam = tuple(lam)
+    total = 0j
+    for w in E.even_subgroup(system, kind):
+        total += exp_phase(system, w.apply_weight(lam), x)
+    return total

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 import eweyl as E
-from eweyl.grids import grid_canonical_set, label_parameters
+from eweyl.grids import grid_canonical_set
 from eweyl.weyl import even_subgroup, torus_congruent, weight_congruent_mod_mq
 from conftest import SELECTORS
 
@@ -144,7 +144,8 @@ def test_reflected_branch_coordinates():
     reflected = [gp for gp in grid if any(c < 0 for c in gp.point)]
     assert reflected, "M=3 has interior points to reflect"
     for gp in reflected:
-        s1, s2, s3 = label_parameters(gp.label[:2]) + label_parameters(gp.label[2:])
+        # drop the derived s0 entry of each factor's label
+        s1, s2, s3 = gp.label[1:2] + gp.label[3:]
         from fractions import Fraction as Q
 
         assert gp.point == (Q(s1, 3), Q(-s2, 3), Q(s2 + s3, 3))

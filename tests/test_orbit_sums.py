@@ -1,5 +1,7 @@
-"""The batched orbit-sum kernel against the Fraction oracle ``xi``."""
+"""``xi`` and the batched ``orbit_sums`` against the ``Fraction`` reference."""
 
+import cmath
+import math
 from fractions import Fraction as Q
 
 import numpy as np
@@ -8,6 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 import eweyl as E
 from eweyl.efunc import orbit_sums, xi
+from eweyl.lie_data import phase_to_complex, residue_phasor
+
+from conftest import fraction_xi
 
 CASES = [(sel, kind) for sel in E.SUPPORTED_SELECTORS for kind in ("e", "ee")]
 
@@ -29,8 +34,11 @@ def _batches(n, denominators):
     return st.tuples(weights, points)
 
 
-def _oracle(system, kind, weights, points):
-    return np.array([[xi(system, kind, lam, x) for x in points] for lam in weights])
+def _assert_all_equal_oracle(system, kind, weights, points):
+    want = np.array([[fraction_xi(system, kind, lam, x) for x in points] for lam in weights])
+    got = np.array([[xi(system, kind, lam, x) for x in points] for lam in weights])
+    assert want.tobytes() == got.tobytes()
+    assert want.tobytes() == orbit_sums(system, kind, weights, points).tobytes()
 
 
 @pytest.mark.parametrize("sel,kind", CASES)
@@ -40,8 +48,7 @@ def test_orbit_sums_equal_xi(sel, kind, data):
     system = E.system_from_selector(sel)
     dens = (1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 97, 10**9 + 7)
     weights, points = data.draw(_batches(system.n, dens))
-    got = orbit_sums(system, kind, weights, points)
-    assert np.array_equal(got, _oracle(system, kind, weights, points))
+    _assert_all_equal_oracle(system, kind, weights, points)
 
 
 @pytest.mark.parametrize("sel,kind", CASES)
@@ -52,8 +59,44 @@ def test_orbit_sums_equal_xi_beyond_int64(sel, kind, data):
     weights, points = data.draw(_batches(system.n, HUGE_DENOMINATORS))
     # both denominators present: the common denominator exceeds int64
     points[0] = (Q(1, HUGE_DENOMINATORS[0]), Q(1, HUGE_DENOMINATORS[1])) + points[0][2:]
-    got = orbit_sums(system, kind, weights, points)
-    assert np.array_equal(got, _oracle(system, kind, weights, points))
+    # and one weight entry past int64
+    weights[0] = (-(2**64) - 3,) + weights[0][1:]
+    _assert_all_equal_oracle(system, kind, weights, points)
+
+
+@pytest.mark.parametrize("sel,kind", CASES)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_xi_equals_oracle_on_int_coordinates(sel, kind, data):
+    system = E.system_from_selector(sel)
+    lam = data.draw(st.tuples(*[st.integers(-60, 60)] * system.n))
+    x = data.draw(st.tuples(*[st.integers(-(10**6), 10**6)] * system.n))
+    want = fraction_xi(system, kind, lam, x)
+    assert xi(system, kind, lam, x) == want
+    assert xi(system, kind, lam, tuple(Q(v) for v in x)) == want
+
+
+def test_xi_rejects_wrong_lengths():
+    system = E.system_from_selector("a1xa2")
+    with pytest.raises(E.UsageError):
+        xi(system, "e", (1, 0), (Q(1, 3), 0, 0))
+    with pytest.raises(E.UsageError):
+        xi(system, "e", (1, 0, 0, 2), (Q(1, 3), 0, 0))
+    with pytest.raises(E.UsageError):
+        xi(system, "e", (1, 0, 0), (Q(1, 3), 0))
+    with pytest.raises(E.UsageError):
+        xi(system, "e", (1, 0, 0), (Q(1, 3), 0, 0, 0))
+
+
+def test_residue_phasor_matches_phase_to_complex():
+    big = 2**63 + 25
+    for k, n in [(-1, 3), (-7, 12), (-(2**70) - 1, 5), (0, big), (-1, big), (big + 4, big),
+                 (3 * big - 2, big), (-(10**30), 2**64 - 59), (5, 1), (-5, 1)]:
+        # the Fraction rule phase_to_complex had before it took (k, n)
+        want = cmath.exp(2j * math.pi * float(Q(k, n) % 1))
+        assert residue_phasor(k, n) == phase_to_complex(Q(k, n)) == want
+    assert phase_to_complex(3) == residue_phasor(3, 1) == 1 + 0j
+    assert phase_to_complex(Q(-1, 4)) == residue_phasor(3, 4)
 
 
 def test_orbit_sums_shapes_and_lengths():
