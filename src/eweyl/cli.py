@@ -10,6 +10,8 @@ as ``num/den`` strings.  Exit codes: 0 success, 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import itertools
 import json
 import math
@@ -28,8 +30,14 @@ from .lie_data import (
     coweight_gram,
     system_from_selector,
 )
-from .weyl import check_moduli, even_subgroup, generate_weyl
-from .grids import MAX_GRID_CELLS, build_point_grid, build_weight_grid, in_even_domain
+from .weyl import check_moduli, even_subgroup
+from .grids import (
+    MAX_GRID_CELLS,
+    build_point_grid,
+    build_weight_grid,
+    in_even_domain,
+    label_names,
+)
 from .efunc import orbit_sums, xi
 from .transform import (
     CoefficientSet,
@@ -40,7 +48,7 @@ from .transform import (
     TOL_ORTHOGONALITY,
 )
 from . import transform
-from .verify import KNOWN_ERRATA, TABLE_IDS, pattern_string, regenerate_table
+from .verify import KNOWN_ERRATA, TABLE_IDS, regenerate_table
 
 
 def _fmt17(x: float) -> str:
@@ -78,14 +86,25 @@ def _system(args):
     return system_from_selector(args.group)
 
 
-def _out_stream(args):
+@contextlib.contextmanager
+def _output(args):
+    """The ``--out`` file if one is given, else ``sys.stdout`` as it is now."""
     if getattr(args, "out", None):
-        return open(args.out, "w", encoding="utf-8", newline="")
-    return sys.stdout
+        with open(args.out, "w", encoding="utf-8", newline="") as out:
+            yield out
+    else:
+        yield sys.stdout
 
 
-def _label_names(system, prefix):
-    return pattern_string(system, (1,) * (system.n + len(system.factors)), prefix)[1:-1].split(",")
+def _write_csv(args, header, rows):
+    """Comma-joined ``header`` and ``rows`` (lists of strings) to :func:`_output`."""
+    with _output(args) as out:
+        for row in [header, *rows]:
+            print(",".join(row), file=out)
+
+
+def _sample_header(system):
+    return label_names(system, "s") + ["re", "im"]
 
 
 # ---------------------------------------------------------------------------
@@ -104,34 +123,20 @@ def _cmd_list_groups(args):
 def _cmd_grid(args):
     sysm = _system(args)
     grid = build_point_grid(sysm, args.kind, args.M)
-    out = _out_stream(args)
-    names = _label_names(sysm, "s")
-    coords = [f"x{i + 1}" for i in range(sysm.n)]
-    print(",".join(names + coords + ["eps"]), file=out)
-    for gp in grid:
-        row = [str(v) for v in gp.label]
-        row += [_fraction_str(c) for c in gp.point]
-        row.append(str(gp.epsilon))
-        print(",".join(row), file=out)
-    if out is not sys.stdout:
-        out.close()
+    header = label_names(sysm, "s") + [f"x{i + 1}" for i in range(sysm.n)] + ["eps"]
+    _write_csv(args, header, (
+        [*map(str, gp.label), *map(_fraction_str, gp.point), str(gp.epsilon)] for gp in grid
+    ))
     return 0
 
 
 def _cmd_spectrum(args):
     sysm = _system(args)
     spectrum = build_weight_grid(sysm, args.kind, args.M)
-    out = _out_stream(args)
-    names = _label_names(sysm, "t")
-    coords = [f"a{i + 1}" for i in range(sysm.n)]
-    print(",".join(names + coords + ["h"]), file=out)
-    for sp in spectrum:
-        row = [str(v) for v in sp.label]
-        row += [str(c) for c in sp.weight]
-        row.append(str(sp.h))
-        print(",".join(row), file=out)
-    if out is not sys.stdout:
-        out.close()
+    header = label_names(sysm, "t") + [f"a{i + 1}" for i in range(sysm.n)] + ["h"]
+    _write_csv(args, header, (
+        [*map(str, sp.label), *map(str, sp.weight), str(sp.h)] for sp in spectrum
+    ))
     return 0
 
 
@@ -139,49 +144,29 @@ def _point_from_args(sysm, args):
     if args.point is not None and args.label is not None:
         raise UsageError("give either --point or --label, not both")
     if args.point is not None:
-        if len(args.point) != sysm.n:
-            raise UsageError(f"--point needs {sysm.n} rational coordinates")
         return tuple(_parse_fraction(p) for p in args.point)
-    if args.label is not None:
-        if not args.M:
-            raise UsageError("--label requires --M")
-        _, per_factor = check_moduli(sysm, args.kind, args.M)
-        label = tuple(args.label)
-        want = sysm.n + len(sysm.factors)
-        if len(label) != want:
-            raise UsageError(f"--label needs {want} integers for {sysm.selector}")
-        if min(label) < 0:
-            raise UsageError("--label entries must be >= 0 (a closed-branch label)")
-        coords = []
-        pos = 0
-        for f, m in zip(sysm.factors, per_factor):
-            part = label[pos: pos + 1 + f.rank]
-            marks = f.marks
-            if part[0] + sum(mk * s for mk, s in zip(marks, part[1:])) != m:
-                raise UsageError(f"label block {part} violates its constraint for M={m}")
-            coords.extend(Q(s, m) for s in part[1:])
-            pos += 1 + f.rank
-        return tuple(coords)
-    raise UsageError("one of --point or --label is required")
+    if args.label is None:
+        raise UsageError("one of --point or --label is required")
+    if not args.M:
+        raise UsageError("--label requires --M")
+    label = tuple(args.label)
+    for gp in build_point_grid(sysm, args.kind, args.M):
+        if gp.label == label:  # the first one lies on the closed branch
+            return gp.point
+    raise UsageError(f"--label {list(label)} is not a label of this grid (see 'eweyl grid')")
 
 
 def _cmd_eval(args):
     sysm = _system(args)
-    lam = tuple(args.lam)
-    if len(lam) != sysm.n:
-        raise UsageError(f"--lambda needs {sysm.n} integers for {sysm.selector}")
     x = _point_from_args(sysm, args)
-    value = xi(sysm, args.kind, lam, x)
+    value = xi(sysm, args.kind, args.lam, x)
     print(f"{value.real:.15g} {value.imag:.15g}")
     return 0
 
 
-_SAMPLE_HEADER_TAIL = ["re", "im"]
-
-
 def _read_samples_csv(path, sysm, kind, ms):
     grid = build_point_grid(sysm, kind, ms)
-    names = _label_names(sysm, "s") + _SAMPLE_HEADER_TAIL
+    names = _sample_header(sysm)
     with open(path, encoding="utf-8") as fp:
         lines = [ln.strip() for ln in fp if ln.strip()]
     if not lines or lines[0].split(",") != names:
@@ -204,14 +189,6 @@ def _read_samples_csv(path, sysm, kind, ms):
             )
         values.append(_finite(cells[-2], cells[-1], f"sample row {row!r}"))
     return make_samples(sysm, kind, ms, values)
-
-
-def _write_samples_csv(out, sysm, samples):
-    names = _label_names(sysm, "s") + _SAMPLE_HEADER_TAIL
-    print(",".join(names), file=out)
-    for gp, v in zip(samples.grid, samples.values):
-        row = [str(x) for x in gp.label] + [_fmt17(v.real), _fmt17(v.imag)]
-        print(",".join(row), file=out)
 
 
 def _write_coeff_json(out, coeffs: CoefficientSet):
@@ -237,7 +214,7 @@ def _read_coeff_json(path):
     with open(path, encoding="utf-8") as fp:
         try:
             data = json.load(fp)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise UsageError(f"malformed coefficient JSON: {exc}") from None
     if not isinstance(data, dict):
         raise UsageError("coefficient JSON must be an object")
@@ -250,8 +227,6 @@ def _read_coeff_json(path):
         raise UsageError(f"unknown group selector {data['group']!r} in JSON")
     sysm = system_from_selector(data["group"])
     kind = data["kind"]
-    if kind not in ("e", "ee"):
-        raise UsageError(f"unknown kind {kind!r} in JSON")
     ms, _ = check_moduli(sysm, kind, data["M"])
     spectrum = build_weight_grid(sysm, kind, ms)
     if len(data["entries"]) != len(spectrum):
@@ -274,29 +249,23 @@ def _read_coeff_json(path):
 
 def _cmd_forward(args):
     sysm = _system(args)
-    samples = _read_samples_csv(args.samples, sysm, args.kind, args.M)
-    coeffs = forward_discrete(samples)
-    out = _out_stream(args)
-    _write_coeff_json(out, coeffs)
-    if out is not sys.stdout:
-        out.close()
+    coeffs = forward_discrete(_read_samples_csv(args.samples, sysm, args.kind, args.M))
+    with _output(args) as out:
+        _write_coeff_json(out, coeffs)
     return 0
 
 
 def _cmd_inverse(args):
-    coeffs = _read_coeff_json(args.coeffs)
-    samples = inverse_discrete(coeffs)
-    out = _out_stream(args)
-    _write_samples_csv(out, coeffs.system, samples)
-    if out is not sys.stdout:
-        out.close()
+    samples = inverse_discrete(_read_coeff_json(args.coeffs))
+    _write_csv(args, _sample_header(samples.system), (
+        [*map(str, gp.label), _fmt17(v.real), _fmt17(v.imag)]
+        for gp, v in zip(samples.grid, samples.values)
+    ))
     return 0
 
 
 def _cmd_interp(args):
     coeffs = _read_coeff_json(args.coeffs)
-    if len(args.point) != coeffs.system.n:
-        raise UsageError(f"--point needs {coeffs.system.n} rational coordinates")
     x = tuple(_parse_fraction(p) for p in args.point)
     value = transform.interpolate(coeffs, x)
     print(f"{value.real:.15g} {value.imag:.15g}")
@@ -329,57 +298,30 @@ def _cmd_verify(args):
 
 
 def _cmd_tables(args):
-    table_ids = [args.table] if args.table else list(TABLE_IDS)
+    reports = [regenerate_table(tid, args.M) for tid in ([args.table] if args.table else TABLE_IDS)]
     ok = True
-    reports = []
-    for tid in table_ids:
-        report = regenerate_table(tid, args.M)
-        reports.append(report)
-        known = expected_mismatches = 0
-        unexpected = []
+    for report in reports:
+        known, lines = 0, []
         for row in report.mismatches:
-            key = (tid, row.coefficient, row.group, row.pattern)
-            pinned = KNOWN_ERRATA.get(key)
+            pinned = KNOWN_ERRATA.get((report.table_id, row.coefficient, row.group, row.pattern))
             if pinned == (row.reference, row.computed):
                 known += 1
-            else:
-                unexpected.append(row)
-        skipped = len(report.skipped)
+            lines.append(
+                f"  [{'UNEXPECTED' if pinned is None else 'errata'}] {row.coefficient} "
+                f"{row.group} {row.pattern}: tabulated {row.reference}, computed {row.computed}"
+            )
+        unexpected, skipped = len(report.mismatches) - known, len(report.skipped)
         matched = sum(1 for r in report.rows if r.status == "match")
-        if unexpected or skipped:
-            ok = False
+        ok = ok and not unexpected and not skipped
         if not args.json:
             print(
-                f"{tid}: {len(report.rows)} rows, {matched} match, "
-                f"{known} known errata, {len(unexpected)} unexpected, {skipped} skipped"
+                f"{report.table_id}: {len(report.rows)} rows, {matched} match, "
+                f"{known} known errata, {unexpected} unexpected, {skipped} skipped"
             )
-            for row in report.mismatches:
-                tag = "errata" if (tid, row.coefficient, row.group, row.pattern) in KNOWN_ERRATA else "UNEXPECTED"
-                print(
-                    f"  [{tag}] {row.coefficient} {row.group} {row.pattern}: "
-                    f"tabulated {row.reference}, computed {row.computed}"
-                )
+            for line in lines:
+                print(line)
     if args.json:
-        payload = [
-            {
-                "table_id": rep.table_id,
-                "modulus": rep.modulus,
-                "rows": [
-                    {
-                        "coefficient": r.coefficient,
-                        "pattern": r.pattern,
-                        "group": r.group,
-                        "reference": r.reference,
-                        "computed": r.computed,
-                        "modulus": r.modulus,
-                        "status": r.status,
-                    }
-                    for r in rep.rows
-                ],
-            }
-            for rep in reports
-        ]
-        print(json.dumps(payload, indent=2))
+        print(json.dumps([dataclasses.asdict(report) for report in reports], indent=2))
     return 0 if ok else 1
 
 
@@ -420,8 +362,6 @@ def _cmd_contour(args):
         [[float(gram[i][j]) for j in free] for i in free], dtype=float
     )
     embed = np.linalg.cholesky(sub).T
-    out = _out_stream(args)
-    print("x,y,re,im", file=out)
     kept = []
     for uv in itertools.product(ticks, repeat=len(free)):
         coords = [Q(0)] * sysm.n
@@ -432,20 +372,17 @@ def _cmd_contour(args):
         if in_even_domain(sysm, args.kind, coords):
             kept.append((uv, tuple(coords)))
     values = orbit_sums(sysm, args.kind, [lam], [point for _, point in kept])[0]
+    rows = []
     for (uv, _), value in zip(kept, values):
         cart = embed @ np.array([float(v) for v in uv])
-        print(
-            f"{_fmt17(cart[0])},{_fmt17(cart[1])},{_fmt17(value.real)},{_fmt17(value.imag)}",
-            file=out,
-        )
-    if out is not sys.stdout:
-        out.close()
+        rows.append([_fmt17(v) for v in (cart[0], cart[1], value.real, value.imag)])
+    _write_csv(args, ["x", "y", "re", "im"], rows)
     return 0
 
 
 def _cmd_dump_group(args):
     sysm = _system(args)
-    group = generate_weyl(sysm) if args.kind == "w" else even_subgroup(sysm, args.kind)
+    group = even_subgroup(sysm, args.kind)
     payload = {
         "group": sysm.selector,
         "kind": args.kind,
@@ -577,7 +514,7 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (UsageError, ConfigurationError, FileNotFoundError) as exc:
+    except (UsageError, ConfigurationError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -45,6 +45,14 @@ class UnsupportedFormulaError(ValueError):
     """No closed form is available for the requested system and kind."""
 
 
+def _integer_weight(lam) -> tuple[int, ...]:
+    """``lam`` as a tuple of ints; a non-integer entry is a :class:`UsageError`."""
+    try:
+        return tuple(operator.index(a) for a in lam)
+    except TypeError:
+        raise UsageError(f"weight entries must be integers, got {lam!r}") from None
+
+
 def xi(system: SemisimpleSystem, kind: str, lam: Weight, x: TorusPoint) -> complex:
     """Sum of ``exp(2 pi i <w lam, x>)`` over the whole even group.
 
@@ -55,10 +63,7 @@ def xi(system: SemisimpleSystem, kind: str, lam: Weight, x: TorusPoint) -> compl
     reproducible and equal to the ``Fraction`` sum of ``exp_phase``
     terms, which the tests keep as the reference.
     """
-    try:
-        lam = tuple(operator.index(a) for a in lam)
-    except TypeError:
-        raise UsageError(f"weight entries must be integers, got {lam!r}") from None
+    lam = _integer_weight(lam)
     x = tuple(Q(v) for v in x)
     if len(lam) != system.n or len(x) != system.n:
         raise UsageError(f"weights and points need length {system.n} for {system.selector}")
@@ -118,6 +123,7 @@ def _orbit_sums(system: SemisimpleSystem, kind: str, weights, keys: np.ndarray, 
     """The orbit-sum kernel on torus keys ``(keys, n)``; see :func:`orbit_sums`."""
     group = even_subgroup(system, check_kind(kind))
     dim = system.n
+    weights = [_integer_weight(v) for v in weights]
     if any(len(v) != dim for v in weights):
         raise UsageError(f"weights and points need length {dim} for {system.selector}")
     lam = np.array(weights, dtype=object).reshape(len(weights), dim)

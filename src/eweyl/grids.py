@@ -101,6 +101,16 @@ def _kac_labels(factor: SimpleFactor, marks, modulus: int, strict: bool):
     return out
 
 
+def label_names(system: SemisimpleSystem, prefix: str) -> list[str]:
+    """Names of the label entries: ``s0, s1, s0', s2, ...`` for prefix ``s``."""
+    names, index = [], 1
+    for primes, f in enumerate(system.factors):
+        names.append(f"{prefix}0" + "'" * primes)
+        names += [f"{prefix}{index + i}" for i in range(f.rank)]
+        index += f.rank
+    return names
+
+
 def _circle_labels(modulus: int):
     """Signed labels of the A1 even circle ``-M < s <= M``."""
     return [(modulus - s, s) for s in range(-modulus + 1, modulus + 1)]

@@ -27,9 +27,8 @@ Both transforms take their orbit sums from the exact integer kernel of
 :mod:`eweyl.efunc` (the continuous one straight from the numerators),
 so every phase is exact.
 
-Centralised numeric tolerances, used across the test-suite:
-orthogonality and round trips 1e-9, pointwise formula equivalence
-1e-10, pure phase identities 1e-12.
+``TOL_ORTHOGONALITY`` (1e-9) bounds the Gram residual and the round-trip
+error that ``eweyl verify`` accepts.
 """
 
 from __future__ import annotations
@@ -65,8 +64,6 @@ from .grids import (
 )
 
 TOL_ORTHOGONALITY = 1e-9
-TOL_POINTWISE = 1e-10
-TOL_PHASE = 1e-12
 
 
 @dataclass(frozen=True)

@@ -25,10 +25,8 @@ from fractions import Fraction
 
 from .lie_data import SemisimpleSystem, UsageError, system_from_selector
 from .weyl import even_subgroup, stab_order
-from .grids import build_point_grid, build_weight_grid, domain_blocks
+from .grids import build_point_grid, build_weight_grid, domain_blocks, label_names
 from . import efunc
-
-TABLE_IDS = ("T1_A1A1", "T2_d_ee", "T3_d_e", "T4_disk_ee", "T5_disk_e", "T6_A1A1A1")
 
 #: largest modulus tried when a row's zero pattern is unrealisable at the
 #: requested one (divisibility constraints such as 2*s2 = M need even M)
@@ -256,6 +254,19 @@ _T6_H = [
     ((0, 1, 0, 1, 0, 1), 4),
 ]
 
+#: table id -> (groups, kind, ((coefficient, rows), ...)); a row's
+#: reference value is one int, or a tuple with one column per group
+_TABLES = {
+    "T1_A1A1": (("a1xa1",), "e", (("d", _T1_D), ("eps", _T1_EPS), ("h", _T1_H))),
+    "T2_d_ee": (RANK3_GROUPS, "ee", (("d", _T2_D),)),
+    "T3_d_e": (RANK3_GROUPS, "e", (("d", _T3_D),)),
+    "T4_disk_ee": (TWO_FACTOR_GROUPS, "ee", (("eps", _T4_EPS), ("h", _T4_H))),
+    "T5_disk_e": (TWO_FACTOR_GROUPS, "e", (("eps", _T5_EPS), ("h", _T5_H))),
+    "T6_A1A1A1": (("a1xa1xa1",), "e", (("eps", _T6_EPS), ("h", _T6_H))),
+}
+
+TABLE_IDS = tuple(_TABLES)
+
 #: reference fundamental-domain volumes per (selector, kind)
 REFERENCE_VOLUMES = {
     ("a1xa1", "e"): 1.0,
@@ -284,22 +295,8 @@ REFERENCE_GROUP_ORDERS = {
 # row instantiation
 # ---------------------------------------------------------------------------
 
-def _slot_names(system: SemisimpleSystem, prefix: str):
-    names = []
-    primes = ["", "'", "''", "'''"]
-    counter = 0
-    index = 1
-    for f in system.factors:
-        names.append(f"{prefix}0{primes[counter]}")
-        counter += 1
-        for _ in range(f.rank):
-            names.append(f"{prefix}{index}")
-            index += 1
-    return names
-
-
 def pattern_string(system: SemisimpleSystem, flags, prefix: str) -> str:
-    names = _slot_names(system, prefix)
+    names = label_names(system, prefix)
     return "[" + ",".join(n if f else "0" for n, f in zip(names, flags)) + "]"
 
 
@@ -370,13 +367,11 @@ def _regenerate_rows(selector, kind, coefficient, rows, column, modulus):
     out = []
     for flags, values in rows:
         reference = values if isinstance(values, int) else values[column]
+        computed = used = None
         if coefficient == "d":
             computed = _compute_d(system, kind, flags)
-            used = None
             pattern = weight_pattern_string(flags)
         else:
-            computed = None
-            used = None
             for m in range(modulus, modulus + _FALLBACK_SPAN + 1):
                 computed = _stratum_value(system, kind, coefficient, flags, m)
                 if computed is not None:
@@ -404,28 +399,11 @@ def regenerate_table(table_id: str, m: int = 5) -> TableReport:
         raise UsageError(f"unknown table id {table_id!r}; known: {TABLE_IDS}")
     if m < 5:
         raise UsageError("discrete tables need m >= 5 to realise all patterns")
+    groups, kind, coefficients = _TABLES[table_id]
     rows = []
-    if table_id == "T1_A1A1":
-        rows += _regenerate_rows("a1xa1", "e", "d", _T1_D, 0, m)
-        rows += _regenerate_rows("a1xa1", "e", "eps", _T1_EPS, 0, m)
-        rows += _regenerate_rows("a1xa1", "e", "h", _T1_H, 0, m)
-    elif table_id == "T2_d_ee":
-        for col, sel in enumerate(RANK3_GROUPS):
-            rows += _regenerate_rows(sel, "ee", "d", _T2_D, col, m)
-    elif table_id == "T3_d_e":
-        for col, sel in enumerate(RANK3_GROUPS):
-            rows += _regenerate_rows(sel, "e", "d", _T3_D, col, m)
-    elif table_id == "T4_disk_ee":
-        for col, sel in enumerate(TWO_FACTOR_GROUPS):
-            rows += _regenerate_rows(sel, "ee", "eps", _T4_EPS, col, m)
-            rows += _regenerate_rows(sel, "ee", "h", _T4_H, col, m)
-    elif table_id == "T5_disk_e":
-        for col, sel in enumerate(TWO_FACTOR_GROUPS):
-            rows += _regenerate_rows(sel, "e", "eps", _T5_EPS, col, m)
-            rows += _regenerate_rows(sel, "e", "h", _T5_H, col, m)
-    else:
-        rows += _regenerate_rows("a1xa1xa1", "e", "eps", _T6_EPS, 0, m)
-        rows += _regenerate_rows("a1xa1xa1", "e", "h", _T6_H, 0, m)
+    for column, selector in enumerate(groups):
+        for coefficient, table in coefficients:
+            rows += _regenerate_rows(selector, kind, coefficient, table, column, m)
     return TableReport(table_id, m, tuple(rows))
 
 

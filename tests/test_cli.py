@@ -56,7 +56,12 @@ def test_bad_inputs_exit_2(capsys, tmp_path):
 
     label = rows[0][:-2]
     t0 = list(E.build_weight_grid(E.system_from_selector("a1xa1"), "e", 2)[0].label)
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes('{"group": "a1xa1", "kind": "é"}'.encode("latin-1"))
     for argv in [
+        ["forward", "--group", "a1xa1", "--kind", "e", "--M", "2", "--samples", str(tmp_path)],
+        ["grid", "--group", "a1xa1", "--kind", "e", "--M", "2", "--out", str(tmp_path)],
+        ["inverse", "--coeffs", str(not_utf8)],
         samples_with(label + ["abc", "0.0"]),
         samples_with(label + ["0.5", "x"]),
         samples_with(["one"] + label[1:] + ["0.5", "0.0"]),
@@ -157,6 +162,22 @@ def test_eval_by_label(capsys):
     assert abs(float(out[1]) - want.imag) < 1e-12
 
 
+def test_eval_label_is_any_printed_grid_label(capsys):
+    # kind ee circle labels may be negative; a label shared by a cell and
+    # its reflected twin means the first cell, on the closed branch
+    for sel, kind, ms in (("a1xa1", "ee", (2, 3)), ("a1xa2", "e", (3,))):
+        system = E.system_from_selector(sel)
+        first = {}
+        for gp in E.build_point_grid(system, kind, ms):
+            first.setdefault(gp.label, gp.point)
+        lam = (1, 2, 1)[: system.n]
+        for label, point in first.items():
+            assert run(["eval", "--group", sel, "--kind", kind, "--lambda", *map(str, lam),
+                        "--label", *map(str, label), "--M", *map(str, ms)]) == 0
+            want = E.xi(system, kind, lam, point)
+            assert capsys.readouterr().out.split() == [f"{want.real:.15g}", f"{want.imag:.15g}"]
+
+
 def test_forward_inverse_file_round_trip(tmp_path, capsys):
     system = E.system_from_selector("a1xa2")
     grid = E.build_point_grid(system, "ee", (2, 2))
@@ -224,6 +245,7 @@ def test_oversize_moduli_exit_2_quickly(capsys):
         ["grid", "--group", "a1xa1", "--kind", "e", "--M", "99999999999999999999"],
         ["verify", "--group", "a1xa2", "--kind", "e", "--M", "200"],
         ["tables", "--M", "1000000"],
+        ["tables", "--M", "100"],  # T1-T3 fit the limit, T4 does not: no partial output
     ):
         t0 = time.monotonic()
         assert run(argv) == 2, argv

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import eweyl as E
-from eweyl.efunc import orbit_sums, xi
+from eweyl.efunc import orbit_sums, scaled_orbit_sums, xi
 from eweyl.lie_data import phase_to_complex, residue_phasor
 
 from conftest import fraction_xi
@@ -107,3 +107,18 @@ def test_orbit_sums_shapes_and_lengths():
         orbit_sums(system, "e", [(1, 0)], [(0, 0, 0)])
     with pytest.raises(E.UsageError):
         orbit_sums(system, "e", [(1, 0, 0)], [(Q(1, 2),)])
+
+
+def test_orbit_sums_reject_non_integer_weights():
+    # a Fraction or float entry used to be truncated to an integer weight
+    system = E.system_from_selector("a1xa1")
+    numerators = np.array([[2, 3]], dtype=np.int64)
+    for weight in [(Q(1, 2), 0), (1.5, 0), (0, 1.0)]:
+        with pytest.raises(E.UsageError):
+            orbit_sums(system, "e", [weight], [(Q(1, 3), Q(1, 5))])
+        with pytest.raises(E.UsageError):
+            scaled_orbit_sums(system, "e", [(1, 1), weight], numerators, 6)
+    # integer-valued entries of any integer type are accepted
+    want = orbit_sums(system, "e", [(1, 2)], [(Q(1, 3), Q(1, 2))])
+    got = scaled_orbit_sums(system, "e", np.array([[1, 2]]), numerators, 6)
+    assert want.tobytes() == got.tobytes()
