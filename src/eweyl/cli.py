@@ -275,11 +275,12 @@ def _cmd_interp(args):
 def _cmd_verify(args):
     sysm = _system(args)
     ms, _ = check_moduli(sysm, args.kind, args.M)
-    if args.trials < 1:
-        raise UsageError("--trials must be >= 1")
+    grid = build_point_grid(sysm, args.kind, ms)
+    most = MAX_GRID_CELLS // len(grid)
+    if not 1 <= args.trials <= most:
+        raise UsageError(f"--trials must be between 1 and {most} on a grid of {len(grid)} points")
     rng = random.Random(args.seed)
     residual = gram_residual(sysm, args.kind, ms)
-    grid = build_point_grid(sysm, args.kind, ms)
     worst_rt = 0.0
     for _ in range(args.trials):
         vals = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in grid]

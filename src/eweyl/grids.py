@@ -3,10 +3,13 @@
 Both even domains are described once, by :func:`domain_blocks`, as a
 product of gluing blocks ``F_B u r_B(F_B interior)``; :func:`glue`
 enumerates integer per-factor cells over that description, and every
-enumeration here (point and weight grids, dominant weights) and the
-quadrature cells of :mod:`eweyl.transform` consume it.  Each gluing
-reflection acts on one factor only, so it is applied to that factor's
-cells before the product is taken.
+enumeration here (point and weight grids, dominant weights) consumes
+it.  Each gluing reflection acts on one factor only, so it is applied
+to that factor's cells before the product is taken.  The point grid is
+the only discretisation of the domain: :func:`point_grid_arrays` gives
+it as integer arrays, which both :func:`build_point_grid` and the
+quadrature cells of the continuous transform (:mod:`eweyl.transform`)
+read.
 
 Grid cells carry Kac-style labels: nonnegative integers ``[s0, s1, ...]``
 per factor with ``s0 + sum(m_i s_i) = M`` (marks ``m`` for point grids,
@@ -305,17 +308,20 @@ def _check_grid_size(system: SemisimpleSystem, kind: str, ms, dual: bool) -> Non
         )
 
 
-def _require_distinct(keys, what: str):
-    rows = [tuple(k) for k in keys.tolist()]
-    if len(set(rows)) != len(rows):
+def _require_distinct(keys: np.ndarray, what: str):
+    # sorted rows, not np.unique(axis=0), which imports numpy.ma (15 ms, 1 MB)
+    rows = keys[np.lexsort(keys.T)]
+    if (rows[1:] == rows[:-1]).all(axis=1).any():
         raise AssertionError(f"duplicate {what} in a grid")
 
 
-# bounded caches: a ``tables`` run at one modulus fills 12 entries of each
-@lru_cache(maxsize=32)
-def _point_grid_cached(system: SemisimpleSystem, kind: str, ms: tuple[int, ...]):
+def point_grid_arrays(system: SemisimpleSystem, kind: str, ms):
+    """Uncached :func:`build_point_grid` as ``(numerators, denominator, labels, eps)``.
+
+    Point ``k`` is the int64 row ``numerators[k]`` over ``denominator``.
+    """
+    ms, per_factor = check_moduli(system, kind, ms)
     _check_grid_size(system, kind, ms, dual=False)
-    _, per_factor = check_moduli(system, kind, ms)
     params, labels = _branches(system, kind, per_factor, dual=False)
     denominator = math.lcm(*per_factor)
     scale = [denominator // m for f, m in zip(system.factors, per_factor) for _ in range(f.rank)]
@@ -323,6 +329,13 @@ def _point_grid_cached(system: SemisimpleSystem, kind: str, ms: tuple[int, ...])
     keys, n = scaled_torus_keys(system, numerators, denominator)
     _require_distinct(keys, "point mod coroot lattice")
     eps = torus_orbit_sizes(even_subgroup(system, kind), keys, n)
+    return numerators, denominator, labels, eps
+
+
+# bounded caches: a ``tables`` run at one modulus fills 12 entries of each
+@lru_cache(maxsize=32)
+def _point_grid_cached(system: SemisimpleSystem, kind: str, ms: tuple[int, ...]):
+    numerators, denominator, labels, eps = point_grid_arrays(system, kind, ms)
     points = fraction_rows(numerators, denominator)
     return tuple(
         GridPoint(p, tuple(label), e) for p, label, e in zip(points, labels.tolist(), eps)

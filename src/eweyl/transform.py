@@ -14,18 +14,18 @@ points so that the dense matrix stays within 1 GiB; no fast
 factorisation is attempted.
 
 The continuous transform integrates against the orbit sums over the
-even fundamental domain with a midpoint/centroid product rule: interval
-midpoints along A1 directions and centroid-weighted triangle
-subdivisions over the rank-2 simplices, reflected copies included.  The
-cells are integer numerators over one common denominator ``D``
-(:class:`QuadratureCells`), glued by :func:`eweyl.grids.glue`, and all
-share one weight, the volume of a cell; the integrand ``f`` still
-receives ``Fraction`` tuples, built block by block from a table of the
-few distinct numerators.  The spectrum of the continuous transform is
-the finite truncation produced by :func:`eweyl.grids.enumerate_dominant`.
-Both transforms take their orbit sums from the exact integer kernel of
-:mod:`eweyl.efunc` (the continuous one straight from the numerators),
-so every phase is exact.
+even fundamental domain on the same point grid, at modulus
+``resolution`` on every gluing block: :func:`quadrature_cells` weights
+each point by ``eps(x) / (|group| * prod_f M_f^rank_f)``.  By discrete
+orthogonality this cubature is exact for every product of two orbit
+sums of the spectrum unless their weights alias modulo ``M`` times the
+root lattice, which :func:`continuous_coefficients` refuses.  The
+integrand ``f`` receives ``Fraction`` tuples, built block by block from
+a table of the few distinct numerators.  The spectrum of the
+continuous transform is the finite truncation produced by
+:func:`eweyl.grids.enumerate_dominant`.  Both transforms take their
+orbit sums from the exact integer kernel of :mod:`eweyl.efunc` (the
+continuous one straight from the numerators), so every phase is exact.
 
 ``TOL_ORTHOGONALITY`` (1e-9) bounds the Gram residual and the round-trip
 error that ``eweyl verify`` accepts.
@@ -33,9 +33,7 @@ error that ``eweyl verify`` accepts.
 
 from __future__ import annotations
 
-import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -52,15 +50,16 @@ from .lie_data import (
     mat_det,
 )
 from .efunc import orbit_sums, scaled_orbit_sums, xi
-from .weyl import check_kind, check_moduli, even_subgroup, stab_order
+from .weyl import check_kind, check_moduli, even_subgroup, stab_order, weight_keys
 from .grids import (
     GridPoint,
     SpectralPoint,
     build_point_grid,
     build_weight_grid,
+    domain_blocks,
     enumerate_dominant,
     fraction_rows,
-    glue,
+    point_grid_arrays,
 )
 
 TOL_ORTHOGONALITY = 1e-9
@@ -212,34 +211,6 @@ def gram_residual(system, kind, ms) -> float:
 # continuous transform
 # ---------------------------------------------------------------------------
 
-def _factor_cells(factor, resolution: int, denominator: int) -> np.ndarray:
-    """Midpoint/centroid numerators of one factor's simplex over ``denominator``.
-
-    Returns integer numerators of shape ``(k, rank)``.  Intervals of
-    A1 have midpoints ``(2i+1)/2r``; the triangle
-    ``{u, v >= 0, m1 u + m2 v <= 1}`` is cut into ``r^2`` triangles with
-    centroids ``((3i+1)/(3r m1), (3j+1)/(3r m2))`` (upright) and
-    ``((3i+2)/(3r m1), (3j+2)/(3r m2))`` (inverted).
-    """
-    n = resolution
-    if factor.rank == 1:
-        step = denominator // (2 * n)
-        return np.array([[(2 * i + 1) * step] for i in range(n)], dtype=np.int64)
-    m1, m2 = factor.marks
-    s1, s2 = denominator // (3 * n * m1), denominator // (3 * n * m2)
-    cells = [((3 * i + 1) * s1, (3 * j + 1) * s2) for i in range(n) for j in range(n - i)]
-    cells += [((3 * i + 2) * s1, (3 * j + 2) * s2) for i in range(n) for j in range(n - i - 1)]
-    return np.array(cells, dtype=np.int64).reshape(-1, 2)
-
-
-def _cell_denominator(system: SemisimpleSystem, resolution: int) -> int:
-    """Common denominator of every cell: ``2r`` per A1, ``3r m1 m2`` per rank 2."""
-    return math.lcm(*(
-        2 * resolution if f.rank == 1 else 3 * resolution * math.prod(f.marks)
-        for f in system.factors
-    ))
-
-
 #: quadrature cells per block of Fraction points and orbit sums
 _CELL_BLOCK = 2**14
 
@@ -248,14 +219,14 @@ _CELL_BLOCK = 2**14
 class QuadratureCells:
     """Cells of :func:`quadrature_cells` as integer numerators over one denominator.
 
-    Cell ``k`` is the point ``numerators[k] / denominator``; every cell
-    has the same ``weight``.  Iterating yields ``(point, weight)`` pairs
-    with ``Fraction`` coordinates and a float weight.
+    Cell ``k`` is the point ``numerators[k] / denominator`` with weight
+    ``weights[k]``.  Iterating yields ``(point, weight)`` pairs with
+    ``Fraction`` coordinates and a float weight.
     """
 
     numerators: np.ndarray
     denominator: int
-    weight: float
+    weights: np.ndarray
 
     def __len__(self) -> int:
         return len(self.numerators)
@@ -265,39 +236,40 @@ class QuadratureCells:
         return fraction_rows(self.numerators[start:stop], self.denominator)
 
     def __iter__(self):
-        for start in range(0, len(self), _CELL_BLOCK):
-            yield from zip(self.points(start, start + _CELL_BLOCK), itertools.repeat(self.weight))
+        return zip(self.points(), self.weights.tolist())
 
 
 def quadrature_cells(system: SemisimpleSystem, kind: str, resolution: int) -> QuadratureCells:
-    """Midpoint/centroid cells covering the even fundamental domain.
+    """The point grid, modulus ``resolution`` on every gluing block, as a cubature.
 
-    Points are exact: integer numerators over one common denominator
-    ``D``, the lcm over factors of ``2r`` (A1) and ``3r m1 m2`` (rank
-    2), so the gluing reflections and the circle's ``s -> -s`` stay
-    integer.  The weight is the volume of one cell in coweight
-    coordinates (the metric factor is applied by the caller): each
-    factor's simplex, of volume ``1 / (rank! prod(marks))``, is cut
-    into ``r^rank`` equal cells.
+    Point ``x`` has weight ``eps(x) / (|group| * prod_f M_f^rank_f)``,
+    its share of the coweight volume: times the metric, which the
+    caller applies, the weights sum to the domain volume.
     """
-    if not isinstance(resolution, numbers.Integral) or resolution < 1:
-        raise UsageError(f"resolution must be an integer >= 1, got {resolution!r}")
-    resolution = int(resolution)
-    denominator = _cell_denominator(system, resolution)
-
-    def piece(i, part):
-        coords = _factor_cells(system.factors[i], resolution, denominator)
-        if part == "circle":  # the A1 reflection is s -> -s
-            coords = np.concatenate([coords, -coords])
-        return coords, np.empty((len(coords), 0), dtype=np.int64)
-
-    numerators, _ = glue(system, kind, piece, dual=False)
+    ms = (resolution,) * len(domain_blocks(system, kind))
+    numerators, denominator, _, eps = point_grid_arrays(system, kind, ms)
     numerators.setflags(write=False)
-    weight = math.prod(
-        1 / (math.factorial(f.rank) * math.prod(f.marks) * resolution**f.rank)
-        for f in system.factors
-    )
-    return QuadratureCells(numerators, denominator, weight)
+    scale = even_subgroup(system, kind).order * modulus_power(system, kind, ms)
+    weights = np.array(eps, dtype=float) / scale
+    weights.setflags(write=False)
+    return QuadratureCells(numerators, denominator, weights)
+
+
+def _check_alias_free(system, group, spectrum, per_factor) -> None:
+    """Refuse moduli at which the grid cannot integrate ``spectrum`` exactly.
+
+    The grid sums ``Xi_mu * conj(Xi_lam) = sum_w Xi_(mu - w lam)``
+    exactly unless some nonzero ``mu - w lam`` is congruent to 0 modulo
+    ``M_f`` times the root lattice of each factor ``f``.
+    """
+    lams = np.array(spectrum, dtype=np.int64).reshape(len(spectrum), system.n)
+    images = np.stack([lams @ np.array(w.weight_matrix, dtype=np.int64).T for w in group])
+    diffs = (lams[None, :, None, :] - images[:, None, :, :]).reshape(-1, system.n)
+    diffs = diffs[diffs.any(axis=1)]
+    aliased = ~weight_keys(system, diffs, per_factor).any(axis=1)
+    if aliased.any():
+        nu = tuple(diffs[aliased][0].tolist())
+        raise UsageError(f"resolution {per_factor[0]} aliases the weight {nu} to 0; raise it")
 
 
 @dataclass(frozen=True)
@@ -317,32 +289,40 @@ def continuous_coefficients(
     system: SemisimpleSystem,
     kind: str,
     weight_bound: int = 3,
-    resolution: int = 64,
+    resolution: int = 32,
 ) -> ContinuousCoefficients:
-    """Approximate the continuous transform of ``f`` over the even domain.
+    """The continuous transform of ``f`` over the even domain, on the point grid.
 
     Parameters
     ----------
     f : callable
-        Function of a torus point (tuple of rationals); sampled at cell
-        midpoints/centroids.
+        Function of a torus point (tuple of rationals); sampled at the
+        points of :func:`quadrature_cells`.
     weight_bound : int
         Truncation bound passed to :func:`enumerate_dominant`.
     resolution : int
-        Subdivisions per coordinate direction of each domain factor.
+        The grid modulus ``M``, on every gluing block.  The grid has
+        about ``|det C| * M^n / |group|`` points and is refused past
+        ``MAX_GRID_CELLS``; the default 32 keeps every group within it.
 
     The coefficient of weight ``lam`` is the integral of
-    ``f * conj(Xi_lam)`` divided by ``|domain| * |group| * d_lam``.
+    ``f * conj(Xi_lam)`` divided by ``|domain| * |group| * d_lam``.  It
+    is exact, to rounding, when ``f`` is a combination of the orbit
+    sums of the spectrum: by discrete orthogonality the grid integrates
+    every ``Xi_mu * conj(Xi_lam)`` exactly unless some nonzero
+    ``mu - w lam`` is congruent to 0 modulo ``M`` times the root
+    lattice.  Such a resolution raises :class:`UsageError`.
     """
     group = even_subgroup(system, check_kind(kind))
     cells = quadrature_cells(system, kind, resolution)
     metric = math.sqrt(float(mat_det(coweight_gram(system))))
     spectrum = enumerate_dominant(system, kind, weight_bound)
+    _check_alias_free(system, group, spectrum, (resolution,) * len(system.factors))
     integrals = np.zeros(len(spectrum), dtype=complex)
     for start in range(0, len(cells), _CELL_BLOCK):
         stop = start + _CELL_BLOCK
-        points = cells.points(start, stop)
-        weighted = np.array([cells.weight * complex(f(p)) for p in points]) * metric
+        values = np.array([complex(f(p)) for p in cells.points(start, stop)])
+        weighted = cells.weights[start:stop] * values * metric
         xi_vals = scaled_orbit_sums(
             system, kind, spectrum, cells.numerators[start:stop], cells.denominator
         )

@@ -283,7 +283,7 @@ def torus_orbit_sizes(group: WeylGroup, keys: np.ndarray, n: int) -> tuple[int, 
     with ``W^T k = k mod n``.
     """
     images = _residues(keys, [w.weight_matrix for w in group], n)
-    return tuple(group.order // int(c) for c in (images == keys).all(axis=2).sum(axis=0))
+    return tuple((group.order // (images == keys).all(axis=2).sum(axis=0)).tolist())
 
 
 def torus_orbit_size(group: WeylGroup, x: TorusPoint) -> int:

@@ -253,6 +253,15 @@ def test_oversize_moduli_exit_2_quickly(capsys):
         assert _one_error_line(capsys), argv
 
 
+def test_huge_trial_count_exits_2_quickly(capsys):
+    # refused from trials x grid size before the Gram matrix or any trial
+    argv = ["verify", "--group", "a1xa1", "--kind", "e", "--M", "1", "--trials", str(10**20)]
+    t0 = time.monotonic()
+    assert run(argv) == 2
+    assert time.monotonic() - t0 < 1
+    assert _one_error_line(capsys)
+
+
 def test_dense_phase_matrix_size_limit(capsys, monkeypatch):
     monkeypatch.setattr(E.transform, "MAX_PHASE_MATRIX_N", 100)
     # 22 x 26 = 572 points; moduli no other test builds a phase matrix for

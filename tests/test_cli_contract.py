@@ -23,9 +23,6 @@ HOSTILE = ["0", "-1", str(10**20), str(2**63), "-1/3", "1/0", "nan", "inf", "", 
 #: mid-size moduli pass the size limits but take minutes; only 1-3 are used
 MODULI = ["1", "2", "3"]
 INTEGERS = [t for t in HOSTILE if t.lstrip("-").isdigit()] + MODULI
-#: ``--trials`` repeats a round trip that many times: a huge count is a
-#: valid, slow request, not a malformed one
-SMALL = [t for t in HOSTILE if len(t) < 10] + MODULI
 #: tokens that get past argparse, by option
 PLAUSIBLE = {
     "group": list(E.SUPPORTED_SELECTORS),
@@ -93,17 +90,13 @@ def _values(draw, action, pools):
     """Tokens for one option: mostly ones that get past argparse, else hostile."""
     if action.nargs == 0:
         return []
-    if action.dest == "trials":
-        plausible, hostile = [t for t in SMALL if t in INTEGERS], SMALL
-    else:
-        plausible = INTEGERS if action.type is int else (
-            PLAUSIBLE.get(action.dest, []) + pools.get(action.dest, [])
-            + list(action.choices or ())
-        )
-        hostile = HOSTILE
+    plausible = INTEGERS if action.type is int else (
+        PLAUSIBLE.get(action.dest, []) + pools.get(action.dest, [])
+        + list(action.choices or ())
+    )
     count = draw(st.integers(1, 4)) if action.nargs == "+" else 1
     return [
-        draw(st.sampled_from(hostile if draw(st.integers(0, 7)) == 0 else plausible))
+        draw(st.sampled_from(HOSTILE if draw(st.integers(0, 7)) == 0 else plausible))
         for _ in range(count)
     ]
 

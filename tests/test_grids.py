@@ -1,9 +1,10 @@
 import itertools
 
+import numpy as np
 import pytest
 
 import eweyl as E
-from eweyl.grids import grid_canonical_set
+from eweyl.grids import _require_distinct, grid_canonical_set
 from eweyl.weyl import even_subgroup, torus_congruent, weight_congruent_mod_mq
 from conftest import SELECTORS
 
@@ -149,3 +150,10 @@ def test_reflected_branch_coordinates():
         from fractions import Fraction as Q
 
         assert gp.point == (Q(s1, 3), Q(-s2, 3), Q(s2 + s3, 3))
+
+
+def test_duplicate_keys_are_caught():
+    keys = np.array([[1, 2, 0], [0, 1, 2], [2, 0, 1], [0, 1, 2]], dtype=np.int64)
+    with pytest.raises(AssertionError, match="duplicate"):
+        _require_distinct(keys, "point")
+    _require_distinct(keys[:3], "point")

@@ -1,6 +1,6 @@
-"""The integer quadrature cells against a Fraction reference built cell by cell."""
+"""The point grid as the cubature of the continuous transform."""
 
-import itertools
+import inspect
 import math
 from fractions import Fraction as Q
 
@@ -8,66 +8,39 @@ import numpy as np
 import pytest
 
 import eweyl as E
-from eweyl import efunc
+from eweyl import efunc, transform
 from eweyl.efunc import orbit_sums, scaled_orbit_sums
-from eweyl.grids import domain_blocks
-from eweyl.lie_data import UsageError
-from eweyl.transform import quadrature_cells
+from eweyl.grids import MAX_GRID_CELLS, domain_blocks
+from eweyl.lie_data import UsageError, coweight_gram, domain_volume, mat_det
+from eweyl.transform import modulus_power, quadrature_cells
 
 RESOLUTIONS = range(1, 7)
-
-
-def _factor_cells(factor, n):
-    """Midpoints of A1 intervals, centroids of the rank-2 subdivision."""
-    if factor.rank == 1:
-        return [((Q(2 * i + 1, 2 * n),), Q(1, n)) for i in range(n)]
-    m1, m2 = factor.marks
-    w = Q(1, 2 * n * n) / (m1 * m2)
-    cells = [
-        ((Q(3 * i + 1, 3 * n) / m1, Q(3 * j + 1, 3 * n) / m2), w)
-        for i in range(n) for j in range(n - i)
-    ]
-    cells += [
-        ((Q(3 * i + 2, 3 * n) / m1, Q(3 * j + 2, 3 * n) / m2), w)
-        for i in range(n) for j in range(n - i - 1)
-    ]
-    return cells
+PAIRS = [(sel, kind) for sel in E.SUPPORTED_SELECTORS for kind in ("e", "ee")]
 
 
 def _reference_cells(system, kind, n):
-    """Per-factor Fraction cells, products, and one reflection per interior cell."""
-    blocks = []
-    for block in domain_blocks(system, kind):
-        per_factor = [
-            [(c, (float(w),)) for c, w in _factor_cells(system.factors[i], n)]
-            for i in block.factors
-        ]
-        if block.circle:
-            (cells,) = per_factor
-            blocks.append(cells + [(tuple(-v for v in c), t) for c, t in cells])
-            continue
-        closed = [
-            (tuple(v for c, _ in combo for v in c), tuple(t for _, ts in combo for t in ts))
-            for combo in itertools.product(*per_factor)
-        ]
-        interior = [(block.reflection.apply_point(c), t) for c, t in closed]
-        blocks.append(closed + interior)
-    return [
-        (tuple(v for c, _ in combo for v in c), math.prod(t for _, ts in combo for t in ts))
-        for combo in itertools.product(*blocks)
-    ]
+    """Grid points in grid order, each weighted ``eps / (|group| prod M^rank)``."""
+    ms = (n,) * len(domain_blocks(system, kind))
+    scale = E.even_subgroup(system, kind).order * modulus_power(system, kind, ms)
+    return [(gp.point, Q(gp.epsilon, scale)) for gp in E.build_point_grid(system, kind, ms)]
 
 
 @pytest.mark.parametrize("kind", ["e", "ee"])
 @pytest.mark.parametrize("sel", E.SUPPORTED_SELECTORS)
 def test_cells_match_fraction_reference(sel, kind):
     system = E.system_from_selector(sel)
+    metric = math.sqrt(float(mat_det(coweight_gram(system))))
     spectrum = E.enumerate_dominant(system, kind, 2)
     for n in RESOLUTIONS:
         cells = quadrature_cells(system, kind, n)
         ref = _reference_cells(system, kind, n)
         assert len(cells) == len(ref)
-        assert repr(list(cells)) == repr(ref), (sel, kind, n)
+        assert repr(list(cells)) == repr([(p, float(w)) for p, w in ref]), (sel, kind, n)
+        # the weights share out the coweight volume |det C| / |group| exactly
+        group = E.even_subgroup(system, kind)
+        assert sum(w for _, w in ref) == Q(abs(system.det_cartan), group.order)
+        assert math.isclose(cells.weights.sum() * metric, domain_volume(system, kind),
+                            rel_tol=1e-13)
         got = scaled_orbit_sums(system, kind, spectrum, cells.numerators, cells.denominator)
         want = orbit_sums(system, kind, spectrum, [p for p, _ in ref])
         assert np.array_equal(got, want), (sel, kind, n)
@@ -90,3 +63,44 @@ def test_bad_resolution_is_refused(resolution):
         quadrature_cells(a1, "e", resolution)
     with pytest.raises(UsageError):
         E.continuous_coefficients(lambda p: 1.0, a1, "e", weight_bound=1, resolution=resolution)
+
+
+def _worst_basis_error(system, kind, bound, resolution, mus):
+    """Largest ``|c - delta_mu|`` over the transforms of ``Xi_mu``."""
+    worst = 0.0
+    for mu in mus:
+        cc = E.continuous_coefficients(
+            lambda p: E.xi(system, kind, mu, p), system, kind,
+            weight_bound=bound, resolution=resolution,
+        )
+        assert tuple(mu) in cc.weights
+        worst = max(worst, max(abs(v - (w == tuple(mu))) for w, v in zip(cc.weights, cc.values)))
+    return worst
+
+
+@pytest.mark.parametrize("sel,kind", PAIRS)
+def test_continuous_transform_is_exact_on_orbit_sums(sel, kind):
+    system = E.system_from_selector(sel)
+    mus = E.enumerate_dominant(system, kind, 1)
+    assert _worst_basis_error(system, kind, 1, 6, mus) <= 1e-12
+
+
+def test_aliasing_resolution_is_refused():
+    system = E.system_from_selector("a1xg2")
+    mus = E.enumerate_dominant(system, "e", 2)
+    for resolution in (8, 10):
+        with pytest.raises(UsageError, match="aliases"):
+            E.continuous_coefficients(lambda p: 1.0, system, "e", weight_bound=2,
+                                      resolution=resolution)
+    assert _worst_basis_error(system, "e", 2, 11, mus) <= 1e-12
+
+
+def test_default_resolution_is_alias_free_and_within_size():
+    params = inspect.signature(E.continuous_coefficients).parameters
+    bound, resolution = params["weight_bound"].default, params["resolution"].default
+    for sel, kind in PAIRS:
+        system = E.system_from_selector(sel)
+        spectrum = E.enumerate_dominant(system, kind, bound)
+        per_factor = (resolution,) * len(system.factors)
+        transform._check_alias_free(system, E.even_subgroup(system, kind), spectrum, per_factor)
+        assert len(quadrature_cells(system, kind, resolution)) <= MAX_GRID_CELLS

@@ -4,11 +4,14 @@ A traced benchmark run (``perfbench/tracing.py``) wraps library
 functions by name and reports a per-layer metric only if its span
 appears; a target that is gone is printed as ``absent:``.  The
 ``efunc.xi_*`` metrics come from the ``xi`` calls that ``interpolate``
-makes.  This test loads the benchmark's tracer from its file, without
-writing anything under ``perfbench/``, and undoes every attribute the
-tracer patches.
+makes, and the continuous metrics from one ``quadrature_cells`` and one
+``enumerate_dominant`` call under each ``continuous_coefficients``.
+This test loads the benchmark's tracer from its file, without writing
+anything under ``perfbench/``, and undoes every attribute the tracer
+patches.
 """
 
+import contextlib
 import importlib.util
 import sys
 from fractions import Fraction as Q
@@ -50,23 +53,30 @@ def _eweyl_modules():
     ]
 
 
-def test_interpolate_traces_one_xi_span_per_weight():
-    tracing = _load_tracing()
-    system = E.system_from_selector("a1xa1")
+@contextlib.contextmanager
+def _instrumented(tracing):
+    """A tracer wrapped around the library, unwrapped again on exit."""
     saved = [(m, dict(vars(m))) for m in _eweyl_modules()]
-    xi = E.efunc.xi
     tracer = tracing.Tracer("contract/0")
     try:
         assert tracing.instrument(tracer, E) == []
-        grid = E.build_point_grid(system, "e", 3)
-        values = [complex(k % 5, -k % 3) for k in range(len(grid))]
-        coeffs = E.forward_discrete(E.make_samples(system, "e", 3, values))
-        E.interpolate(coeffs, (Q(1, 3), Q(-2, 7)))
+        yield tracer
     finally:
         for module, before in saved:
             for key, value in before.items():
                 if vars(module).get(key) is not value:
                     setattr(module, key, value)
+
+
+def test_interpolate_traces_one_xi_span_per_weight():
+    tracing = _load_tracing()
+    system = E.system_from_selector("a1xa1")
+    xi = E.efunc.xi
+    with _instrumented(tracing) as tracer:
+        grid = E.build_point_grid(system, "e", 3)
+        values = [complex(k % 5, -k % 3) for k in range(len(grid))]
+        coeffs = E.forward_discrete(E.make_samples(system, "e", 3, values))
+        E.interpolate(coeffs, (Q(1, 3), Q(-2, 7)))
     assert E.xi is E.efunc.xi is E.transform.xi is xi
 
     spans = tracer.finish()
@@ -77,3 +87,19 @@ def test_interpolate_traces_one_xi_span_per_weight():
     assert all(s["parent"] == interp["id"] and s["case"] == interp["case"] for s in xis)
     assert tracing.aggregate(spans, "efunc.xi", None, "calls") == len(coeffs.spectrum)
     assert tracing.aggregate(spans, "efunc.xi", "a1xa1-e-3", "per_call") is not None
+
+
+def test_continuous_traces_one_cells_and_one_dominant_span():
+    tracing = _load_tracing()
+    system = E.system_from_selector("a1xc2")
+    quadrature_cells = E.transform.quadrature_cells
+    with _instrumented(tracing) as tracer:
+        E.continuous_coefficients(lambda p: 1.0, system, "ee", weight_bound=1, resolution=6)
+    assert E.transform.quadrature_cells is quadrature_cells
+
+    spans = tracer.finish()
+    (cc,) = [s for s in spans if s["name"] == "transform.continuous_coefficients"]
+    (cells,) = [s for s in spans if s["name"] == "transform.quadrature_cells"]
+    (dominant,) = [s for s in spans if s["name"] == "grids.enumerate_dominant"]
+    assert cells["parent"] == dominant["parent"] == cc["id"]
+    assert cells["size"] == len(quadrature_cells(system, "ee", 6)) > 0
