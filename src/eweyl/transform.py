@@ -9,9 +9,13 @@ orders, the forward coefficients are
     N(lam) = detC * |group| * prod_f M_f^rank_f * h[lam],
 
 and the inverse is plain series evaluation on the grid.  The transform
-is a direct dense summation, refused past ``MAX_PHASE_MATRIX_N`` grid
-points so that the dense matrix stays within 1 GiB; no fast
-factorisation is attempted.
+is a direct dense summation with the cached phase matrix, refused past
+``MAX_PHASE_MATRIX_N`` grid points so that the dense matrix stays
+within 1 GiB; no fast factorisation is attempted.  The matrix is
+applied without a copy: the forward transform conjugates the vector,
+``conj(P @ conj(eps * f)) / N``, not the matrix.  ``eps`` and ``N(lam)``
+are read-only float arrays cached per grid, and the canonical grid is
+recognised by identity before equality.
 
 The continuous transform integrates against the orbit sums over the
 even fundamental domain on the same point grid, at modulus
@@ -101,7 +105,7 @@ def make_samples(system, kind, ms, values) -> SampleSet:
     grid = build_point_grid(system, kind, ms)
     if callable(values):
         values = [values(gp.point) for gp in grid]
-    values = tuple(complex(v) for v in values)
+    values = tuple(map(complex, values))
     if len(values) != len(grid):
         raise UsageError(
             f"expected {len(grid)} sample values for this grid, got {len(values)}"
@@ -122,12 +126,22 @@ def modulus_power(system: SemisimpleSystem, kind: str, ms) -> int:
     return power
 
 
-def normalizers(system, kind, ms) -> np.ndarray:
-    """The predicted diagonal of the discrete Gram matrix."""
-    spectrum = build_weight_grid(system, kind, ms)
+@lru_cache(maxsize=32)
+def _grid_weights(system: SemisimpleSystem, kind: str, ms: tuple[int, ...]):
+    """The grid's ``eps`` and ``N(lam)`` as read-only float arrays."""
+    eps = np.array([gp.epsilon for gp in build_point_grid(system, kind, ms)], dtype=float)
     group = even_subgroup(system, kind)
     base = abs(system.det_cartan) * group.order * modulus_power(system, kind, ms)
-    return np.array([base * sp.h for sp in spectrum], dtype=float)
+    norms = np.array([base * sp.h for sp in build_weight_grid(system, kind, ms)], dtype=float)
+    eps.setflags(write=False)
+    norms.setflags(write=False)
+    return eps, norms
+
+
+def normalizers(system, kind, ms) -> np.ndarray:
+    """The predicted diagonal of the discrete Gram matrix (read-only)."""
+    ms, _ = check_moduli(system, kind, ms)
+    return _grid_weights(system, kind, ms)[1]
 
 
 #: largest grid with a dense phase matrix: N^2 complex entries stay <= 1 GiB
@@ -159,27 +173,31 @@ def forward_discrete(samples: SampleSet) -> CoefficientSet:
     The grid must be the canonical one for ``(system, kind, ms)``; a
     reindexed or foreign grid is rejected.
     """
-    system, kind, ms = samples.system, samples.kind, samples.ms
-    if samples.grid != build_point_grid(system, kind, ms):
+    system, kind = samples.system, samples.kind
+    ms, _ = check_moduli(system, kind, samples.ms)
+    grid = build_point_grid(system, kind, ms)
+    if samples.grid is not grid and samples.grid != grid:
         raise UsageError("sample grid is not the canonical grid for its metadata")
     ee = phase_matrix(system, kind, ms)
-    eps = np.array([gp.epsilon for gp in samples.grid], dtype=float)
+    eps, norms = _grid_weights(system, kind, ms)
     f = np.array(samples.values, dtype=complex)
-    coeffs = (ee.conj() @ (eps * f)) / normalizers(system, kind, ms)
+    coeffs = np.conj(ee @ np.conj(eps * f)) / norms
     return CoefficientSet(
-        system, kind, ms, build_weight_grid(system, kind, ms), tuple(coeffs)
+        system, kind, ms, build_weight_grid(system, kind, ms), tuple(coeffs.tolist())
     )
 
 
 def inverse_discrete(coeffs: CoefficientSet) -> SampleSet:
     """Evaluate the finite orbit-sum series back on the grid."""
-    system, kind, ms = coeffs.system, coeffs.kind, coeffs.ms
-    if coeffs.spectrum != build_weight_grid(system, kind, ms):
+    system, kind = coeffs.system, coeffs.kind
+    ms, _ = check_moduli(system, kind, coeffs.ms)
+    spectrum = build_weight_grid(system, kind, ms)
+    if coeffs.spectrum is not spectrum and coeffs.spectrum != spectrum:
         raise UsageError("coefficient spectrum is not the canonical one")
     ee = phase_matrix(system, kind, ms)
     values = ee.T @ np.array(coeffs.values, dtype=complex)
     return SampleSet(
-        system, kind, ms, build_point_grid(system, kind, ms), tuple(values)
+        system, kind, ms, build_point_grid(system, kind, ms), tuple(values.tolist())
     )
 
 
@@ -196,7 +214,7 @@ def gram_matrix(system, kind, ms) -> np.ndarray:
     """``G[l, l'] = sum_x eps(x) Xi_l(x) conj(Xi_l'(x))`` over the grid."""
     ms, _ = check_moduli(system, kind, ms)
     ee = phase_matrix(system, kind, ms)
-    eps = np.array([gp.epsilon for gp in build_point_grid(system, kind, ms)], dtype=float)
+    eps, _ = _grid_weights(system, kind, ms)
     return (ee * eps) @ ee.conj().T
 
 
@@ -204,7 +222,9 @@ def gram_residual(system, kind, ms) -> float:
     """Max deviation of the discrete Gram matrix from its predicted diagonal."""
     ms, _ = check_moduli(system, kind, ms)
     gram = gram_matrix(system, kind, ms)
-    return float(np.abs(gram - np.diag(normalizers(system, kind, ms))).max())
+    _, norms = _grid_weights(system, kind, ms)
+    gram[np.diag_indices_from(gram)] -= norms
+    return float(np.abs(gram).max())
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from eweyl.transform import (
     interpolate,
     make_samples,
     normalizers,
+    phase_matrix,
     quadrature_cells,
 )
 from eweyl.weyl import even_subgroup
@@ -189,11 +191,11 @@ def test_continuous_coefficients_rank3():
     system = E.system_from_selector("a1xa2")
     mu = (1, 1, 0)
     f = lambda p: xi_closed(system, "e", mu, p)
-    cc = E.continuous_coefficients(f, system, "e", weight_bound=1, resolution=64)
+    cc = E.continuous_coefficients(f, system, "e", weight_bound=1, resolution=12)
     assert mu in cc.weights
     for w, v in zip(cc.weights, cc.values):
         want = 1.0 if w == mu else 0.0
-        assert abs(v - want) < 5e-3
+        assert abs(v - want) < 1e-12
 
 
 def test_continuous_coefficients_zero_function():
@@ -227,8 +229,6 @@ def test_product_to_sum_numeric_identity():
 
 
 def test_phase_matrix_rebuild_is_bitwise_equal():
-    from eweyl.transform import phase_matrix
-
     system = E.system_from_selector("a1xa2")
     phase_matrix.cache_clear()
     base = phase_matrix(system, "e", (2,)).copy()
@@ -256,3 +256,56 @@ def test_normalizer_values():
     spec3 = E.build_weight_grid(system3, "ee", (1, 2, 3))
     for n, sp in zip(norms3, spec3):
         assert n == 8 * 6 * sp.h
+
+
+def test_dense_transform_is_the_plain_matrix_product():
+    # pins the warm transform to the textbook dense formulas, bit for bit
+    rng = random.Random(17)
+    for system, kind, ms in discrete_cases():
+        grid = E.build_point_grid(system, kind, ms)
+        ee = phase_matrix(system, kind, ms)
+        eps = np.array([gp.epsilon for gp in grid], dtype=float)
+        norms = normalizers(system, kind, ms)
+        f = np.array(_random_values(rng, grid), dtype=complex)
+        samples = make_samples(system, kind, ms, f)
+        coeffs = forward_discrete(samples)
+        want = (ee.conj() @ (eps * f)) / norms
+        assert np.array(coeffs.values).tobytes() == want.tobytes()
+        back = inverse_discrete(coeffs)
+        assert np.array(back.values).tobytes() == (ee.T @ want).tobytes()
+        gram = gram_matrix(system, kind, ms)
+        assert gram_residual(system, kind, ms) == float(np.abs(gram - np.diag(norms)).max())
+        for values in (samples.values, coeffs.values, back.values):
+            assert all(type(v) is complex for v in values)
+        with pytest.raises(ValueError):
+            norms[0] = 0.0
+
+
+def test_moduli_shape_does_not_change_the_transform():
+    system = E.system_from_selector("a1xa2")
+    grid = E.build_point_grid(system, "e", (2,))
+    values = tuple(complex(i, -i) for i in range(len(grid)))
+    results = []
+    for ms in (2, [2], (2,)):
+        coeffs = forward_discrete(E.SampleSet(system, "e", ms, grid, values))
+        back = inverse_discrete(E.CoefficientSet(system, "e", ms, coeffs.spectrum, coeffs.values))
+        assert coeffs.ms == back.ms == (2,)
+        results.append((coeffs.values, back.values))
+    assert results[0] == results[1] == results[2]
+
+
+def test_warm_transform_allocates_no_dense_temporary():
+    system, kind, ms = E.system_from_selector("a1xa1xa1"), "ee", (4, 4, 4)
+    n = len(E.build_point_grid(system, kind, ms))
+    samples = make_samples(system, kind, ms, _random_values(random.Random(3), range(n)))
+    inverse_discrete(forward_discrete(samples))  # fill the caches
+    tracemalloc.start()
+    try:
+        coeffs = forward_discrete(samples)
+        forward_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        inverse_discrete(coeffs)
+        inverse_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(forward_peak, inverse_peak) < n * n * 16 // 8
