@@ -8,14 +8,25 @@ orders, the forward coefficients are
     c[lam] = sum_x eps(x) f(x) conj(Xi_lam(x)) / N(lam),
     N(lam) = detC * |group| * prod_f M_f^rank_f * h[lam],
 
-and the inverse is plain series evaluation on the grid.  The transform
-is a direct dense summation with the cached phase matrix, refused past
-``MAX_PHASE_MATRIX_N`` grid points so that the dense matrix stays
-within 1 GiB; no fast factorisation is attempted.  The matrix is
-applied without a copy: the forward transform conjugates the vector,
-``conj(P @ conj(eps * f)) / N``, not the matrix.  ``eps`` and ``N(lam)``
-are read-only float arrays cached per grid, and the canonical grid is
-recognised by identity before equality.
+and the inverse is plain series evaluation on the grid.  The phase
+matrix ``P`` (spectrum rows by grid columns) is applied without a
+copy: the forward transform conjugates the vector,
+``conj(P @ conj(eps * f)) / N``, not the matrix, and the inverse is
+``P.T @ c``.  ``eps`` and ``N(lam)`` are read-only float arrays cached
+per grid, and the canonical grid is recognised by identity before
+equality.
+
+The product even group is the product of the factors' even groups, so
+every kind ``"ee"`` orbit sum is a product of per-factor ones and,
+with the grid and spectrum in product order (left factor outermost,
+as :func:`eweyl.grids.glue` emits them), the ``"ee"`` phase matrix is
+the Kronecker product of the factors' matrices.  On ``"ee"`` grids of
+at least ``SEPARABLE_MIN_N`` points both transforms contract one
+factor at a time and never form the N x N matrix.  Below it, and for
+kind ``"e"``, they use the dense cached matrix, which is also what
+:func:`gram_matrix` and :func:`gram_residual` read as an independent
+check.  Every phase matrix, dense or per factor, is refused past
+``MAX_PHASE_MATRIX_N`` grid points so that it stays within 1 GiB.
 
 The continuous transform integrates against the orbit sums over the
 even fundamental domain on the same point grid, at modulus
@@ -49,12 +60,20 @@ from .lie_data import (
     TorusPoint,
     UsageError,
     Weight,
+    assemble_system,
     coweight_gram,
     domain_volume,
     mat_det,
 )
 from .efunc import orbit_sums, scaled_orbit_sums, xi
-from .weyl import check_kind, check_moduli, even_subgroup, stab_order, weight_keys
+from .weyl import (
+    PRODUCT_EVEN,
+    check_kind,
+    check_moduli,
+    even_subgroup,
+    stab_order,
+    weight_keys,
+)
 from .grids import (
     GridPoint,
     SpectralPoint,
@@ -167,6 +186,29 @@ def phase_matrix(system: SemisimpleSystem, kind: str, ms: tuple[int, ...]) -> np
     return out
 
 
+#: smallest kind ``"ee"`` grid transformed factor by factor; below it the
+#: dense product is faster (crossover measured in ROADMAP item 3)
+SEPARABLE_MIN_N = 256
+
+
+def _apply_phase(system, kind, ms, x, transpose=False) -> np.ndarray:
+    """``P @ x``, or ``P.T @ x``, for ``P = phase_matrix(system, kind, ms)``.
+
+    A kind ``"ee"`` vector of at least ``SEPARABLE_MIN_N`` entries is
+    multiplied by ``kron(P_0, P_1, ...)`` one factor at a time: each
+    step contracts the leading axis and cycles it to the back.
+    """
+    if kind != PRODUCT_EVEN or len(x) < SEPARABLE_MIN_N:
+        p = phase_matrix(system, kind, ms)
+        return (p.T if transpose else p) @ x
+    for f, m in zip(system.factors, ms):
+        p = phase_matrix(assemble_system((f.kind,)), kind, (m,))
+        if transpose:
+            p = p.T
+        x = (p @ x.reshape(p.shape[1], -1)).T
+    return x.reshape(-1)
+
+
 def forward_discrete(samples: SampleSet) -> CoefficientSet:
     """Expand grid samples into orbit-sum coefficients.
 
@@ -178,10 +220,9 @@ def forward_discrete(samples: SampleSet) -> CoefficientSet:
     grid = build_point_grid(system, kind, ms)
     if samples.grid is not grid and samples.grid != grid:
         raise UsageError("sample grid is not the canonical grid for its metadata")
-    ee = phase_matrix(system, kind, ms)
     eps, norms = _grid_weights(system, kind, ms)
     f = np.array(samples.values, dtype=complex)
-    coeffs = np.conj(ee @ np.conj(eps * f)) / norms
+    coeffs = np.conj(_apply_phase(system, kind, ms, np.conj(eps * f))) / norms
     return CoefficientSet(
         system, kind, ms, build_weight_grid(system, kind, ms), tuple(coeffs.tolist())
     )
@@ -194,8 +235,7 @@ def inverse_discrete(coeffs: CoefficientSet) -> SampleSet:
     spectrum = build_weight_grid(system, kind, ms)
     if coeffs.spectrum is not spectrum and coeffs.spectrum != spectrum:
         raise UsageError("coefficient spectrum is not the canonical one")
-    ee = phase_matrix(system, kind, ms)
-    values = ee.T @ np.array(coeffs.values, dtype=complex)
+    values = _apply_phase(system, kind, ms, np.array(coeffs.values, dtype=complex), transpose=True)
     return SampleSet(
         system, kind, ms, build_point_grid(system, kind, ms), tuple(values.tolist())
     )
@@ -215,7 +255,10 @@ def gram_matrix(system, kind, ms) -> np.ndarray:
     ms, _ = check_moduli(system, kind, ms)
     ee = phase_matrix(system, kind, ms)
     eps, _ = _grid_weights(system, kind, ms)
-    return (ee * eps) @ ee.conj().T
+    t = np.conj(ee)
+    t *= eps
+    g = t @ ee.T
+    return np.conj(g, out=g)
 
 
 def gram_residual(system, kind, ms) -> float:

@@ -5,7 +5,7 @@ import time
 
 import eweyl as E
 from eweyl.cli import run
-from eweyl.grids import in_even_domain
+from eweyl.grids import in_even_domain, label_names
 from fractions import Fraction as Q
 
 
@@ -266,6 +266,51 @@ def test_dense_phase_matrix_size_limit(capsys, monkeypatch):
     monkeypatch.setattr(E.transform, "MAX_PHASE_MATRIX_N", 100)
     # 22 x 26 = 572 points; moduli no other test builds a phase matrix for
     assert run(["verify", "--group", "a1xa1", "--kind", "ee", "--M", "11", "13"]) == 2
+    assert _one_error_line(capsys)
+
+
+def _write_samples(path, system, kind, ms, values):
+    rows = [",".join(label_names(system, "s") + ["re", "im"])]
+    for gp, v in zip(E.build_point_grid(system, kind, ms), values):
+        rows.append(",".join([str(x) for x in gp.label] + [repr(v.real), repr(v.imag)]))
+    path.write_text("\n".join(rows) + "\n")
+
+
+def test_separable_transform_past_the_dense_limit(tmp_path, capsys):
+    # 24^3 = 13 824 points: forward and inverse run factor by factor,
+    # while verify's Gram matrix is dense and refused
+    system, ms = E.system_from_selector("a1xa1xa1"), (12, 12, 12)
+    grid = E.build_point_grid(system, "ee", ms)
+    assert len(grid) > E.transform.MAX_PHASE_MATRIX_N
+    rng = random.Random(8)
+    values = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in grid]
+    samples, coeffs, back = tmp_path / "s.csv", tmp_path / "c.json", tmp_path / "b.csv"
+    _write_samples(samples, system, "ee", ms, values)
+    moduli = ["--group", "a1xa1xa1", "--kind", "ee", "--M", *map(str, ms)]
+    assert run(["forward", *moduli, "--samples", str(samples), "--out", str(coeffs)]) == 0
+    assert run(["inverse", "--coeffs", str(coeffs), "--out", str(back)]) == 0
+    lines = back.read_text().strip().splitlines()[1:]
+    assert len(lines) == len(values)
+    worst = max(
+        abs(complex(float(c[-2]), float(c[-1])) - v)
+        for c, v in zip((line.split(",") for line in lines), values)
+    )
+    assert worst < 1e-9
+    capsys.readouterr()
+    assert run(["verify", *moduli]) == 2
+    assert _one_error_line(capsys)
+
+
+def test_separable_factor_size_limit(tmp_path, capsys):
+    # the grid (16 388 points) fits MAX_GRID_CELLS, its first factor's
+    # 8 194 points pass MAX_PHASE_MATRIX_N: refused before any matrix
+    system, ms = E.system_from_selector("a1xa1"), (4097, 1)
+    samples = tmp_path / "s.csv"
+    _write_samples(samples, system, "ee", ms, [0j] * len(E.build_point_grid(system, "ee", ms)))
+    t0 = time.monotonic()
+    assert run(["forward", "--group", "a1xa1", "--kind", "ee", "--M", "4097", "1",
+                "--samples", str(samples)]) == 2
+    assert time.monotonic() - t0 < 5
     assert _one_error_line(capsys)
 
 

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 import tracemalloc
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 import eweyl as E
+from eweyl import transform
 from eweyl.transform import (
     forward_discrete,
     gram_matrix,
@@ -295,17 +297,77 @@ def test_moduli_shape_does_not_change_the_transform():
 
 
 def test_warm_transform_allocates_no_dense_temporary():
+    # the first grid takes the separable path, the second the dense one
+    for sel, kind, ms in (("a1xa1xa1", "ee", (4, 4, 4)), ("a1xa2", "e", (6,))):
+        system = E.system_from_selector(sel)
+        n = len(E.build_point_grid(system, kind, ms))
+        samples = make_samples(system, kind, ms, _random_values(random.Random(3), range(n)))
+        inverse_discrete(forward_discrete(samples))  # fill the caches
+        tracemalloc.start()
+        try:
+            coeffs = forward_discrete(samples)
+            forward_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            inverse_discrete(coeffs)
+            inverse_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert max(forward_peak, inverse_peak) < n * n * 16 // 8, sel
+
+
+def test_gram_matrix_allocates_one_dense_temporary():
     system, kind, ms = E.system_from_selector("a1xa1xa1"), "ee", (4, 4, 4)
-    n = len(E.build_point_grid(system, kind, ms))
-    samples = make_samples(system, kind, ms, _random_values(random.Random(3), range(n)))
-    inverse_discrete(forward_discrete(samples))  # fill the caches
+    n = len(phase_matrix(system, kind, ms))
+    normalizers(system, kind, ms)  # fill the caches
     tracemalloc.start()
     try:
-        coeffs = forward_discrete(samples)
-        forward_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        inverse_discrete(coeffs)
-        inverse_peak = tracemalloc.get_traced_memory()[1]
+        gram_matrix(system, kind, ms)
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert max(forward_peak, inverse_peak) < n * n * 16 // 8
+    assert peak < 2.5 * n * n * 16
+
+
+def _ee_cases():
+    """Every kind ``ee`` case of ``discrete_cases()`` and three larger grids, up to N = 512."""
+    extra = (("a1xa1", (6, 6)), ("a1xc2", (4, 4)), ("a1xa1xa1", (4, 4, 4)))
+    return [c for c in discrete_cases() if c[1] == "ee"] + [
+        (E.system_from_selector(sel), "ee", ms) for sel, ms in extra
+    ]
+
+
+def test_ee_phase_matrix_is_the_kronecker_product_of_the_factors():
+    for system, kind, ms in _ee_cases():
+        factors = [
+            phase_matrix(E.assemble_system((f.kind,)), kind, (m,))
+            for f, m in zip(system.factors, ms)
+        ]
+        dense = phase_matrix(system, kind, ms)
+        assert np.abs(functools.reduce(np.kron, factors) - dense).max() <= 1e-13, ms
+
+
+def test_separable_transform_matches_the_dense_formulas(monkeypatch):
+    monkeypatch.setattr(transform, "SEPARABLE_MIN_N", 0)
+    rng = random.Random(18)
+    for system, kind, ms in _ee_cases():
+        grid = E.build_point_grid(system, kind, ms)
+        ee = phase_matrix(system, kind, ms)
+        eps = np.array([gp.epsilon for gp in grid], dtype=float)
+        f = np.array(_random_values(rng, grid), dtype=complex)
+        want = (ee.conj() @ (eps * f)) / normalizers(system, kind, ms)
+        coeffs = forward_discrete(make_samples(system, kind, ms, f))
+        assert np.abs(np.array(coeffs.values) - want).max() <= 1e-12 * np.abs(want).max(), ms
+        dense_coeffs = E.CoefficientSet(system, kind, ms, coeffs.spectrum, tuple(want.tolist()))
+        back = inverse_discrete(dense_coeffs)
+        want_back = ee.T @ want
+        assert np.abs(np.array(back.values) - want_back).max() <= 1e-12 * np.abs(want_back).max()
+        assert all(type(v) is complex for v in coeffs.values + back.values)
+
+
+def test_separable_transform_past_the_dense_limit():
+    system, kind, ms = E.system_from_selector("a1xa1xa1"), "ee", (12, 12, 12)
+    grid = E.build_point_grid(system, kind, ms)
+    assert len(grid) > transform.MAX_PHASE_MATRIX_N
+    samples = make_samples(system, kind, ms, _random_values(random.Random(19), grid))
+    back = inverse_discrete(forward_discrete(samples))
+    assert max(abs(a - b) for a, b in zip(back.values, samples.values)) < 1e-9
