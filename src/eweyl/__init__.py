@@ -30,8 +30,6 @@ from .weyl import (
     generate_weyl,
     orbit,
     stab_order,
-    torus_orbit_size,
-    weight_stab_mod_mq,
 )
 from .grids import (
     GridPoint,
@@ -40,7 +38,6 @@ from .grids import (
     build_weight_grid,
     enumerate_dominant,
     in_even_domain,
-    oracle_point_grid,
 )
 from .efunc import (
     TRUSTED_CLOSED_FORMS,
@@ -48,7 +45,6 @@ from .efunc import (
     orbit_sums,
     xi,
     xi_closed,
-    xi_orbit,
 )
 from .transform import (
     CoefficientSet,

@@ -1,8 +1,8 @@
 """Orbit sums of even Weyl groups (E-functions).
 
 ``xi`` is the normalised orbit sum over all elements of the selected
-even group; it equals the stabiliser order times the plain orbit sum
-``xi_orbit``.  ``xi`` pairs on the point's integer residue key
+even group: the stabiliser order times the sum over the distinct orbit
+members.  ``xi`` pairs on the point's integer residue key
 (:func:`eweyl.weyl.torus_keys`) and turns each residue into a phasor
 with :func:`eweyl.lie_data.residue_phasor`; the ``Fraction`` sum of
 ``exp_phase`` terms it replaces lives on in the tests as the reference
@@ -28,17 +28,8 @@ from itertools import chain
 
 import numpy as np
 
-from .lie_data import Q, SemisimpleSystem, TorusPoint, UsageError, Weight
-from .lie_data import exp_phase, residue_phasor
-from .weyl import (
-    check_kind,
-    even_subgroup,
-    int_dtype,
-    orbit,
-    scaled_torus_keys,
-    stab_order,
-    torus_keys,
-)
+from .lie_data import Q, SemisimpleSystem, TorusPoint, UsageError, Weight, residue_phasor
+from .weyl import check_kind, even_subgroup, int_dtype, scaled_torus_keys, torus_keys
 
 
 class UnsupportedFormulaError(ValueError):
@@ -143,19 +134,6 @@ def _orbit_sums(system: SemisimpleSystem, kind: str, weights, keys: np.ndarray, 
         table = np.array([phasor(v) for v in seen.tolist()], dtype=complex)
         total += table[np.searchsorted(seen, k)]
     return total
-
-
-def xi_orbit(system: SemisimpleSystem, kind: str, lam: Weight, x: TorusPoint) -> complex:
-    """Sum over the distinct orbit members only: ``xi / stab_order``."""
-    group = even_subgroup(system, check_kind(kind))
-    total = 0j
-    for mu in orbit(group, tuple(lam)):
-        total += exp_phase(system, mu, x)
-    return total
-
-
-def xi_stabilizer_order(system: SemisimpleSystem, kind: str, lam: Weight) -> int:
-    return stab_order(even_subgroup(system, check_kind(kind)), tuple(lam))
 
 
 # ---------------------------------------------------------------------------

@@ -24,10 +24,6 @@ grids estimated past ``MAX_GRID_CELLS`` cells are refused before they
 are enumerated.  Orbit sizes, stabiliser orders and duplicate checks
 run on the residue keys of :mod:`eweyl.weyl`, for all cells of a grid
 at once.
-
-``oracle_point_grid`` ignores all of the closed-form bookkeeping and
-intersects the finite torus group with the even fundamental domain by
-brute force; it exists to cross-check the constructive grids.
 """
 
 from __future__ import annotations
@@ -48,12 +44,10 @@ from .lie_data import (
     Weight,
     assemble_system,
     identity_matrix,
-    mat_vec,
 )
 from .weyl import (
     FULL_EVEN,
     GroupElement,
-    canonical_torus_point,
     check_even_kind,
     check_moduli,
     even_subgroup,
@@ -119,22 +113,6 @@ def _circle_labels(modulus: int):
     return [(modulus - s, s) for s in range(-modulus + 1, modulus + 1)]
 
 
-def _local_reflection(factor: SimpleFactor) -> GroupElement:
-    return simple_reflection(assemble_system((factor.kind,)), 0)
-
-
-def reflection_coordinate(system: SemisimpleSystem) -> int:
-    """Coordinate of the reflection gluing the full even domain."""
-    for off, f in zip(system.offsets, system.factors):
-        if f.rank >= 2:
-            return off
-    return 0
-
-
-def domain_reflection(system: SemisimpleSystem) -> GroupElement:
-    return simple_reflection(system, reflection_coordinate(system))
-
-
 # ---------------------------------------------------------------------------
 # the even fundamental domain
 # ---------------------------------------------------------------------------
@@ -164,9 +142,10 @@ def domain_blocks(system: SemisimpleSystem, kind: str) -> tuple[GluingBlock, ...
     """
     if check_even_kind(kind) == FULL_EVEN:
         everything = tuple(range(len(system.factors)))
-        return (GluingBlock(everything, domain_reflection(system), False),)
+        first = next((off for off, f in zip(system.offsets, system.factors) if f.rank >= 2), 0)
+        return (GluingBlock(everything, simple_reflection(system, first), False),)
     return tuple(
-        GluingBlock((i,), _local_reflection(f), f.rank == 1)
+        GluingBlock((i,), simple_reflection(assemble_system((f.kind,)), 0), f.rank == 1)
         for i, f in enumerate(system.factors)
     )
 
@@ -412,67 +391,6 @@ def in_even_domain(system: SemisimpleSystem, kind: str, x: TorusPoint) -> bool:
         ):
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# brute-force oracle
-# ---------------------------------------------------------------------------
-
-def _torus_classes(system: SemisimpleSystem, per_factor_ms):
-    """Canonical representatives of the finite group (1/M)P^v / Q^v."""
-    ranges = []
-    for f, m in zip(system.factors, per_factor_ms):
-        span = m * abs(f.det_cartan)
-        for _ in range(f.rank):
-            ranges.append(range(span))
-    seen = set()
-    denoms = [m for f, m in zip(system.factors, per_factor_ms) for _ in range(f.rank)]
-    for ks in itertools.product(*ranges):
-        coords = tuple(Q(k, d) for k, d in zip(ks, denoms))
-        seen.add(canonical_torus_point(system, coords))
-    return seen
-
-
-def _translate_candidates(system: SemisimpleSystem, s: TorusPoint):
-    """Integer coroot translates that can land ``s`` inside [-1, 1]^n."""
-    inv = system.inv_cartan
-    n = system.n
-    bounds = []
-    for i in range(n):
-        lo = hi = Q(0)
-        for j in range(n):
-            a = inv[i][j] * (Q(-1) - s[j])
-            b = inv[i][j] * (Q(1) - s[j])
-            lo += min(a, b)
-            hi += max(a, b)
-        bounds.append(range(math.ceil(lo), math.floor(hi) + 1))
-    for zs in itertools.product(*bounds):
-        yield mat_vec(system.cartan, zs)
-
-
-def oracle_point_grid(system: SemisimpleSystem, kind: str, ms) -> frozenset:
-    """Set-theoretic grid: finite torus group intersected with the domain.
-
-    Returns canonical representatives modulo the coroot lattice, for
-    comparison against :func:`build_point_grid`.
-    """
-    _, per_factor_ms = check_moduli(system, kind, ms)
-    hits = set()
-    for rep in _torus_classes(system, per_factor_ms):
-        for shift in _translate_candidates(system, rep):
-            candidate = tuple(a + b for a, b in zip(rep, shift))
-            if in_even_domain(system, kind, candidate):
-                hits.add(canonical_torus_point(system, rep))
-                break
-    return frozenset(hits)
-
-
-def grid_canonical_set(system: SemisimpleSystem, kind: str, ms) -> frozenset:
-    """Canonical forms of the constructive grid, for oracle comparison."""
-    return frozenset(
-        canonical_torus_point(system, gp.point)
-        for gp in build_point_grid(system, kind, ms)
-    )
 
 
 # ---------------------------------------------------------------------------

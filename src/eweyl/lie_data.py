@@ -15,9 +15,10 @@ residues of ``A`` (see :mod:`eweyl.weyl`).
 
 Long roots are normalised to squared length 2.  That choice fixes every
 Gram matrix and fundamental-domain volume computed here.  All lattice
-arithmetic is exact (integer residues, or ``fractions.Fraction`` in the
-reference paths); floating point enters only when a phase ``k / n`` is
-finally exponentiated, by :func:`residue_phasor`.
+arithmetic is exact (integer residues, or ``fractions.Fraction`` at the
+API edge: points, :func:`pairing`, :func:`exp_phase` and the Gram
+matrices); floating point enters only when a phase ``k / n`` is finally
+exponentiated, by :func:`residue_phasor`.
 """
 
 from __future__ import annotations
@@ -256,12 +257,7 @@ def exp_phase(system: SemisimpleSystem, lam: Weight, x: TorusPoint) -> complex:
     The reduction happens in exact rational arithmetic, so huge integer
     parts of the phase cannot degrade the unit-circle value.
     """
-    return phase_to_complex(pairing(system, lam, x))
-
-
-def phase_to_complex(frac: Q) -> complex:
-    """Unit phasor of an exact rational number of turns."""
-    frac = Q(frac)
+    frac = Q(pairing(system, lam, x))
     return residue_phasor(frac.numerator, frac.denominator)
 
 
@@ -277,15 +273,6 @@ def residue_phasor(k: int, n: int) -> complex:
 # ---------------------------------------------------------------------------
 # Gram matrices and volumes
 # ---------------------------------------------------------------------------
-
-def root_gram(factor: SimpleFactor) -> RatMatrix:
-    """Gram matrix of the simple roots: ``C . diag(half_lengths)``."""
-    d = factor.half_lengths
-    return tuple(
-        tuple(Q(factor.cartan[i][j]) * d[j] for j in range(factor.rank))
-        for i in range(factor.rank)
-    )
-
 
 def coroot_gram(factor: SimpleFactor) -> RatMatrix:
     """Gram matrix of the simple coroots: ``diag(1/half_lengths) . C``."""

@@ -31,7 +31,10 @@ check.  Every phase matrix, dense or per factor, is refused past
 The continuous transform integrates against the orbit sums over the
 even fundamental domain on the same point grid, at modulus
 ``resolution`` on every gluing block: :func:`quadrature_cells` weights
-each point by ``eps(x) / (|group| * prod_f M_f^rank_f)``.  By discrete
+each point by ``eps(x) / (|group| * prod_f M_f^rank_f)``, and the
+weighted sum of ``f * conj(Xi_lam)`` is divided by ``|det C| * d_lam``.
+That is the forward discrete transform on that grid, with the
+stabiliser order ``d_lam`` in place of ``h`` in ``N(lam)``.  By discrete
 orthogonality this cubature is exact for every product of two orbit
 sums of the spectrum unless their weights alias modulo ``M`` times the
 root lattice, which :func:`continuous_coefficients` refuses.  The
@@ -48,7 +51,6 @@ error that ``eweyl verify`` accepts.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -61,9 +63,6 @@ from .lie_data import (
     UsageError,
     Weight,
     assemble_system,
-    coweight_gram,
-    domain_volume,
-    mat_det,
 )
 from .efunc import orbit_sums, scaled_orbit_sums, xi
 from .weyl import (
@@ -99,8 +98,9 @@ class SampleSet:
     values: tuple[complex, ...]
 
     def __post_init__(self):
-        if len(self.grid) != len(self.values):
-            raise UsageError("sample values and grid have different lengths")
+        n, got = len(self.grid), len(self.values)
+        if n != got:
+            raise UsageError(f"expected {n} sample values for this grid, got {got}")
 
 
 @dataclass(frozen=True)
@@ -114,8 +114,9 @@ class CoefficientSet:
     values: tuple[complex, ...]
 
     def __post_init__(self):
-        if len(self.spectrum) != len(self.values):
-            raise UsageError("coefficient values and spectrum have different lengths")
+        n, got = len(self.spectrum), len(self.values)
+        if n != got:
+            raise UsageError(f"expected {n} coefficient values for this spectrum, got {got}")
 
 
 def make_samples(system, kind, ms, values) -> SampleSet:
@@ -124,12 +125,7 @@ def make_samples(system, kind, ms, values) -> SampleSet:
     grid = build_point_grid(system, kind, ms)
     if callable(values):
         values = [values(gp.point) for gp in grid]
-    values = tuple(map(complex, values))
-    if len(values) != len(grid):
-        raise UsageError(
-            f"expected {len(grid)} sample values for this grid, got {len(values)}"
-        )
-    return SampleSet(system, kind, ms, grid, values)
+    return SampleSet(system, kind, ms, grid, tuple(map(complex, values)))
 
 
 # ---------------------------------------------------------------------------
@@ -305,9 +301,9 @@ class QuadratureCells:
 def quadrature_cells(system: SemisimpleSystem, kind: str, resolution: int) -> QuadratureCells:
     """The point grid, modulus ``resolution`` on every gluing block, as a cubature.
 
-    Point ``x`` has weight ``eps(x) / (|group| * prod_f M_f^rank_f)``,
-    its share of the coweight volume: times the metric, which the
-    caller applies, the weights sum to the domain volume.
+    Point ``x`` has weight ``eps(x) / (|group| * prod_f M_f^rank_f)``:
+    its share of the domain in units of the volume of ``R^n / P^v``
+    (the coweight lattice), so the weights sum to ``|det C| / |group|``.
     """
     ms = (resolution,) * len(domain_blocks(system, kind))
     numerators, denominator, _, eps = point_grid_arrays(system, kind, ms)
@@ -369,29 +365,29 @@ def continuous_coefficients(
         ``MAX_GRID_CELLS``; the default 32 keeps every group within it.
 
     The coefficient of weight ``lam`` is the integral of
-    ``f * conj(Xi_lam)`` divided by ``|domain| * |group| * d_lam``.  It
-    is exact, to rounding, when ``f`` is a combination of the orbit
-    sums of the spectrum: by discrete orthogonality the grid integrates
-    every ``Xi_mu * conj(Xi_lam)`` exactly unless some nonzero
-    ``mu - w lam`` is congruent to 0 modulo ``M`` times the root
-    lattice.  Such a resolution raises :class:`UsageError`.
+    ``f * conj(Xi_lam)`` over ``|domain| * |group| * d_lam``, which is
+    ``|det C| * d_lam`` in the units of the cell weights.  It is exact,
+    to rounding, when ``f`` is a combination of the orbit sums of the
+    spectrum: by discrete orthogonality the grid integrates every
+    ``Xi_mu * conj(Xi_lam)`` exactly unless some nonzero ``mu - w lam``
+    is congruent to 0 modulo ``M`` times the root lattice.  Such a
+    resolution raises :class:`UsageError`.
     """
     group = even_subgroup(system, check_kind(kind))
     cells = quadrature_cells(system, kind, resolution)
-    metric = math.sqrt(float(mat_det(coweight_gram(system))))
     spectrum = enumerate_dominant(system, kind, weight_bound)
     _check_alias_free(system, group, spectrum, (resolution,) * len(system.factors))
     integrals = np.zeros(len(spectrum), dtype=complex)
     for start in range(0, len(cells), _CELL_BLOCK):
         stop = start + _CELL_BLOCK
         values = np.array([complex(f(p)) for p in cells.points(start, stop)])
-        weighted = cells.weights[start:stop] * values * metric
+        weighted = cells.weights[start:stop] * values
         xi_vals = scaled_orbit_sums(
             system, kind, spectrum, cells.numerators[start:stop], cells.denominator
         )
         integrals += np.conj(xi_vals) @ weighted
     stabilizers = tuple(stab_order(group, lam) for lam in spectrum)
-    norm = domain_volume(system, kind) * group.order
+    norm = abs(system.det_cartan)
     return ContinuousCoefficients(
         system,
         kind,

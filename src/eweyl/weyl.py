@@ -23,8 +23,7 @@ lattice iff their keys ``A (L x) mod L |det C|`` are equal (``L`` a
 common denominator), weights modulo ``M_f`` times the root lattice of
 each factor ``f`` iff their keys ``A^T a mod |det C| M_f`` are equal.
 Orbit sizes and stabilisers are counted on the keys of many points or
-weights at once.  ``torus_congruent`` and ``weight_congruent_mod_mq``
-are the ``Fraction`` references, straight from the definitions.
+weights at once.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from functools import lru_cache
 import numpy as np
 
 from .lie_data import (
-    Q,
     IntMatrix,
     SemisimpleSystem,
     TorusPoint,
@@ -46,7 +44,6 @@ from .lie_data import (
     Weight,
     identity_matrix,
     mat_det,
-    mat_inverse,
     mat_mul,
     mat_transpose,
     mat_vec,
@@ -265,15 +262,6 @@ def scaled_torus_keys(system: SemisimpleSystem, numerators, lcm: int) -> tuple[n
     return _residues(numerators, [mat_transpose(system.adj_cartan)], n)[0], n
 
 
-def canonical_torus_point(system: SemisimpleSystem, x: TorusPoint) -> TorusPoint:
-    """Representative of ``x`` modulo the coroot lattice: ``C K / n``.
-
-    Two points are congruent iff their canonical forms are equal.
-    """
-    keys, n = torus_keys(system, [x])
-    return mat_vec(system.cartan, [Q(int(k), n) for k in keys[0]])
-
-
 def torus_orbit_sizes(group: WeylGroup, keys: np.ndarray, n: int) -> tuple[int, ...]:
     """Number of distinct images modulo the coroot lattice of every point.
 
@@ -284,16 +272,6 @@ def torus_orbit_sizes(group: WeylGroup, keys: np.ndarray, n: int) -> tuple[int, 
     """
     images = _residues(keys, [w.weight_matrix for w in group], n)
     return tuple((group.order // (images == keys).all(axis=2).sum(axis=0)).tolist())
-
-
-def torus_orbit_size(group: WeylGroup, x: TorusPoint) -> int:
-    return torus_orbit_sizes(group, *torus_keys(group.system, [x]))[0]
-
-
-def torus_congruent(system: SemisimpleSystem, x: TorusPoint, y: TorusPoint) -> bool:
-    """``x = y`` modulo the coroot lattice: ``C^{-1}(x - y)`` is integral."""
-    diff = tuple(a - b for a, b in zip(x, y))
-    return all(Q(z).denominator == 1 for z in mat_vec(system.inv_cartan, diff))
 
 
 def _weight_moduli(system: SemisimpleSystem, ms) -> list[int]:
@@ -321,20 +299,3 @@ def weight_stabs_mod_mq(group: WeylGroup, weights, ms) -> tuple[int, ...]:
     keys = weight_keys(group.system, weights, ms)
     return tuple(int(c) for c in (images == keys).all(axis=2).sum(axis=0))
 
-
-def weight_stab_mod_mq(group: WeylGroup, lam: Weight, ms) -> int:
-    return weight_stabs_mod_mq(group, [lam], ms)[0]
-
-
-def weight_congruent_mod_mq(system, a: Weight, b: Weight, ms) -> bool:
-    """``a = b`` modulo ``M_f * (root lattice of factor f)``, blockwise.
-
-    Decided from the definition: ``C_f^{-T}(a - b) / M_f`` is integral.
-    """
-    _, ms = check_moduli(system, PRODUCT_EVEN, ms)
-    for (lo, hi), factor, m in zip(system.factor_slices(), system.factors, ms):
-        diff = tuple(a[j] - b[j] for j in range(lo, hi))
-        z = mat_vec(mat_transpose(mat_inverse(factor.cartan)), diff)
-        if any(Q(v) % m != 0 for v in z):
-            return False
-    return True

@@ -11,7 +11,6 @@ import numpy as np
 
 import eweyl as E
 from eweyl.efunc import TRUSTED_CLOSED_FORMS, xi, xi_closed
-from eweyl.grids import grid_canonical_set
 from eweyl.transform import (
     forward_discrete,
     gram_matrix,
@@ -22,6 +21,7 @@ from eweyl.transform import (
 )
 from eweyl.verify import KNOWN_ERRATA, REFERENCE_VOLUMES, regenerate_table
 from conftest import SELECTORS, int_weight, rational_point
+from reference import canonical_torus_point, oracle_point_grid
 
 
 def _pass(num, message):
@@ -180,14 +180,12 @@ def test_criterion_9_oracle_grids_and_cardinalities():
     for sel in SELECTORS:
         system = E.system_from_selector(sel)
         k = len(system.factors)
-        for m in (1, 2, 3):
-            assert grid_canonical_set(system, "e", (m,)) == E.oracle_point_grid(
-                system, "e", (m,)
-            )
-        for ms in itertools.product((1, 2, 3), repeat=k):
-            assert grid_canonical_set(system, "ee", ms) == E.oracle_point_grid(
-                system, "ee", ms
-            )
+        cases = [("e", (m,)) for m in (1, 2, 3)]
+        cases += [("ee", ms) for ms in itertools.product((1, 2, 3), repeat=k)]
+        for kind, ms in cases:
+            grid = E.build_point_grid(system, kind, ms)
+            got = {canonical_torus_point(system, gp.point) for gp in grid}
+            assert got == oracle_point_grid(system, kind, ms)
         for m in (1, 2, 3, 4):
             assert len(E.build_point_grid(system, "e", (m,))) == len(
                 E.build_weight_grid(system, "e", (m,))

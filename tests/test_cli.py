@@ -35,9 +35,9 @@ def test_bad_inputs_exit_2(capsys, tmp_path):
     grid = E.build_point_grid(E.system_from_selector("a1xa1"), "e", 2)
     rows = [[str(v) for v in gp.label] + ["0.5", "0.0"] for gp in grid]
 
-    def samples_with(row0):
+    def samples_with(*head):
         path = tmp_path / "samples.csv"
-        lines = ["s0,s1,s0',s2,re,im"] + [",".join(r) for r in [row0] + rows[1:]]
+        lines = ["s0,s1,s0',s2,re,im"] + [",".join(r) for r in [*head, *rows[1:]]]
         path.write_text("\n".join(lines) + "\n")
         return ["forward", "--group", "a1xa1", "--kind", "e", "--M", "2",
                 "--samples", str(path)]
@@ -67,6 +67,7 @@ def test_bad_inputs_exit_2(capsys, tmp_path):
         samples_with(["one"] + label[1:] + ["0.5", "0.0"]),
         samples_with(label + ["nan", "0.0"]),
         samples_with(label + ["0.5", "inf"]),
+        samples_with(),  # one row short
         coeffs_with(entry={"re": 0.5, "im": 0.0}),
         coeffs_with(entry={"t": t0, "im": 0.0}),
         coeffs_with(entry={"t": t0, "re": 0.5}),
@@ -76,6 +77,7 @@ def test_bad_inputs_exit_2(capsys, tmp_path):
         coeffs_with(M=["x"]),
         coeffs_with(M=[2.5]),
         coeffs_with(entries=5),
+        coeffs_with(entries=[]),
         ["tables", "--M", "3"],
         ["eval", "--group", "a1xa1", "--kind", "e", "--lambda", "1", "1",
          "--label", "4", "-1", "5", "-2", "--M", "3"],

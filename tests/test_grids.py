@@ -4,9 +4,15 @@ import numpy as np
 import pytest
 
 import eweyl as E
-from eweyl.grids import _require_distinct, grid_canonical_set
-from eweyl.weyl import even_subgroup, torus_congruent, weight_congruent_mod_mq
+from eweyl.grids import _require_distinct
+from eweyl.weyl import even_subgroup
 from conftest import SELECTORS
+from reference import (
+    canonical_torus_point,
+    oracle_point_grid,
+    torus_congruent,
+    weight_congruent_mod_mq,
+)
 
 
 def test_point_grid_counts():
@@ -98,19 +104,18 @@ def test_bad_moduli_rejected():
 
 
 def test_oracle_equivalence_samples():
-    a1a2 = E.system_from_selector("a1xa2")
-    assert grid_canonical_set(a1a2, "e", 3) == E.oracle_point_grid(a1a2, "e", 3)
-    a1c2 = E.system_from_selector("a1xc2")
-    assert grid_canonical_set(a1c2, "ee", (2, 3)) == E.oracle_point_grid(
-        a1c2, "ee", (2, 3)
-    )
+    for sel, kind, ms in [("a1xa2", "e", 3), ("a1xc2", "ee", (2, 3))]:
+        system = E.system_from_selector(sel)
+        grid = E.build_point_grid(system, kind, ms)
+        got = {canonical_torus_point(system, gp.point) for gp in grid}
+        assert got == oracle_point_grid(system, kind, ms)
 
 
 def test_oracle_m1_closed_branch_only():
     aa = E.system_from_selector("a1xa1")
-    oracle = E.oracle_point_grid(aa, "e", 1)
+    oracle = oracle_point_grid(aa, "e", 1)
     assert len(oracle) == 4  # {0,1}^2, the open branch needs 0 < s < 1
-    assert oracle == grid_canonical_set(aa, "e", 1)
+    assert oracle == {canonical_torus_point(aa, gp.point) for gp in E.build_point_grid(aa, "e", 1)}
 
 
 def test_enumerate_dominant_examples():

@@ -12,7 +12,6 @@ from eweyl.lie_data import (
     factor_volume,
     mat_det,
     mat_mul,
-    root_gram,
 )
 from conftest import SELECTORS, rational_point
 
@@ -37,7 +36,10 @@ def test_factor_symmetrizability():
     # the root Gram matrix C . diag(d) must be symmetric and match the
     # long-root normalisation <alpha, alpha> = 2
     for f in _FACTORS.values():
-        gram = root_gram(f)
+        gram = tuple(
+            tuple(Q(f.cartan[i][j]) * f.half_lengths[j] for j in range(f.rank))
+            for i in range(f.rank)
+        )
         assert gram == tuple(zip(*gram))
         assert max(gram[i][i] for i in range(f.rank)) == 2
 

@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 import eweyl as E
 from eweyl.efunc import orbit_sums, scaled_orbit_sums, xi
-from eweyl.lie_data import phase_to_complex, residue_phasor
+from eweyl.lie_data import exp_phase, residue_phasor
 
-from conftest import fraction_xi
+from reference import fraction_xi
 
 CASES = [(sel, kind) for sel in E.SUPPORTED_SELECTORS for kind in ("e", "ee")]
 
@@ -88,15 +88,17 @@ def test_xi_rejects_wrong_lengths():
         xi(system, "e", (1, 0, 0), (Q(1, 3), 0, 0, 0))
 
 
-def test_residue_phasor_matches_phase_to_complex():
+def test_residue_phasor_matches_exp_phase():
+    # on A1, the weight (2,) pairs with the point (t,) to exactly t turns
+    a1 = E.assemble_system(("a1",))
     big = 2**63 + 25
     for k, n in [(-1, 3), (-7, 12), (-(2**70) - 1, 5), (0, big), (-1, big), (big + 4, big),
                  (3 * big - 2, big), (-(10**30), 2**64 - 59), (5, 1), (-5, 1)]:
-        # the Fraction rule phase_to_complex had before it took (k, n)
+        # the Fraction rule of exp_phase before it took (k, n)
         want = cmath.exp(2j * math.pi * float(Q(k, n) % 1))
-        assert residue_phasor(k, n) == phase_to_complex(Q(k, n)) == want
-    assert phase_to_complex(3) == residue_phasor(3, 1) == 1 + 0j
-    assert phase_to_complex(Q(-1, 4)) == residue_phasor(3, 4)
+        assert residue_phasor(k, n) == exp_phase(a1, (2,), (Q(k, n),)) == want
+    assert exp_phase(a1, (2,), (3,)) == residue_phasor(3, 1) == 1 + 0j
+    assert exp_phase(a1, (2,), (Q(-1, 4),)) == residue_phasor(3, 4)
 
 
 def test_orbit_sums_shapes_and_lengths():

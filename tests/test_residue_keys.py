@@ -6,14 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import eweyl as E
-from eweyl.weyl import (
-    canonical_torus_point,
-    torus_congruent,
-    torus_keys,
-    torus_orbit_sizes,
-    weight_congruent_mod_mq,
-    weight_stabs_mod_mq,
-)
+from eweyl.weyl import torus_keys, torus_orbit_sizes, weight_stabs_mod_mq
+from reference import canonical_torus_point, torus_congruent, weight_congruent_mod_mq
 
 CASES = [(sel, kind) for sel in E.SUPPORTED_SELECTORS for kind in ("e", "ee")]
 

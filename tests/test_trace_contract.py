@@ -6,14 +6,18 @@ appears; a target that is gone is printed as ``absent:``.  The
 ``efunc.xi_*`` metrics come from the ``xi`` calls that ``interpolate``
 makes, and the continuous metrics from one ``quadrature_cells`` and one
 ``enumerate_dominant`` call under each ``continuous_coefficients``.
-This test loads the benchmark's tracer from its file, without writing
-anything under ``perfbench/``, and undoes every attribute the tracer
-patches.
+Every per-layer metric of the CLI and the discrete library workloads
+must aggregate to a value from the spans their set-up and first
+operation leave.  These tests load the benchmark's files, without
+writing anything under ``perfbench/``, and undo every attribute the
+tracer patches.
 """
 
 import contextlib
 import importlib.util
+import io
 import sys
+import time
 from fractions import Fraction as Q
 from pathlib import Path
 
@@ -24,26 +28,29 @@ BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def _load(name):
-    spec = importlib.util.spec_from_file_location(name, BENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    """``perfbench/<name>.py``, whose siblings import each other by plain name.
 
-
-def _load_tracing():
-    """``tracing`` imports its sibling ``common`` by plain name."""
-    saved = sys.modules.get("common")
-    bytecode = sys.dont_write_bytecode
+    The siblings are found on ``sys.path`` as the scripts find them;
+    the path and the sibling modules are restored afterwards.
+    """
+    siblings = ("common", "tracing")
+    saved = {key: sys.modules.get(key) for key in siblings}
+    path, bytecode = list(sys.path), sys.dont_write_bytecode
     sys.dont_write_bytecode = True
+    sys.path.insert(0, str(BENCH))
     try:
-        sys.modules["common"] = _load("common")
-        return _load("tracing")
+        spec = importlib.util.spec_from_file_location(name, BENCH / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
     finally:
         sys.dont_write_bytecode = bytecode
-        if saved is None:
-            del sys.modules["common"]
-        else:
-            sys.modules["common"] = saved
+        sys.path[:] = path
+        for key, module in saved.items():
+            if module is None:
+                sys.modules.pop(key, None)
+            else:
+                sys.modules[key] = module
 
 
 def _eweyl_modules():
@@ -69,7 +76,7 @@ def _instrumented(tracing):
 
 
 def test_interpolate_traces_one_xi_span_per_weight():
-    tracing = _load_tracing()
+    tracing = _load("tracing")
     system = E.system_from_selector("a1xa1")
     xi = E.efunc.xi
     with _instrumented(tracing) as tracer:
@@ -90,7 +97,7 @@ def test_interpolate_traces_one_xi_span_per_weight():
 
 
 def test_continuous_traces_one_cells_and_one_dominant_span():
-    tracing = _load_tracing()
+    tracing = _load("tracing")
     system = E.system_from_selector("a1xc2")
     quadrature_cells = E.transform.quadrature_cells
     with _instrumented(tracing) as tracer:
@@ -103,3 +110,27 @@ def test_continuous_traces_one_cells_and_one_dominant_span():
     (dominant,) = [s for s in spans if s["name"] == "grids.enumerate_dominant"]
     assert cells["parent"] == dominant["parent"] == cc["id"]
     assert cells["size"] == len(quadrature_cells(system, "ee", 6)) > 0
+
+
+def test_cli_and_discrete_workloads_give_every_per_layer_metric():
+    tracing, child = _load("tracing"), _load("child")
+    spans = {}
+    for workload in ("warm-transform", "interpolate"):
+        tally = child.C.Tally()
+        with _instrumented(tracing) as tracer:
+            child._setup(workload, 1, time.monotonic(), tally)[0].op(0)
+        assert tally.failed == 0, tally.misses
+        spans[workload] = tracer.finish()
+    with _instrumented(tracing) as tracer, contextlib.redirect_stdout(io.StringIO()):
+        for sel, kind, ms in child.C.CLI_VERIFY_CASES:
+            argv = ["verify", "--group", sel, "--kind", kind, "--M", *map(str, ms), "--seed", "1"]
+            assert E.cli.run(argv) == 0, argv
+        assert E.cli.run(["tables"]) == 0
+    spans["cli-cold"] = tracer.finish()
+
+    missing = [
+        m["name"] for m in child.C.per_layer_catalogue()
+        if m["source"] in spans
+        and tracing.aggregate(spans[m["source"]], m["span"], m["case"], m["agg"]) is None
+    ]
+    assert missing == []

@@ -113,6 +113,20 @@ def test_foreign_grid_rejected():
         forward_discrete(samples)
 
 
+def test_wrong_lengths_name_both_counts():
+    system = E.system_from_selector("a1xa1")
+    grid = E.build_point_grid(system, "e", 2)
+    spectrum = E.build_weight_grid(system, "e", 2)
+    want = f"^expected {len(grid)} sample values for this grid, got 3$"
+    with pytest.raises(E.UsageError, match=want):
+        E.SampleSet(system, "e", (2,), grid, (0j,) * 3)
+    with pytest.raises(E.UsageError, match=want):
+        make_samples(system, "e", 2, [0j] * 3)
+    want = f"^expected {len(spectrum)} coefficient values for this spectrum, got 3$"
+    with pytest.raises(E.UsageError, match=want):
+        E.CoefficientSet(system, "e", (2,), spectrum, (0j,) * 3)
+
+
 def test_interpolation_matches_samples():
     rng = random.Random(22)
     system = E.system_from_selector("a1xa2")

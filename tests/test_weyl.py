@@ -5,13 +5,9 @@ import pytest
 
 import eweyl as E
 from eweyl.lie_data import identity_matrix
-from eweyl.weyl import (
-    canonical_torus_point,
-    simple_reflection,
-    torus_congruent,
-    weight_congruent_mod_mq,
-)
+from eweyl.weyl import simple_reflection, torus_keys, torus_orbit_sizes, weight_stabs_mod_mq
 from conftest import SELECTORS, rational_point
+from reference import canonical_torus_point, torus_congruent, weight_congruent_mod_mq
 
 
 def test_full_weyl_orders():
@@ -135,14 +131,12 @@ def test_torus_orbit_size_examples():
     m = 5
     # label [s0,s1,s0',s2,0], all displayed entries nonzero
     x = (Q(1, m), Q(2, m), Q(0))
-    assert E.torus_orbit_size(group, x) == 6
-    assert E.torus_orbit_size(group, (Q(0), Q(0), Q(0))) == 1
+    assert torus_orbit_sizes(group, *torus_keys(a1a2, [x, (Q(0), Q(0), Q(0))])) == (6, 1)
 
     aa = E.system_from_selector("a1xa1")
-    # label [s0,0,s0',0] is the origin cell
-    assert E.torus_orbit_size(E.even_subgroup(aa, "e"), (Q(0), Q(0))) == 1
-    # generic point has the full even orbit
-    assert E.torus_orbit_size(E.even_subgroup(aa, "e"), (Q(1, 5), Q(2, 5))) == 2
+    # label [s0,0,s0',0] is the origin cell; a generic point has the full even orbit
+    points = [(Q(0), Q(0)), (Q(1, 5), Q(2, 5))]
+    assert torus_orbit_sizes(E.even_subgroup(aa, "e"), *torus_keys(aa, points)) == (1, 2)
 
 
 def test_weight_stab_mod_mq_examples():
@@ -151,20 +145,18 @@ def test_weight_stab_mod_mq_examples():
     m = 6
     # label [t0,0,0,0,t3]: t1 = 0, dual-mark constraint forces 2 t3 = M
     lam = (0, 0, m // 2)
-    assert E.weight_stab_mod_mq(group, lam, (m, m)) == 4
-    # generic interior label
-    assert E.weight_stab_mod_mq(group, (1, 2, 1), (m, m)) == 1
-    # zero weight is fixed by everything
-    assert E.weight_stab_mod_mq(group, (0, 0, 0), (m, m)) == group.order
+    # then a generic interior label, and the zero weight, fixed by everything
+    weights = [lam, (1, 2, 1), (0, 0, 0)]
+    assert weight_stabs_mod_mq(group, weights, (m, m)) == (4, 1, group.order)
 
 
 def test_weight_stab_errors():
     a1c2 = E.system_from_selector("a1xc2")
     group = E.even_subgroup(a1c2, "e")
     with pytest.raises(E.UsageError):
-        E.weight_stab_mod_mq(group, (0, 0, 0), (5,))
+        weight_stabs_mod_mq(group, [(0, 0, 0)], (5,))
     with pytest.raises(E.UsageError):
-        E.weight_stab_mod_mq(group, (0, 0, 0), (5, 0))
+        weight_stabs_mod_mq(group, [(0, 0, 0)], (5, 0))
 
 
 def test_torus_congruence():
