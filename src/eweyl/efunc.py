@@ -2,8 +2,9 @@
 
 ``xi`` is the normalised orbit sum over all elements of the selected
 even group: the stabiliser order times the sum over the distinct orbit
-members.  ``xi`` pairs on the point's integer residue key
-(:func:`eweyl.weyl.torus_keys`) and turns each residue into a phasor
+members.  ``xi`` pairs on the point's integer residue key, computed for
+its one point in plain Python ints (the batch callers use
+:func:`eweyl.weyl.torus_keys`), and turns each residue into a phasor
 with :func:`eweyl.lie_data.residue_phasor`; the ``Fraction`` sum of
 ``exp_phase`` terms it replaces lives on in the tests as the reference
 that ``xi`` and ``orbit_sums`` match bit for bit.  ``orbit_sums``
@@ -28,8 +29,15 @@ from itertools import chain
 
 import numpy as np
 
-from .lie_data import Q, SemisimpleSystem, TorusPoint, UsageError, Weight, residue_phasor
-from .weyl import check_kind, even_subgroup, int_dtype, scaled_torus_keys, torus_keys
+from .lie_data import SemisimpleSystem, TorusPoint, UsageError, Weight, residue_phasor
+from .weyl import (
+    _point_key,
+    check_kind,
+    even_subgroup,
+    int_dtype,
+    scaled_torus_keys,
+    torus_keys,
+)
 
 
 class UnsupportedFormulaError(ValueError):
@@ -44,28 +52,35 @@ def _integer_weight(lam) -> tuple[int, ...]:
         raise UsageError(f"weight entries must be integers, got {lam!r}") from None
 
 
+@lru_cache(maxsize=None)
+def _flat_weight_matrices(system: SemisimpleSystem, kind: str) -> tuple[tuple[int, ...], ...]:
+    """The group's weight matrices, each flattened row by row, in canonical order."""
+    return tuple(tuple(chain.from_iterable(w.weight_matrix)) for w in even_subgroup(system, kind))
+
+
 def xi(system: SemisimpleSystem, kind: str, lam: Weight, x: TorusPoint) -> complex:
     """Sum of ``exp(2 pi i <w lam, x>)`` over the whole even group.
 
-    The point's residue key ``K, n`` (:func:`eweyl.weyl.torus_keys`)
-    turns each pairing into the integer ``k = (w lam) . K``, and each
-    term is ``residue_phasor(k, n)``.  Terms are accumulated in the
-    canonical group-element order, so the result is bitwise
-    reproducible and equal to the ``Fraction`` sum of ``exp_phase``
-    terms, which the tests keep as the reference.
+    The point's residue key ``K, n`` (:func:`eweyl.weyl.torus_keys`,
+    here computed for the one point in plain Python ints) turns each
+    pairing into the integer ``k = (w lam) . K``, and each term is
+    ``residue_phasor(k, n)``.  Terms are accumulated in the canonical
+    group-element order, so the result is bitwise reproducible and
+    equal to the ``Fraction`` sum of ``exp_phase`` terms, which the
+    tests keep as the reference.  Coordinates are ints or fractions;
+    anything else is a :class:`UsageError`.
     """
     lam = _integer_weight(lam)
-    x = tuple(Q(v) for v in x)
+    x = tuple(x)
     if len(lam) != system.n or len(x) != system.n:
         raise UsageError(f"weights and points need length {system.n} for {system.selector}")
-    group = even_subgroup(system, check_kind(kind))
-    keys, n = torus_keys(system, [x])
+    matrices = _flat_weight_matrices(system, check_kind(kind))
+    key, n = _point_key(system, x)
     # (w lam) . K = sum_ij W_ij K_i lam_j, one flat product per element
-    outer = [a * b for a in keys[0].tolist() for b in lam]
+    outer = [a * b for a in key for b in lam]
     total = 0j
-    for w in group:
-        k = sum(map(operator.mul, chain.from_iterable(w.weight_matrix), outer))
-        total += residue_phasor(k, n)
+    for flat in matrices:
+        total += residue_phasor(sum(map(operator.mul, flat, outer)), n)
     return total
 
 

@@ -57,7 +57,6 @@ from functools import lru_cache
 import numpy as np
 
 from .lie_data import (
-    Q,
     SemisimpleSystem,
     TorusPoint,
     UsageError,
@@ -239,7 +238,7 @@ def inverse_discrete(coeffs: CoefficientSet) -> SampleSet:
 
 def interpolate(coeffs: CoefficientSet, x: TorusPoint) -> complex:
     """Evaluate the finite series at an arbitrary torus point."""
-    x = tuple(Q(v) for v in x)
+    x = tuple(x)
     total = 0j
     for sp, c in zip(coeffs.spectrum, coeffs.values):
         total += c * xi(coeffs.system, coeffs.kind, sp.weight, x)

@@ -23,7 +23,10 @@ lattice iff their keys ``A (L x) mod L |det C|`` are equal (``L`` a
 common denominator), weights modulo ``M_f`` times the root lattice of
 each factor ``f`` iff their keys ``A^T a mod |det C| M_f`` are equal.
 Orbit sizes and stabilisers are counted on the keys of many points or
-weights at once.
+weights at once.  ``torus_keys`` keys a batch of points with one numpy
+product; ``_point_key`` keys a single point (all that ``efunc.xi``
+needs) in plain Python ints, sharing the scaling step.  Coordinates
+enter as Python ints either way, so numpy integers cannot wrap around.
 """
 
 from __future__ import annotations
@@ -238,15 +241,48 @@ def _residues(rows, matrices, mods) -> np.ndarray:
     return rows.astype(dtype) @ mats.astype(dtype) % mods.astype(dtype)
 
 
+def _rational(v) -> tuple[int, int]:
+    """``(numerator, denominator)`` of a point coordinate, as Python ints.
+
+    An ``int``, a ``Fraction`` or a numpy integer (also inside a
+    ``Fraction``) is accepted; a float, NaN or anything else is a
+    :class:`UsageError`.  Python ints keep every later product exact.
+    """
+    try:
+        return operator.index(v.numerator), operator.index(v.denominator)
+    except (AttributeError, TypeError):
+        raise UsageError(
+            f"point coordinates must be integers or fractions, got {v!r}"
+        ) from None
+
+
+def _scaled(coords) -> tuple[list[int], int]:
+    """Coordinates as integer numerators over ``L``, the lcm of their denominators."""
+    pairs = [_rational(v) for v in coords]
+    lcm = math.lcm(*[d for _, d in pairs])
+    return [a * (lcm // d) for a, d in pairs], lcm
+
+
+def _point_key(system: SemisimpleSystem, x) -> tuple[list[int], int]:
+    """:func:`torus_keys` of the one point ``x``, in plain Python ints.
+
+    ``K_i = sum_j A_ij (L x_j) mod n`` with no numpy: for three
+    numbers the batch product costs more than the arithmetic.
+    """
+    scaled, lcm = _scaled(x)
+    n = lcm * abs(system.det_cartan)
+    return [sum(map(operator.mul, row, scaled)) % n for row in system.adj_cartan], n
+
+
 def torus_keys(system: SemisimpleSystem, points) -> tuple[np.ndarray, int]:
     """Residue keys ``K`` (one row per point) and their modulus ``n``.
 
     With ``L`` the lcm of the point denominators, ``K = A (L x) mod n``
     and ``n = L |det C|``.  ``K / n`` are the coroot coordinates of ``x``
-    reduced into [0, 1).
+    reduced into [0, 1).  This is the batch product, an int64 or object
+    array; one point is keyed in plain ints by ``_point_key``.
     """
-    lcm = math.lcm(*(v.denominator for p in points for v in p))
-    scaled = [v.numerator * (lcm // v.denominator) for p in points for v in p]
+    scaled, lcm = _scaled([v for p in points for v in p])
     scaled = np.array(scaled, dtype=object).reshape(len(points), system.n)
     return scaled_torus_keys(system, scaled, lcm)
 
@@ -258,7 +294,7 @@ def scaled_torus_keys(system: SemisimpleSystem, numerators, lcm: int) -> tuple[n
     or nested sequences); ``lcm`` need not be the least denominator,
     and ``K / n`` comes out the same.
     """
-    n = lcm * abs(system.det_cartan)
+    n = operator.index(lcm) * abs(system.det_cartan)
     return _residues(numerators, [mat_transpose(system.adj_cartan)], n)[0], n
 
 

@@ -1,15 +1,18 @@
 import cmath
 import math
 import random
+import warnings
 from fractions import Fraction as Q
 
+import numpy as np
 import pytest
 
 import eweyl as E
-from eweyl.efunc import TRUSTED_CLOSED_FORMS
+from eweyl import weyl
+from eweyl.efunc import TRUSTED_CLOSED_FORMS, scaled_orbit_sums
 from eweyl.weyl import even_subgroup, stab_order
 from conftest import SELECTORS, int_weight, rational_point
-from reference import xi_orbit
+from reference import fraction_xi, xi_orbit
 
 
 def test_xi_at_zero_weight_is_group_order():
@@ -154,3 +157,61 @@ def test_a1xa1xa1_closed_form_identity():
             math.pi * (b * y + c * z)
         ) + 2 * cmath.exp(-1j * math.pi * a * x) * math.cos(math.pi * (b * y - c * z))
         assert abs(E.xi(system, "e", (a, b, c), pt) - want) < 1e-10
+
+
+#: points whose numpy-integer parts used to wrap around in int64 arithmetic
+NUMPY_INTEGER_POINTS = [
+    ("a1xa2", (1, 2, 1), np.array([2**62, 1, 2**61 + 5])),
+    ("a1xa1", (1, 2), (np.int64(2**40), Q(1, 3**20))),
+    ("a1xg2", (1, 2, 1), (Q(np.int64(7), np.int64(2**40 + 1)), Q(1, 2**61 - 1), Q(-1, 10**18 + 9))),
+]
+
+
+@pytest.mark.parametrize("sel,lam,x", NUMPY_INTEGER_POINTS)
+@pytest.mark.parametrize("kind", ["e", "ee"])
+def test_numpy_integer_coordinates_are_exact(sel, lam, x, kind):
+    system = E.system_from_selector(sel)
+    exact = tuple(Q(int(v.numerator), int(v.denominator)) for v in x)
+    want = fraction_xi(system, kind, lam, exact)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert E.xi(system, kind, lam, x) == want
+        assert E.orbit_sums(system, kind, [lam], [x])[0, 0] == want
+
+
+def test_numpy_integer_denominator_is_exact():
+    system = E.system_from_selector("a1xa1")
+    lcm = 2**62 + 1
+    want = fraction_xi(system, "e", (1, 2), (Q(1, lcm), Q(2, lcm)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = scaled_orbit_sums(system, "e", [(1, 2)], np.array([[1, 2]]), np.int64(lcm))
+    assert got[0, 0] == want
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), None, 0.5, np.float64(0.25), "1/2"])
+def test_non_rational_coordinates_are_usage_errors(bad):
+    system = E.system_from_selector("a1xa1")
+    with pytest.raises(E.UsageError, match="integers or fractions"):
+        E.xi(system, "e", (1, 2), (bad, Q(1, 3)))
+    with pytest.raises(E.UsageError, match="integers or fractions"):
+        E.orbit_sums(system, "e", [(1, 2)], [(Q(1, 3), 0), (Q(1, 5), bad)])
+
+
+def test_xi_and_interpolate_key_one_point_without_the_batch_product(monkeypatch):
+    system = E.system_from_selector("a1xa1")
+    values = [complex(k, -k) for k in range(len(E.build_point_grid(system, "e", (3,))))]
+    samples = E.make_samples(system, "e", (3,), values)
+    coeffs = E.forward_discrete(samples)
+
+    def batch_product(*args):
+        raise AssertionError("a single point went through the batch product")
+
+    monkeypatch.setattr(weyl, "_residues", batch_product)
+    for sel in SELECTORS:
+        s = E.system_from_selector(sel)
+        x = (Q(1, 7),) * s.n
+        for kind in ("e", "ee"):
+            assert E.xi(s, kind, (1,) * s.n, x) == fraction_xi(s, kind, (1,) * s.n, x)
+    for gp, want in zip(samples.grid, values):
+        assert abs(E.interpolate(coeffs, gp.point) - want) < 1e-9

@@ -2,11 +2,12 @@
 
 from fractions import Fraction as Q
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import eweyl as E
-from eweyl.weyl import torus_keys, torus_orbit_sizes, weight_stabs_mod_mq
+from eweyl.weyl import _point_key, torus_keys, torus_orbit_sizes, weight_stabs_mod_mq
 from reference import canonical_torus_point, torus_congruent, weight_congruent_mod_mq
 
 CASES = [(sel, kind) for sel in E.SUPPORTED_SELECTORS for kind in ("e", "ee")]
@@ -22,6 +23,16 @@ def _points(n):
     huge = (Q(1, HUGE_DENOMINATORS[0]), Q(-1, HUGE_DENOMINATORS[1])) + (Q(1, 3),) * (n - 2)
     points = st.lists(st.tuples(*[coord] * n), min_size=1, max_size=4)
     return st.tuples(points, st.booleans()).map(lambda pb: pb[0] + [huge] * pb[1])
+
+
+def _coordinate():
+    """An int, a numpy int or a Fraction; numerators reach past int64."""
+    big = st.integers(-(2**70), 2**70)
+    return st.one_of(
+        big,
+        st.integers(-(2**62), 2**62).map(np.int64),
+        st.builds(Q, big, st.sampled_from(DENOMINATORS + HUGE_DENOMINATORS)),
+    )
 
 
 def _weights(n):
@@ -43,6 +54,16 @@ def test_torus_orbit_sizes_match_congruence(sel, kind, data):
         for x in points
     ]
     assert list(torus_orbit_sizes(group, *torus_keys(system, points))) == want
+
+
+@pytest.mark.parametrize("sel", E.SUPPORTED_SELECTORS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_point_key_equals_batch_key(sel, data):
+    system = E.system_from_selector(sel)
+    x = data.draw(st.tuples(*[_coordinate()] * system.n))
+    keys, n = torus_keys(system, [x])
+    assert _point_key(system, x) == (keys[0].tolist(), n)
 
 
 @pytest.mark.parametrize("sel,kind", CASES)
