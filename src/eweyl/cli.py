@@ -35,8 +35,10 @@ from .grids import (
     MAX_GRID_CELLS,
     build_point_grid,
     build_weight_grid,
+    fraction_rows,
     in_even_domain,
     label_names,
+    point_grid,
 )
 from .efunc import orbit_sums, xi
 from .transform import (
@@ -149,11 +151,12 @@ def _point_from_args(sysm, args):
         raise UsageError("one of --point or --label is required")
     if not args.M:
         raise UsageError("--label requires --M")
-    label = tuple(args.label)
-    for gp in build_point_grid(sysm, args.kind, args.M):
-        if gp.label == label:  # the first one lies on the closed branch
-            return gp.point
-    raise UsageError(f"--label {list(label)} is not a label of this grid (see 'eweyl grid')")
+    grid = point_grid(sysm, args.kind, args.M)
+    if len(args.label) == grid.labels.shape[1]:
+        hits = np.flatnonzero((grid.labels == args.label).all(axis=1))
+        if len(hits):  # the first one lies on the closed branch
+            return fraction_rows(grid.numerators[hits[:1]], grid.denominator)[0]
+    raise UsageError(f"--label {args.label} is not a label of this grid (see 'eweyl grid')")
 
 
 def _cmd_eval(args):
@@ -244,7 +247,7 @@ def _read_coeff_json(path):
                 f"entry label {entry['t']} does not match canonical spectrum label {sp.label}"
             )
         values.append(_finite(re_part, im_part, f"coefficient entry {entry!r}"))
-    return CoefficientSet(sysm, kind, ms, spectrum, tuple(values))
+    return CoefficientSet(sysm, kind, ms, spectrum, values)
 
 
 def _cmd_forward(args):
@@ -286,9 +289,7 @@ def _cmd_verify(args):
         vals = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in grid]
         samples = make_samples(sysm, args.kind, ms, vals)
         back = inverse_discrete(forward_discrete(samples))
-        worst_rt = max(
-            worst_rt, max(abs(a - b) for a, b in zip(back.values, samples.values))
-        )
+        worst_rt = max(worst_rt, max(map(abs, (back.values - samples.values).tolist())))
     ok = residual < TOL_ORTHOGONALITY and worst_rt < TOL_ORTHOGONALITY
     print(f"group {sysm.selector} kind {args.kind} M {list(ms)}")
     print(f"  gram residual      {residual:.3e}  (tolerance {TOL_ORTHOGONALITY:g})")

@@ -104,7 +104,8 @@ def orbit_sums(system: SemisimpleSystem, kind: str, weights, points) -> np.ndarr
 def scaled_orbit_sums(system: SemisimpleSystem, kind: str, weights, numerators, lcm: int):
     """:func:`orbit_sums` at the points ``numerators / lcm``, with no ``Fraction``.
 
-    ``numerators`` is an integer array of shape ``(N, n)``.  The result
+    ``numerators`` is an integer array of shape ``(N, n)``; a float or
+    other non-integer entry is a :class:`UsageError`.  The result
     equals ``orbit_sums`` of the same points bit for bit, because a term
     depends only on the value ``k / n``.
     """

@@ -6,10 +6,13 @@ enumerates integer per-factor cells over that description, and every
 enumeration here (point and weight grids, dominant weights) consumes
 it.  Each gluing reflection acts on one factor only, so it is applied
 to that factor's cells before the product is taken.  The point grid is
-the only discretisation of the domain: :func:`point_grid_arrays` gives
-it as integer arrays, which both :func:`build_point_grid` and the
-quadrature cells of the continuous transform (:mod:`eweyl.transform`)
-read.
+the only discretisation of the domain.  Each grid is kept as the
+read-only integer arrays it is built from, in one cached record per
+side (:func:`point_grid`, :func:`weight_grid`); the tuples of
+:func:`build_point_grid` and :func:`build_weight_grid` are built from
+the record once and kept in it.  The quadrature cells of the
+continuous transform read :func:`point_grid_arrays`, the same record
+uncached.
 
 Grid cells carry Kac-style labels: nonnegative integers ``[s0, s1, ...]``
 per factor with ``s0 + sum(m_i s_i) = M`` (marks ``m`` for point grids,
@@ -31,7 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -294,11 +297,65 @@ def _require_distinct(keys: np.ndarray, what: str):
         raise AssertionError(f"duplicate {what} in a grid")
 
 
-def point_grid_arrays(system: SemisimpleSystem, kind: str, ms):
-    """Uncached :func:`build_point_grid` as ``(numerators, denominator, labels, eps)``.
+def _read_only(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        a.setflags(write=False)
 
-    Point ``k`` is the int64 row ``numerators[k]`` over ``denominator``.
+
+@dataclass(frozen=True, eq=False)
+class PointGrid:
+    """A point grid as read-only int64 arrays, one row per point in canonical order.
+
+    Point ``k`` is ``numerators[k] / denominator`` with label ``labels[k]``,
+    orbit size ``eps[k]`` and residue key ``keys[k]`` over ``n``.
     """
+
+    numerators: np.ndarray
+    denominator: int
+    labels: np.ndarray
+    eps: np.ndarray
+    keys: np.ndarray
+    n: int
+
+    @cached_property
+    def points(self) -> tuple[GridPoint, ...]:
+        """The ``GridPoint`` tuple, with ``Fraction`` coordinates."""
+        coords = fraction_rows(self.numerators, self.denominator)
+        return tuple(map(GridPoint, coords, map(tuple, self.labels.tolist()), self.eps.tolist()))
+
+
+@dataclass(frozen=True, eq=False)
+class WeightGrid:
+    """A weight grid as read-only arrays, one row per weight in canonical order.
+
+    Weight ``weights[k]`` has label ``labels[k]``, stabiliser order
+    ``h[k]`` and the float normaliser ``norms[k]``, the predicted Gram
+    diagonal ``|det C| * |group| * prod_f M_f^rank_f * h[k]``.
+    """
+
+    weights: np.ndarray
+    labels: np.ndarray
+    h: np.ndarray
+    norms: np.ndarray
+
+    @cached_property
+    def points(self) -> tuple[SpectralPoint, ...]:
+        """The ``SpectralPoint`` tuple."""
+        rows = (map(tuple, a.tolist()) for a in (self.weights, self.labels))
+        return tuple(map(SpectralPoint, *rows, self.h.tolist()))
+
+
+def modulus_power(system: SemisimpleSystem, kind: str, ms) -> int:
+    """``prod_f M_f^rank_f``; reduces to ``M^n`` for the full even kind."""
+    _, per_factor = check_moduli(system, kind, ms)
+    power = 1
+    for f, m in zip(system.factors, per_factor):
+        power *= m ** f.rank
+    return power
+
+
+def point_grid_arrays(system: SemisimpleSystem, kind: str, ms) -> PointGrid:
+    """The uncached :class:`PointGrid` of ``(system, kind, ms)``."""
     ms, per_factor = check_moduli(system, kind, ms)
     _check_grid_size(system, kind, ms, dual=False)
     params, labels = _branches(system, kind, per_factor, dual=False)
@@ -308,17 +365,18 @@ def point_grid_arrays(system: SemisimpleSystem, kind: str, ms):
     keys, n = scaled_torus_keys(system, numerators, denominator)
     _require_distinct(keys, "point mod coroot lattice")
     eps = torus_orbit_sizes(even_subgroup(system, kind), keys, n)
-    return numerators, denominator, labels, eps
+    _read_only(numerators, labels, eps, keys)
+    return PointGrid(numerators, denominator, labels, eps, keys, n)
 
 
 # bounded caches: a ``tables`` run at one modulus fills 12 entries of each
-@lru_cache(maxsize=32)
-def _point_grid_cached(system: SemisimpleSystem, kind: str, ms: tuple[int, ...]):
-    numerators, denominator, labels, eps = point_grid_arrays(system, kind, ms)
-    points = fraction_rows(numerators, denominator)
-    return tuple(
-        GridPoint(p, tuple(label), e) for p, label, e in zip(points, labels.tolist(), eps)
-    )
+_point_grid_cached = lru_cache(maxsize=32)(point_grid_arrays)
+
+
+def point_grid(system: SemisimpleSystem, kind: str, ms) -> PointGrid:
+    """The cached :class:`PointGrid` of ``(system, kind, ms)``."""
+    ms, _ = check_moduli(system, kind, ms)
+    return _point_grid_cached(system, kind, ms)
 
 
 def build_point_grid(system: SemisimpleSystem, kind: str, ms) -> tuple[GridPoint, ...]:
@@ -328,27 +386,31 @@ def build_point_grid(system: SemisimpleSystem, kind: str, ms) -> tuple[GridPoint
     factor for kind ``"ee"``.  Points come out in the canonical order
     of :func:`glue`, each part in nested label order.
     """
-    ms, _ = check_moduli(system, kind, ms)
-    return _point_grid_cached(system, kind, ms)
+    return point_grid(system, kind, ms).points
 
 
 @lru_cache(maxsize=32)
-def _weight_grid_cached(system: SemisimpleSystem, kind: str, ms: tuple[int, ...]):
+def _weight_grid_cached(system: SemisimpleSystem, kind: str, ms: tuple[int, ...]) -> WeightGrid:
     _check_grid_size(system, kind, ms, dual=True)
     _, per_factor = check_moduli(system, kind, ms)
     weights, labels = _branches(system, kind, per_factor, dual=True)
     _require_distinct(weight_keys(system, weights, per_factor), "weight mod M*Q")
-    hs = weight_stabs_mod_mq(even_subgroup(system, kind), weights, per_factor)
-    return tuple(
-        SpectralPoint(tuple(w), tuple(label), h)
-        for w, label, h in zip(weights.tolist(), labels.tolist(), hs)
-    )
+    group = even_subgroup(system, kind)
+    h = weight_stabs_mod_mq(group, weights, per_factor)
+    norms = abs(system.det_cartan) * group.order * modulus_power(system, kind, ms) * h.astype(float)
+    _read_only(weights, labels, h, norms)
+    return WeightGrid(weights, labels, h, norms)
+
+
+def weight_grid(system: SemisimpleSystem, kind: str, ms) -> WeightGrid:
+    """The cached :class:`WeightGrid` of ``(system, kind, ms)``."""
+    ms, _ = check_moduli(system, kind, ms)
+    return _weight_grid_cached(system, kind, ms)
 
 
 def build_weight_grid(system: SemisimpleSystem, kind: str, ms) -> tuple[SpectralPoint, ...]:
     """The spectral grid dual to :func:`build_point_grid`."""
-    ms, _ = check_moduli(system, kind, ms)
-    return _weight_grid_cached(system, kind, ms)
+    return weight_grid(system, kind, ms).points
 
 
 # ---------------------------------------------------------------------------

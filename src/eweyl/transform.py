@@ -9,12 +9,14 @@ orders, the forward coefficients are
     N(lam) = detC * |group| * prod_f M_f^rank_f * h[lam],
 
 and the inverse is plain series evaluation on the grid.  The phase
-matrix ``P`` (spectrum rows by grid columns) is applied without a
-copy: the forward transform conjugates the vector,
-``conj(P @ conj(eps * f)) / N``, not the matrix, and the inverse is
-``P.T @ c``.  ``eps`` and ``N(lam)`` are read-only float arrays cached
-per grid, and the canonical grid is recognised by identity before
-equality.
+matrix ``P`` (spectrum rows by grid columns) pairs the residue keys of
+the cached point record (:func:`eweyl.grids.point_grid`) with the
+weights of the weight record; the records also hold ``eps`` and
+``N(lam)``.  ``P`` is applied without a copy: the forward transform
+conjugates the vector, ``conj(P @ conj(eps * f)) / N``, not the
+matrix, and the inverse is ``P.T @ c``.  Sample and coefficient values
+are one read-only complex128 array each, and the canonical grid is
+recognised by identity before equality.
 
 The product even group is the product of the factors' even groups, so
 every kind ``"ee"`` orbit sum is a product of per-factor ones and,
@@ -63,7 +65,7 @@ from .lie_data import (
     Weight,
     assemble_system,
 )
-from .efunc import orbit_sums, scaled_orbit_sums, xi
+from .efunc import _orbit_sums, scaled_orbit_sums, xi
 from .weyl import (
     PRODUCT_EVEN,
     check_kind,
@@ -80,42 +82,56 @@ from .grids import (
     domain_blocks,
     enumerate_dominant,
     fraction_rows,
+    modulus_power,
+    point_grid,
     point_grid_arrays,
+    weight_grid,
 )
 
 TOL_ORTHOGONALITY = 1e-9
 
 
-@dataclass(frozen=True)
+def _set_values(owner, n: int, what: str) -> None:
+    """Store ``owner.values`` as a read-only complex128 array of length ``n``.
+
+    A read-only complex128 array is kept as it is; anything else is copied.
+    """
+    values = owner.values
+    if not isinstance(values, np.ndarray) or values.dtype != complex or values.flags.writeable:
+        values = np.array(values, dtype=complex)
+        values.setflags(write=False)
+    if values.shape != (n,):
+        got = len(values) if values.ndim == 1 else f"shape {values.shape}"
+        raise UsageError(f"expected {n} {what}, got {got}")
+    object.__setattr__(owner, "values", values)
+
+
+@dataclass(frozen=True, eq=False)
 class SampleSet:
-    """Function values aligned index-by-index with a point grid."""
+    """Function values, a read-only complex128 array, aligned with a point grid."""
 
     system: SemisimpleSystem
     kind: str
     ms: tuple[int, ...]
     grid: tuple[GridPoint, ...]
-    values: tuple[complex, ...]
+    values: np.ndarray
 
     def __post_init__(self):
-        n, got = len(self.grid), len(self.values)
-        if n != got:
-            raise UsageError(f"expected {n} sample values for this grid, got {got}")
+        _set_values(self, len(self.grid), "sample values for this grid")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoefficientSet:
-    """Expansion coefficients aligned index-by-index with a weight grid."""
+    """Expansion coefficients, a read-only complex128 array, aligned with a weight grid."""
 
     system: SemisimpleSystem
     kind: str
     ms: tuple[int, ...]
     spectrum: tuple[SpectralPoint, ...]
-    values: tuple[complex, ...]
+    values: np.ndarray
 
     def __post_init__(self):
-        n, got = len(self.spectrum), len(self.values)
-        if n != got:
-            raise UsageError(f"expected {n} coefficient values for this spectrum, got {got}")
+        _set_values(self, len(self.spectrum), "coefficient values for this spectrum")
 
 
 def make_samples(system, kind, ms, values) -> SampleSet:
@@ -124,38 +140,16 @@ def make_samples(system, kind, ms, values) -> SampleSet:
     grid = build_point_grid(system, kind, ms)
     if callable(values):
         values = [values(gp.point) for gp in grid]
-    return SampleSet(system, kind, ms, grid, tuple(map(complex, values)))
+    return SampleSet(system, kind, ms, grid, values)
 
 
 # ---------------------------------------------------------------------------
 # dense transform core
 # ---------------------------------------------------------------------------
 
-def modulus_power(system: SemisimpleSystem, kind: str, ms) -> int:
-    """``prod_f M_f^rank_f``; reduces to ``M^n`` for the full even kind."""
-    _, per_factor = check_moduli(system, kind, ms)
-    power = 1
-    for f, m in zip(system.factors, per_factor):
-        power *= m ** f.rank
-    return power
-
-
-@lru_cache(maxsize=32)
-def _grid_weights(system: SemisimpleSystem, kind: str, ms: tuple[int, ...]):
-    """The grid's ``eps`` and ``N(lam)`` as read-only float arrays."""
-    eps = np.array([gp.epsilon for gp in build_point_grid(system, kind, ms)], dtype=float)
-    group = even_subgroup(system, kind)
-    base = abs(system.det_cartan) * group.order * modulus_power(system, kind, ms)
-    norms = np.array([base * sp.h for sp in build_weight_grid(system, kind, ms)], dtype=float)
-    eps.setflags(write=False)
-    norms.setflags(write=False)
-    return eps, norms
-
-
 def normalizers(system, kind, ms) -> np.ndarray:
     """The predicted diagonal of the discrete Gram matrix (read-only)."""
-    ms, _ = check_moduli(system, kind, ms)
-    return _grid_weights(system, kind, ms)[1]
+    return weight_grid(system, kind, ms).norms
 
 
 #: largest grid with a dense phase matrix: N^2 complex entries stay <= 1 GiB
@@ -165,18 +159,13 @@ MAX_PHASE_MATRIX_N = 8192
 @lru_cache(maxsize=8)
 def phase_matrix(system: SemisimpleSystem, kind: str, ms: tuple[int, ...]) -> np.ndarray:
     """Matrix of orbit-sum values, spectrum rows by grid columns."""
-    grid = build_point_grid(system, kind, ms)
-    if len(grid) > MAX_PHASE_MATRIX_N:
+    points = point_grid(system, kind, ms)
+    if len(points.keys) > MAX_PHASE_MATRIX_N:
         raise UsageError(
-            f"a grid of {len(grid)} points is too large for the dense phase matrix; "
+            f"a grid of {len(points.keys)} points is too large for the dense phase matrix; "
             f"the limit is {MAX_PHASE_MATRIX_N}"
         )
-    out = orbit_sums(
-        system,
-        kind,
-        [sp.weight for sp in build_weight_grid(system, kind, ms)],
-        [gp.point for gp in grid],
-    )
+    out = _orbit_sums(system, kind, weight_grid(system, kind, ms).weights, points.keys, points.n)
     out.setflags(write=False)
     return out
 
@@ -212,15 +201,13 @@ def forward_discrete(samples: SampleSet) -> CoefficientSet:
     """
     system, kind = samples.system, samples.kind
     ms, _ = check_moduli(system, kind, samples.ms)
-    grid = build_point_grid(system, kind, ms)
-    if samples.grid is not grid and samples.grid != grid:
+    points = point_grid(system, kind, ms)
+    if samples.grid is not points.points and samples.grid != points.points:
         raise UsageError("sample grid is not the canonical grid for its metadata")
-    eps, norms = _grid_weights(system, kind, ms)
-    f = np.array(samples.values, dtype=complex)
-    coeffs = np.conj(_apply_phase(system, kind, ms, np.conj(eps * f))) / norms
-    return CoefficientSet(
-        system, kind, ms, build_weight_grid(system, kind, ms), tuple(coeffs.tolist())
-    )
+    coeffs = np.conj(_apply_phase(system, kind, ms, np.conj(points.eps * samples.values)))
+    coeffs /= weight_grid(system, kind, ms).norms
+    coeffs.setflags(write=False)
+    return CoefficientSet(system, kind, ms, build_weight_grid(system, kind, ms), coeffs)
 
 
 def inverse_discrete(coeffs: CoefficientSet) -> SampleSet:
@@ -230,17 +217,16 @@ def inverse_discrete(coeffs: CoefficientSet) -> SampleSet:
     spectrum = build_weight_grid(system, kind, ms)
     if coeffs.spectrum is not spectrum and coeffs.spectrum != spectrum:
         raise UsageError("coefficient spectrum is not the canonical one")
-    values = _apply_phase(system, kind, ms, np.array(coeffs.values, dtype=complex), transpose=True)
-    return SampleSet(
-        system, kind, ms, build_point_grid(system, kind, ms), tuple(values.tolist())
-    )
+    values = _apply_phase(system, kind, ms, coeffs.values, transpose=True)
+    values.setflags(write=False)
+    return SampleSet(system, kind, ms, build_point_grid(system, kind, ms), values)
 
 
 def interpolate(coeffs: CoefficientSet, x: TorusPoint) -> complex:
     """Evaluate the finite series at an arbitrary torus point."""
     x = tuple(x)
     total = 0j
-    for sp, c in zip(coeffs.spectrum, coeffs.values):
+    for sp, c in zip(coeffs.spectrum, coeffs.values.tolist()):
         total += c * xi(coeffs.system, coeffs.kind, sp.weight, x)
     return total
 
@@ -249,9 +235,8 @@ def gram_matrix(system, kind, ms) -> np.ndarray:
     """``G[l, l'] = sum_x eps(x) Xi_l(x) conj(Xi_l'(x))`` over the grid."""
     ms, _ = check_moduli(system, kind, ms)
     ee = phase_matrix(system, kind, ms)
-    eps, _ = _grid_weights(system, kind, ms)
     t = np.conj(ee)
-    t *= eps
+    t *= point_grid(system, kind, ms).eps
     g = t @ ee.T
     return np.conj(g, out=g)
 
@@ -260,8 +245,7 @@ def gram_residual(system, kind, ms) -> float:
     """Max deviation of the discrete Gram matrix from its predicted diagonal."""
     ms, _ = check_moduli(system, kind, ms)
     gram = gram_matrix(system, kind, ms)
-    _, norms = _grid_weights(system, kind, ms)
-    gram[np.diag_indices_from(gram)] -= norms
+    gram[np.diag_indices_from(gram)] -= normalizers(system, kind, ms)
     return float(np.abs(gram).max())
 
 
@@ -305,12 +289,10 @@ def quadrature_cells(system: SemisimpleSystem, kind: str, resolution: int) -> Qu
     (the coweight lattice), so the weights sum to ``|det C| / |group|``.
     """
     ms = (resolution,) * len(domain_blocks(system, kind))
-    numerators, denominator, _, eps = point_grid_arrays(system, kind, ms)
-    numerators.setflags(write=False)
-    scale = even_subgroup(system, kind).order * modulus_power(system, kind, ms)
-    weights = np.array(eps, dtype=float) / scale
+    grid = point_grid_arrays(system, kind, ms)
+    weights = grid.eps / (even_subgroup(system, kind).order * modulus_power(system, kind, ms))
     weights.setflags(write=False)
-    return QuadratureCells(numerators, denominator, weights)
+    return QuadratureCells(grid.numerators, grid.denominator, weights)
 
 
 def _check_alias_free(system, group, spectrum, per_factor) -> None:

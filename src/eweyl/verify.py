@@ -23,9 +23,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .lie_data import SemisimpleSystem, UsageError, system_from_selector
 from .weyl import even_subgroup, stab_order
-from .grids import build_point_grid, build_weight_grid, domain_blocks, label_names
+from .grids import domain_blocks, label_names, point_grid, weight_grid
 from . import efunc
 
 #: largest modulus tried when a row's zero pattern is unrealisable at the
@@ -314,11 +316,13 @@ def _stratum_value(system, kind, coefficient, flags, modulus):
     """
     ms = (modulus,) * len(domain_blocks(system, kind))
     if coefficient == "h":
-        cells, pick = [(sp.label, sp.h) for sp in build_weight_grid(system, kind, ms)], min
+        grid = weight_grid(system, kind, ms)
+        labels, values, pick = grid.labels, grid.h, np.min
     else:
-        cells, pick = [(gp.label, gp.epsilon) for gp in build_point_grid(system, kind, ms)], max
-    want = tuple(bool(f) for f in flags)
-    return pick((v for label, v in cells if tuple(s != 0 for s in label) == want), default=None)
+        grid = point_grid(system, kind, ms)
+        labels, values, pick = grid.labels, grid.eps, np.max
+    picked = values[((labels != 0) == np.array(flags, dtype=bool)).all(axis=1)]
+    return int(pick(picked)) if len(picked) else None
 
 
 def _compute_d(system, kind, flags):

@@ -290,16 +290,28 @@ def torus_keys(system: SemisimpleSystem, points) -> tuple[np.ndarray, int]:
 def scaled_torus_keys(system: SemisimpleSystem, numerators, lcm: int) -> tuple[np.ndarray, int]:
     """:func:`torus_keys` of the points ``numerators / lcm``.
 
-    ``numerators`` holds integer rows of length ``n`` (an int64 array
-    or nested sequences); ``lcm`` need not be the least denominator,
-    and ``K / n`` comes out the same.
+    ``numerators`` holds integer rows of length ``n`` (an integer array
+    or nested sequences of ints); ``lcm`` need not be the least
+    denominator, and ``K / n`` comes out the same.  A float, complex or
+    other non-integer numerator is a :class:`UsageError`, never
+    truncated.
     """
     n = operator.index(lcm) * abs(system.det_cartan)
-    return _residues(numerators, [mat_transpose(system.adj_cartan)], n)[0], n
+    return _residues(_integer_rows(numerators), [mat_transpose(system.adj_cartan)], n)[0], n
 
 
-def torus_orbit_sizes(group: WeylGroup, keys: np.ndarray, n: int) -> tuple[int, ...]:
-    """Number of distinct images modulo the coroot lattice of every point.
+def _integer_rows(rows) -> np.ndarray:
+    """``rows`` as an array of integers; a float or any other entry is a :class:`UsageError`."""
+    rows = np.asarray(rows)
+    if rows.dtype.kind in "iu" or (
+        rows.dtype == object and all(isinstance(v, numbers.Integral) for v in rows.flat)
+    ):
+        return rows
+    raise UsageError(f"point numerators must be integers, got an array of dtype {rows.dtype}")
+
+
+def torus_orbit_sizes(group: WeylGroup, keys: np.ndarray, n: int) -> np.ndarray:
+    """Number of distinct images modulo the coroot lattice of every point (int64).
 
     Takes the points' residue keys ``keys, n`` (:func:`torus_keys` or
     :func:`scaled_torus_keys`).  ``w`` maps a key ``k`` to ``W^{-T} k``,
@@ -307,7 +319,7 @@ def torus_orbit_sizes(group: WeylGroup, keys: np.ndarray, n: int) -> tuple[int, 
     with ``W^T k = k mod n``.
     """
     images = _residues(keys, [w.weight_matrix for w in group], n)
-    return tuple((group.order // (images == keys).all(axis=2).sum(axis=0)).tolist())
+    return group.order // (images == keys).all(axis=2).sum(axis=0)
 
 
 def _weight_moduli(system: SemisimpleSystem, ms) -> list[int]:
@@ -325,13 +337,13 @@ def weight_keys(system: SemisimpleSystem, weights, ms) -> np.ndarray:
     return _residues(weights, [system.adj_cartan], _weight_moduli(system, ms))[0]
 
 
-def weight_stabs_mod_mq(group: WeylGroup, weights, ms) -> tuple[int, ...]:
-    """Order of the stabilizer modulo ``M * root lattice`` of every weight.
+def weight_stabs_mod_mq(group: WeylGroup, weights, ms) -> np.ndarray:
+    """Order of the stabilizer modulo ``M * root lattice`` of every weight (int64).
 
     Counts the elements ``w`` whose key ``A^T (W a)`` equals that of ``a``.
     """
     adj, mods = group.system.adj_cartan, _weight_moduli(group.system, ms)
     images = _residues(weights, [mat_mul(mat_transpose(w.weight_matrix), adj) for w in group], mods)
     keys = weight_keys(group.system, weights, ms)
-    return tuple(int(c) for c in (images == keys).all(axis=2).sum(axis=0))
+    return (images == keys).all(axis=2).sum(axis=0)
 

@@ -1,11 +1,12 @@
 import itertools
+from fractions import Fraction as Q
 
 import numpy as np
 import pytest
 
 import eweyl as E
-from eweyl.grids import _require_distinct
-from eweyl.weyl import even_subgroup
+from eweyl.grids import _require_distinct, point_grid, weight_grid
+from eweyl.weyl import even_subgroup, torus_keys
 from conftest import SELECTORS
 from reference import (
     canonical_torus_point,
@@ -152,8 +153,6 @@ def test_reflected_branch_coordinates():
     for gp in reflected:
         # drop the derived s0 entry of each factor's label
         s1, s2, s3 = gp.label[1:2] + gp.label[3:]
-        from fractions import Fraction as Q
-
         assert gp.point == (Q(s1, 3), Q(-s2, 3), Q(s2 + s3, 3))
 
 
@@ -162,3 +161,29 @@ def test_duplicate_keys_are_caught():
     with pytest.raises(AssertionError, match="duplicate"):
         _require_distinct(keys, "point")
     _require_distinct(keys[:3], "point")
+
+
+def test_grid_records_are_read_only_arrays_of_their_tuples():
+    for sel in SELECTORS:
+        system = E.system_from_selector(sel)
+        for kind, ms in (("e", (3,)), ("ee", (2,) * len(system.factors))):
+            points = point_grid(system, kind, ms)
+            weights = weight_grid(system, kind, ms)
+            # one cache entry per side; the tuple is built once and kept in it
+            assert points is point_grid(system, kind, list(ms))
+            assert E.build_point_grid(system, kind, ms) is points.points
+            assert E.build_weight_grid(system, kind, ms) is weights.points
+            for a in (points.numerators, points.labels, points.eps, points.keys,
+                      weights.weights, weights.labels, weights.h, weights.norms):
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[0] = 0
+            assert points.labels.tolist() == [list(gp.label) for gp in points.points]
+            assert points.eps.tolist() == [gp.epsilon for gp in points.points]
+            assert [tuple(Q(v, points.denominator) for v in row)
+                    for row in points.numerators.tolist()] == [gp.point for gp in points.points]
+            keys, n = torus_keys(system, [gp.point for gp in points.points])
+            assert (points.keys.tolist(), points.n) == (keys.tolist(), n)
+            assert weights.weights.tolist() == [list(sp.weight) for sp in weights.points]
+            assert weights.labels.tolist() == [list(sp.label) for sp in weights.points]
+            assert weights.h.tolist() == [sp.h for sp in weights.points]

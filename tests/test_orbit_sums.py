@@ -124,3 +124,32 @@ def test_orbit_sums_reject_non_integer_weights():
     want = orbit_sums(system, "e", [(1, 2)], [(Q(1, 3), Q(1, 2))])
     got = scaled_orbit_sums(system, "e", np.array([[1, 2]]), numerators, 6)
     assert want.tobytes() == got.tobytes()
+
+
+def test_scaled_orbit_sums_refuse_non_integer_numerators():
+    # a float numerator used to be truncated: this gave -1+0j, the value at
+    # (0, 1/3), instead of xi at (1/6, 1/3) = -1.732...
+    a1xa1 = E.system_from_selector("a1xa1")
+    with pytest.raises(E.UsageError, match="numerators must be integers"):
+        scaled_orbit_sums(a1xa1, "e", [(1, 2)], np.array([[0.5, 1.0]]), 3)
+    for numerators in (
+        np.array([[1.0, 2.0]]),
+        np.array([[1 + 0j, 2]]),
+        np.array([[Q(1, 2), 1]], dtype=object),
+        np.array([[None, 1]], dtype=object),
+        [[0.5, 1]],
+    ):
+        with pytest.raises(E.UsageError):
+            scaled_orbit_sums(a1xa1, "e", [(1, 2)], numerators, 6)
+    # integers of any integer type, also as objects beyond int64, are accepted
+    want = xi(a1xa1, "e", (1, 2), (Q(1, 6), Q(1, 3)))
+    for numerators in (
+        np.array([[1, 2]], dtype=np.int32),
+        np.array([[1, 2]], dtype=np.uint8),
+        np.array([[1, 2]], dtype=object),
+        [[1, 2]],
+    ):
+        assert scaled_orbit_sums(a1xa1, "e", [(1, 2)], numerators, 6)[0, 0] == want
+    big = 2**70
+    numerators = np.array([[big + 1, 2 * big + 2]], dtype=object)
+    assert scaled_orbit_sums(a1xa1, "e", [(1, 2)], numerators, 6 * big + 6)[0, 0] == want

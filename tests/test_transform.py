@@ -113,6 +113,53 @@ def test_foreign_grid_rejected():
         forward_discrete(samples)
 
 
+def test_foreign_spectrum_rejected():
+    system = E.system_from_selector("a1xa1")
+    spectrum = E.build_weight_grid(system, "e", 2)
+    coeffs = E.CoefficientSet(system, "e", (2,), tuple(reversed(spectrum)), [0j] * len(spectrum))
+    with pytest.raises(E.UsageError):
+        inverse_discrete(coeffs)
+    # an equal grid built elsewhere is accepted
+    grid = E.build_point_grid(system, "e", 2)
+    copy = tuple(E.GridPoint(gp.point, gp.label, gp.epsilon) for gp in grid)
+    assert copy == grid and copy is not grid
+    forward_discrete(E.SampleSet(system, "e", (2,), copy, [1j] * len(grid)))
+
+
+def test_sets_hold_one_read_only_complex_array():
+    system = E.system_from_selector("a1xa2")
+    grid = E.build_point_grid(system, "e", 2)
+    spectrum = E.build_weight_grid(system, "e", 2)
+    want = np.array([complex(i, -i) for i in range(len(grid))])
+    source = want.copy()
+    samples = [
+        E.SampleSet(system, "e", (2,), grid, tuple(want.tolist())),
+        E.SampleSet(system, "e", (2,), grid, want.tolist()),
+        E.SampleSet(system, "e", (2,), grid, source),
+        make_samples(system, "e", 2, lambda p, it=iter(want.tolist()): next(it)),
+        make_samples(system, "e", 2, want.tolist()),
+    ]
+    source[0] = 99  # a writable array is copied, not shared
+    k = len(spectrum)
+    coeffs = [
+        E.CoefficientSet(system, "e", (2,), spectrum, tuple(want[:k].tolist())),
+        E.CoefficientSet(system, "e", (2,), spectrum, want[:k]),
+        forward_discrete(samples[0]),
+    ]
+    for s in samples + coeffs + [inverse_discrete(coeffs[0])]:
+        assert type(s.values) is np.ndarray and s.values.dtype == np.complex128
+        assert not s.values.flags.writeable
+        with pytest.raises(ValueError):
+            s.values[0] = 0
+    for s in samples:
+        assert s.values.tobytes() == want.tobytes()
+    assert coeffs[0].values.tobytes() == coeffs[1].values.tobytes() == want[:k].tobytes()
+    # a read-only complex128 array is kept as it is
+    assert E.SampleSet(system, "e", (2,), grid, samples[0].values).values is samples[0].values
+    with pytest.raises(E.UsageError, match="shape"):
+        E.SampleSet(system, "e", (2,), grid, want.reshape(1, -1))
+
+
 def test_wrong_lengths_name_both_counts():
     system = E.system_from_selector("a1xa1")
     grid = E.build_point_grid(system, "e", 2)
@@ -292,7 +339,7 @@ def test_dense_transform_is_the_plain_matrix_product():
         gram = gram_matrix(system, kind, ms)
         assert gram_residual(system, kind, ms) == float(np.abs(gram - np.diag(norms)).max())
         for values in (samples.values, coeffs.values, back.values):
-            assert all(type(v) is complex for v in values)
+            assert values.dtype == complex and not values.flags.writeable
         with pytest.raises(ValueError):
             norms[0] = 0.0
 
@@ -306,7 +353,7 @@ def test_moduli_shape_does_not_change_the_transform():
         coeffs = forward_discrete(E.SampleSet(system, "e", ms, grid, values))
         back = inverse_discrete(E.CoefficientSet(system, "e", ms, coeffs.spectrum, coeffs.values))
         assert coeffs.ms == back.ms == (2,)
-        results.append((coeffs.values, back.values))
+        results.append(coeffs.values.tobytes() + back.values.tobytes())
     assert results[0] == results[1] == results[2]
 
 
@@ -375,7 +422,8 @@ def test_separable_transform_matches_the_dense_formulas(monkeypatch):
         back = inverse_discrete(dense_coeffs)
         want_back = ee.T @ want
         assert np.abs(np.array(back.values) - want_back).max() <= 1e-12 * np.abs(want_back).max()
-        assert all(type(v) is complex for v in coeffs.values + back.values)
+        for values in (coeffs.values, back.values):
+            assert values.dtype == complex and not values.flags.writeable
 
 
 def test_separable_transform_past_the_dense_limit():
