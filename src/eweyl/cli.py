@@ -35,12 +35,12 @@ from .grids import (
     MAX_GRID_CELLS,
     build_point_grid,
     build_weight_grid,
+    domain_mask,
     fraction_rows,
-    in_even_domain,
     label_names,
     point_grid,
 )
-from .efunc import orbit_sums, xi
+from .efunc import scaled_orbit_sums, xi
 from .transform import (
     CoefficientSet,
     forward_discrete,
@@ -358,25 +358,23 @@ def _cmd_contour(args):
             f"--samples-per-axis must be >= 1 and probe at most {MAX_GRID_CELLS} points "
             f"((2n)^{len(free)}), got {n_samples}"
         )
-    ticks = [Q(2 * k + 1, 2 * n_samples) - 1 for k in range(2 * n_samples)]
+    # probe k of an axis is (2k + 1) / 2n - 1, all points as integers over ``den``
+    den = 2 * n_samples * (1 if pin is None else pin[1].denominator)
+    ticks = [(2 * k + 1 - 2 * n_samples) * (den // (2 * n_samples)) for k in range(2 * n_samples)]
+    probes = np.zeros(((2 * n_samples) ** len(free), sysm.n), dtype=object)
+    probes[:, free] = list(itertools.product(ticks, repeat=len(free)))
+    if pin is not None:
+        probes[:, pin[0]] = pin[1].numerator * (den // pin[1].denominator)
+    kept = probes[domain_mask(sysm, args.kind, probes, den)]
     gram = coweight_gram(sysm)
     sub = np.array(
         [[float(gram[i][j]) for j in free] for i in free], dtype=float
     )
     embed = np.linalg.cholesky(sub).T
-    kept = []
-    for uv in itertools.product(ticks, repeat=len(free)):
-        coords = [Q(0)] * sysm.n
-        if pin is not None:
-            coords[pin[0]] = pin[1]
-        for i, v in zip(free, uv):
-            coords[i] = v
-        if in_even_domain(sysm, args.kind, coords):
-            kept.append((uv, tuple(coords)))
-    values = orbit_sums(sysm, args.kind, [lam], [point for _, point in kept])[0]
+    values = scaled_orbit_sums(sysm, args.kind, [lam], kept, den)[0]
     rows = []
-    for (uv, _), value in zip(kept, values):
-        cart = embed @ np.array([float(v) for v in uv])
+    for uv, value in zip(kept[:, free].tolist(), values):
+        cart = embed @ np.array([v / den for v in uv])
         rows.append([_fmt17(v) for v in (cart[0], cart[1], value.real, value.imag)])
     _write_csv(args, ["x", "y", "re", "im"], rows)
     return 0

@@ -297,11 +297,6 @@ def _require_distinct(keys: np.ndarray, what: str):
         raise AssertionError(f"duplicate {what} in a grid")
 
 
-def _read_only(*arrays: np.ndarray) -> None:
-    for a in arrays:
-        a.setflags(write=False)
-
-
 @dataclass(frozen=True, eq=False)
 class PointGrid:
     """A point grid as read-only int64 arrays, one row per point in canonical order.
@@ -345,15 +340,6 @@ class WeightGrid:
         return tuple(map(SpectralPoint, *rows, self.h.tolist()))
 
 
-def modulus_power(system: SemisimpleSystem, kind: str, ms) -> int:
-    """``prod_f M_f^rank_f``; reduces to ``M^n`` for the full even kind."""
-    _, per_factor = check_moduli(system, kind, ms)
-    power = 1
-    for f, m in zip(system.factors, per_factor):
-        power *= m ** f.rank
-    return power
-
-
 def point_grid_arrays(system: SemisimpleSystem, kind: str, ms) -> PointGrid:
     """The uncached :class:`PointGrid` of ``(system, kind, ms)``."""
     ms, per_factor = check_moduli(system, kind, ms)
@@ -365,7 +351,8 @@ def point_grid_arrays(system: SemisimpleSystem, kind: str, ms) -> PointGrid:
     keys, n = scaled_torus_keys(system, numerators, denominator)
     _require_distinct(keys, "point mod coroot lattice")
     eps = torus_orbit_sizes(even_subgroup(system, kind), keys, n)
-    _read_only(numerators, labels, eps, keys)
+    for a in (numerators, labels, eps, keys):
+        a.setflags(write=False)
     return PointGrid(numerators, denominator, labels, eps, keys, n)
 
 
@@ -397,8 +384,10 @@ def _weight_grid_cached(system: SemisimpleSystem, kind: str, ms: tuple[int, ...]
     _require_distinct(weight_keys(system, weights, per_factor), "weight mod M*Q")
     group = even_subgroup(system, kind)
     h = weight_stabs_mod_mq(group, weights, per_factor)
-    norms = abs(system.det_cartan) * group.order * modulus_power(system, kind, ms) * h.astype(float)
-    _read_only(weights, labels, h, norms)
+    power = math.prod(m**f.rank for f, m in zip(system.factors, per_factor))
+    norms = abs(system.det_cartan) * group.order * power * h.astype(float)
+    for a in (weights, labels, h, norms):
+        a.setflags(write=False)
     return WeightGrid(weights, labels, h, norms)
 
 
@@ -417,42 +406,36 @@ def build_weight_grid(system: SemisimpleSystem, kind: str, ms) -> tuple[Spectral
 # domain membership (exact)
 # ---------------------------------------------------------------------------
 
-def _factor_in_closed(factor: SimpleFactor, coords, lcm: int) -> bool:
-    if any(c < 0 for c in coords):
-        return False
-    return sum(m * c for m, c in zip(factor.marks, coords)) <= lcm
+def domain_mask(system: SemisimpleSystem, kind: str, numerators, lcm: int) -> np.ndarray:
+    """Exact membership of the points ``numerators / lcm`` in the even domain, one bool per row.
 
-
-def _factor_in_interior(factor: SimpleFactor, coords, lcm: int) -> bool:
-    if any(c <= 0 for c in coords):
-        return False
-    return sum(m * c for m, c in zip(factor.marks, coords)) < lcm
+    Per block of :func:`domain_blocks`: closed, or reflected into the
+    interior.  On the integer numerators ``c`` a factor's simplex is
+    ``c >= 0, sum(m c) <= lcm``, and the reflection is the block's
+    integer coweight matrix; all arithmetic is on Python ints.
+    """
+    x = np.array(numerators, dtype=object).reshape(-1, system.n)
+    inside = np.ones(len(x), dtype=bool)
+    for block in domain_blocks(system, kind):
+        part = x[:, [j for i in block.factors for j in range(*system.factor_slices()[i])]]
+        reflected = part @ np.array(block.reflection.coweight_matrix, dtype=object).T
+        closed = interior = True
+        lo = 0
+        for f in (system.factors[i] for i in block.factors):
+            c, r, marks = part[:, lo:lo + f.rank], reflected[:, lo:lo + f.rank], list(f.marks)
+            closed &= (c >= 0).all(axis=1) & (c @ marks <= lcm)
+            interior &= (r > 0).all(axis=1) & (r @ marks < lcm)
+            lo += f.rank
+        inside &= closed | interior
+    return inside
 
 
 def in_even_domain(system: SemisimpleSystem, kind: str, x: TorusPoint) -> bool:
-    """Exact membership in the even fundamental domain of the given kind.
-
-    Per block of :func:`domain_blocks`: closed, or reflected into the
-    interior.  The point is scaled once to integer numerators over the
-    lcm ``L`` of its denominators, so a factor's simplex is
-    ``c >= 0, sum(m c) <= L`` and the reflection is the block's integer
-    coweight matrix.
-    """
+    """Exact membership of one point in the even domain: :func:`domain_mask` over its lcm."""
     x = tuple(Q(v) for v in x)
     lcm = math.lcm(*(v.denominator for v in x))
-    parts = system.split([v.numerator * (lcm // v.denominator) for v in x])
-    for block in domain_blocks(system, kind):
-        factors = [system.factors[i] for i in block.factors]
-        local = [parts[i] for i in block.factors]
-        if all(_factor_in_closed(f, p, lcm) for f, p in zip(factors, local)):
-            continue
-        reflected = iter(block.reflection.apply_point(tuple(c for p in local for c in p)))
-        if not all(
-            _factor_in_interior(f, tuple(itertools.islice(reflected, f.rank)), lcm)
-            for f in factors
-        ):
-            return False
-    return True
+    numerators = [v.numerator * (lcm // v.denominator) for v in x]
+    return bool(domain_mask(system, kind, numerators, lcm)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -171,10 +171,6 @@ class SemisimpleSystem:
             (off, off + f.rank) for off, f in zip(self.offsets, self.factors)
         )
 
-    def split(self, vec):
-        """Split a length-n vector into per-factor tuples."""
-        return tuple(tuple(vec[a:b]) for a, b in self.factor_slices())
-
     @property
     def marks(self) -> tuple[int, ...]:
         return tuple(m for f in self.factors for m in f.marks)

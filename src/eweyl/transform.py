@@ -82,7 +82,6 @@ from .grids import (
     domain_blocks,
     enumerate_dominant,
     fraction_rows,
-    modulus_power,
     point_grid,
     point_grid_arrays,
     weight_grid,
@@ -92,7 +91,7 @@ TOL_ORTHOGONALITY = 1e-9
 
 
 def _set_values(owner, n: int, what: str) -> None:
-    """Store ``owner.values`` as a read-only complex128 array of length ``n``.
+    """Store ``owner.values`` as a read-only complex128 array of ``n`` entries.
 
     A read-only complex128 array is kept as it is; anything else is copied.
     """
@@ -146,6 +145,15 @@ def make_samples(system, kind, ms, values) -> SampleSet:
 # ---------------------------------------------------------------------------
 # dense transform core
 # ---------------------------------------------------------------------------
+
+def modulus_power(system: SemisimpleSystem, kind: str, ms) -> int:
+    """``prod_f M_f^rank_f``; reduces to ``M^n`` for the full even kind."""
+    _, per_factor = check_moduli(system, kind, ms)
+    power = 1
+    for f, m in zip(system.factors, per_factor):
+        power *= m ** f.rank
+    return power
+
 
 def normalizers(system, kind, ms) -> np.ndarray:
     """The predicted diagonal of the discrete Gram matrix (read-only)."""
