@@ -386,3 +386,45 @@ def test_dump_group(capsys):
     for el in payload["elements"]:
         assert el["det"] == 1
         assert all(isinstance(v, int) for row in el["weight_matrix"] for v in row)
+
+
+def test_file_readers_name_the_first_row_off_the_canonical_grid(tmp_path, capsys):
+    # every row is read against the canonical labels: a count mismatch,
+    # then the first row whose label differs, is exit 2 with its message
+    system = E.system_from_selector("a1xa1")
+    grid = E.build_point_grid(system, "e", 2)
+    spectrum = E.build_weight_grid(system, "e", 2)
+    labels = [list(gp.label) for gp in grid]
+    swapped = labels[:2] + [labels[3], labels[2]] + labels[4:]
+
+    def forward(rows):
+        path = tmp_path / "s.csv"
+        lines = ["s0,s1,s0',s2,re,im"] + [",".join(map(str, r + [0.5, 0.0])) for r in rows]
+        path.write_text("\n".join(lines) + "\n")
+        return run(["forward", "--group", "a1xa1", "--kind", "e", "--M", "2",
+                    "--samples", str(path)])
+
+    def inverse(ts):
+        path = tmp_path / "c.json"
+        entries = [{"t": t, "re": 0.5, "im": 0.0} for t in ts]
+        path.write_text(json.dumps({"group": "a1xa1", "kind": "e", "M": [2], "entries": entries}))
+        return run(["inverse", "--coeffs", str(path)])
+
+    t = [list(sp.label) for sp in spectrum]
+    for reader, want in [
+        (lambda: forward(labels[:-1]),
+         f"sample CSV has {len(grid) - 1} rows, grid has {len(grid)}"),
+        (lambda: forward(swapped),
+         f"sample row label {tuple(labels[3])} does not match canonical grid label {grid[2].label}"),
+        (lambda: inverse(t[:-1]),
+         f"JSON has {len(spectrum) - 1} entries, spectrum has {len(spectrum)}"),
+        (lambda: inverse(t[:2] + [t[3], t[2]] + t[4:]),
+         f"entry label {t[3]} does not match canonical spectrum label {spectrum[2].label}"),
+        (lambda: inverse(t[:1] + [t[1][:3]] + t[2:]),  # too short
+         f"entry label {t[1][:3]} does not match canonical spectrum label {spectrum[1].label}"),
+        (lambda: inverse(t[:4] + ["abcd"] + t[5:]),  # not a list of integers
+         f"entry label abcd does not match canonical spectrum label {spectrum[4].label}"),
+    ]:
+        status = reader()
+        captured = capsys.readouterr()
+        assert (status, captured.out, captured.err) == (2, "", f"error: {want}\n")
