@@ -29,12 +29,14 @@ from itertools import chain
 
 import numpy as np
 
-from .lie_data import SemisimpleSystem, TorusPoint, UsageError, Weight, residue_phasor
+from .lie_data import SemisimpleSystem, TorusPoint, Weight, residue_phasor
 from .weyl import (
+    _integer_weight,
     _point_key,
     check_kind,
     even_subgroup,
     int_dtype,
+    length_error,
     scaled_torus_keys,
     torus_keys,
 )
@@ -42,14 +44,6 @@ from .weyl import (
 
 class UnsupportedFormulaError(ValueError):
     """No closed form is available for the requested system and kind."""
-
-
-def _integer_weight(lam) -> tuple[int, ...]:
-    """``lam`` as a tuple of ints; a non-integer entry is a :class:`UsageError`."""
-    try:
-        return tuple(operator.index(a) for a in lam)
-    except TypeError:
-        raise UsageError(f"weight entries must be integers, got {lam!r}") from None
 
 
 @lru_cache(maxsize=None)
@@ -70,10 +64,10 @@ def xi(system: SemisimpleSystem, kind: str, lam: Weight, x: TorusPoint) -> compl
     tests keep as the reference.  Coordinates are ints or fractions;
     anything else is a :class:`UsageError`.
     """
-    lam = _integer_weight(lam)
+    lam = _integer_weight(system, lam)
     x = tuple(x)
-    if len(lam) != system.n or len(x) != system.n:
-        raise UsageError(f"weights and points need length {system.n} for {system.selector}")
+    if len(x) != system.n:
+        raise length_error(system)
     matrices = _flat_weight_matrices(system, check_kind(kind))
     key, n = _point_key(system, x)
     # (w lam) . K = sum_ij W_ij K_i lam_j, one flat product per element
@@ -97,7 +91,7 @@ def orbit_sums(system: SemisimpleSystem, kind: str, weights, points) -> np.ndarr
     bound on ``|k|`` proves they fit and exact Python ints otherwise.
     """
     if any(len(v) != system.n for v in points):
-        raise UsageError(f"weights and points need length {system.n} for {system.selector}")
+        raise length_error(system)
     return _orbit_sums(system, kind, weights, *torus_keys(system, points))
 
 
@@ -110,7 +104,7 @@ def scaled_orbit_sums(system: SemisimpleSystem, kind: str, weights, numerators, 
     depends only on the value ``k / n``.
     """
     if np.ndim(numerators) != 2 or np.shape(numerators)[1] != system.n:
-        raise UsageError(f"weights and points need length {system.n} for {system.selector}")
+        raise length_error(system)
     return _orbit_sums(system, kind, weights, *scaled_torus_keys(system, numerators, lcm))
 
 
@@ -130,9 +124,7 @@ def _orbit_sums(system: SemisimpleSystem, kind: str, weights, keys: np.ndarray, 
     """The orbit-sum kernel on torus keys ``(keys, n)``; see :func:`orbit_sums`."""
     group = even_subgroup(system, check_kind(kind))
     dim = system.n
-    weights = [_integer_weight(v) for v in weights]
-    if any(len(v) != dim for v in weights):
-        raise UsageError(f"weights and points need length {dim} for {system.selector}")
+    weights = [_integer_weight(system, v) for v in weights]
     lam = np.array(weights, dtype=object).reshape(len(weights), dim)
     rows = [lam @ np.array(w.weight_matrix, dtype=object).T for w in group]
     dtype = int_dtype(max(dim * max(abs(r).max(initial=0) for r in rows) * n, n))
@@ -278,6 +270,8 @@ def xi_closed(system: SemisimpleSystem, kind: str, lam: Weight, x: TorusPoint) -
     tabulated.  The two a1xg2 forms reproduce their misprints; use
     :func:`xi` for a value that is always correct.
     """
+    if len(lam) != system.n or len(x) != system.n:
+        raise length_error(system)
     key = (system.selector, check_kind(kind))
     fn = _CLOSED_FORMS.get(key)
     if fn is None:

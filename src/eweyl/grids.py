@@ -51,9 +51,11 @@ from .lie_data import (
 from .weyl import (
     FULL_EVEN,
     GroupElement,
+    _scaled,
     check_even_kind,
     check_moduli,
     even_subgroup,
+    length_error,
     orbit,
     scaled_torus_keys,
     simple_reflection,
@@ -376,6 +378,12 @@ def build_point_grid(system: SemisimpleSystem, kind: str, ms) -> tuple[GridPoint
     return point_grid(system, kind, ms).points
 
 
+def modulus_power(system: SemisimpleSystem, kind: str, ms) -> int:
+    """``prod_f M_f^rank_f``; reduces to ``M^n`` for the full even kind."""
+    _, per_factor = check_moduli(system, kind, ms)
+    return math.prod(m**f.rank for f, m in zip(system.factors, per_factor))
+
+
 @lru_cache(maxsize=32)
 def _weight_grid_cached(system: SemisimpleSystem, kind: str, ms: tuple[int, ...]) -> WeightGrid:
     _check_grid_size(system, kind, ms, dual=True)
@@ -384,7 +392,7 @@ def _weight_grid_cached(system: SemisimpleSystem, kind: str, ms: tuple[int, ...]
     _require_distinct(weight_keys(system, weights, per_factor), "weight mod M*Q")
     group = even_subgroup(system, kind)
     h = weight_stabs_mod_mq(group, weights, per_factor)
-    power = math.prod(m**f.rank for f, m in zip(system.factors, per_factor))
+    power = modulus_power(system, kind, ms)
     norms = abs(system.det_cartan) * group.order * power * h.astype(float)
     for a in (weights, labels, h, norms):
         a.setflags(write=False)
@@ -431,10 +439,10 @@ def domain_mask(system: SemisimpleSystem, kind: str, numerators, lcm: int) -> np
 
 
 def in_even_domain(system: SemisimpleSystem, kind: str, x: TorusPoint) -> bool:
-    """Exact membership of one point in the even domain: :func:`domain_mask` over its lcm."""
-    x = tuple(Q(v) for v in x)
-    lcm = math.lcm(*(v.denominator for v in x))
-    numerators = [v.numerator * (lcm // v.denominator) for v in x]
+    """Exact membership of one point of ``system.n`` ints or fractions in the even domain."""
+    numerators, lcm = _scaled(x)
+    if len(numerators) != system.n:
+        raise length_error(system)
     return bool(domain_mask(system, kind, numerators, lcm)[0])
 
 

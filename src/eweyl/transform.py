@@ -68,6 +68,7 @@ from .lie_data import (
 from .efunc import _orbit_sums, scaled_orbit_sums, xi
 from .weyl import (
     PRODUCT_EVEN,
+    _integer_weight,
     check_kind,
     check_moduli,
     even_subgroup,
@@ -82,6 +83,7 @@ from .grids import (
     domain_blocks,
     enumerate_dominant,
     fraction_rows,
+    modulus_power,
     point_grid,
     point_grid_arrays,
     weight_grid,
@@ -145,15 +147,6 @@ def make_samples(system, kind, ms, values) -> SampleSet:
 # ---------------------------------------------------------------------------
 # dense transform core
 # ---------------------------------------------------------------------------
-
-def modulus_power(system: SemisimpleSystem, kind: str, ms) -> int:
-    """``prod_f M_f^rank_f``; reduces to ``M^n`` for the full even kind."""
-    _, per_factor = check_moduli(system, kind, ms)
-    power = 1
-    for f, m in zip(system.factors, per_factor):
-        power *= m ** f.rank
-    return power
-
 
 def normalizers(system, kind, ms) -> np.ndarray:
     """The predicted diagonal of the discrete Gram matrix (read-only)."""
@@ -398,7 +391,7 @@ def product_to_sum(system, kind, lam: Weight, lam2: Weight):
     ``lam + w(lam2)``.
     """
     group = even_subgroup(system, check_kind(kind))
-    lam, lam2 = tuple(lam), tuple(lam2)
+    lam, lam2 = _integer_weight(system, lam), _integer_weight(system, lam2)
     out = []
     for w in group:
         img = w.apply_weight(lam2)

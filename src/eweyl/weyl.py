@@ -209,14 +209,31 @@ def even_subgroup(system: SemisimpleSystem, kind: str) -> WeylGroup:
 # orbits and stabilizers
 # ---------------------------------------------------------------------------
 
+def length_error(system: SemisimpleSystem) -> UsageError:
+    """The error for a weight or point whose length is not ``system.n``."""
+    return UsageError(f"weights and points need length {system.n} for {system.selector}")
+
+
+def _integer_weight(system: SemisimpleSystem, lam) -> tuple[int, ...]:
+    """``lam`` as a tuple of ``system.n`` ints; else a :class:`UsageError`."""
+    try:
+        lam = tuple(map(operator.index, lam))
+    except TypeError:
+        raise UsageError(f"weight entries must be integers, got {lam!r}") from None
+    if len(lam) != system.n:
+        raise length_error(system)
+    return lam
+
+
 def orbit(group: WeylGroup, lam: Weight) -> tuple[Weight, ...]:
     """The set of images of a weight, sorted."""
-    return tuple(sorted({w.apply_weight(tuple(lam)) for w in group}))
+    lam = _integer_weight(group.system, lam)
+    return tuple(sorted({w.apply_weight(lam) for w in group}))
 
 
 def stab_order(group: WeylGroup, lam: Weight) -> int:
     """Order of the exact stabilizer of a weight."""
-    lam = tuple(lam)
+    lam = _integer_weight(group.system, lam)
     return sum(1 for w in group if w.apply_weight(lam) == lam)
 
 

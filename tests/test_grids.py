@@ -187,3 +187,27 @@ def test_grid_records_are_read_only_arrays_of_their_tuples():
             assert weights.weights.tolist() == [list(sp.weight) for sp in weights.points]
             assert weights.labels.tolist() == [list(sp.label) for sp in weights.points]
             assert weights.h.tolist() == [sp.h for sp in weights.points]
+
+
+def test_in_even_domain_refuses_malformed_points():
+    a1xa2 = E.system_from_selector("a1xa2")
+    for x in (
+        (0, 0, 0, Q(1, 2), 0, 0),  # was True: read as the two points of a batch
+        (0, Q(1, 2)),  # was a ValueError from the reshape
+        (0.5, 0, 0),  # was accepted, while xi refuses floats
+        (float("nan"), 0, 0),
+    ):
+        with pytest.raises(E.UsageError):
+            E.in_even_domain(a1xa2, "e", x)
+    assert E.in_even_domain(a1xa2, "e", (0, 0, 0))
+    assert E.in_even_domain(a1xa2, "e", (Q(1, 4), np.int64(0), Q(1, 3)))
+
+
+def test_one_modulus_power():
+    from eweyl import grids, transform
+
+    assert transform.modulus_power is grids.modulus_power
+    a1xc2 = E.system_from_selector("a1xc2")
+    assert grids.modulus_power(a1xc2, "e", 3) == 3**3
+    assert grids.modulus_power(a1xc2, "ee", (2, 5)) == 2 * 5**2
+

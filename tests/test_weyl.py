@@ -187,3 +187,29 @@ def test_weight_congruence_blockwise():
     # the same shift scaled by m1 instead is not a C2-block congruence
     bad = tuple(a + m1 * v for a, v in zip(lam, system.cartan[1]))
     assert not weight_congruent_mod_mq(system, lam, bad, (m1, m2))
+
+
+def test_weights_of_the_wrong_length_or_type_are_usage_errors():
+    # each call used to answer for a different weight or raise another error:
+    # (0,2,3) from zip truncation, float sums, a stabiliser of 0, a padded orbit
+    a1xa2 = E.system_from_selector("a1xa2")
+    group = E.even_subgroup(a1xa2, "e")
+    for call in (
+        lambda: E.product_to_sum(a1xa2, "e", (1, 2, 3), (1,)),
+        lambda: E.product_to_sum(a1xa2, "e", (1, 2, 3), (0.5, 0, 0)),
+        lambda: E.product_to_sum(a1xa2, "e", (Q(1, 2), 0, 0), (1, 2, 3)),
+        lambda: E.stab_order(group, (1,)),
+        lambda: E.stab_order(group, (1, 0, 0.5)),
+        lambda: E.orbit(group, (1,)),
+        lambda: E.orbit(group, (1, 2, 3, 4)),
+        lambda: E.orbit(group, (Q(1, 2), 0, 0)),
+        lambda: E.xi_closed(a1xa2, "e", (1, 2), (0, 0, 0)),
+        lambda: E.xi_closed(a1xa2, "e", (1, 2, 3), (0, 0)),
+    ):
+        with pytest.raises(E.UsageError):
+            call()
+    # integer entries of any integer type are still accepted
+    assert E.orbit(group, [True, 0, 0]) == E.orbit(group, (1, 0, 0))
+    assert E.stab_order(group, (0, 0, 0)) == group.order
+    assert E.product_to_sum(a1xa2, "e", (1, 0, 0), (0, 0, 0)) == [(1, 0, 0)] * group.order
+    assert E.xi_closed(a1xa2, "e", (0, 0, 0), (0.5, 0, 0)) == group.order  # floats by design
