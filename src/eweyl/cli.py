@@ -38,7 +38,6 @@ from .grids import (
     domain_mask,
     fraction_rows,
     label_names,
-    point_grid,
 )
 from .efunc import scaled_orbit_sums, xi
 from .transform import (
@@ -151,7 +150,7 @@ def _point_from_args(sysm, args):
         raise UsageError("one of --point or --label is required")
     if not args.M:
         raise UsageError("--label requires --M")
-    grid = point_grid(sysm, args.kind, args.M)
+    grid = build_point_grid(sysm, args.kind, args.M)
     if len(args.label) == grid.labels.shape[1]:
         hits = np.flatnonzero((grid.labels == args.label).all(axis=1))
         if len(hits):  # the first one lies on the closed branch
@@ -167,6 +166,15 @@ def _cmd_eval(args):
     return 0
 
 
+def _check_labels(labels, shown, canonical: np.ndarray, item: str, grid: str) -> None:
+    """Refuse the first label (a tuple) unlike its ``canonical`` row, naming it as in ``shown``."""
+    got = np.fromiter(labels, dtype=object, count=len(labels))
+    want = np.fromiter(map(tuple, canonical.tolist()), dtype=object, count=len(canonical))
+    k = int(np.argmax(got != want))  # the first mismatch, or 0 if there is none
+    if got[k] != want[k]:
+        raise UsageError(f"{item} label {shown[k]} does not match canonical {grid} label {want[k]}")
+
+
 def _read_samples_csv(path, sysm, kind, ms):
     grid = build_point_grid(sysm, kind, ms)
     names = _sample_header(sysm)
@@ -177,27 +185,23 @@ def _read_samples_csv(path, sysm, kind, ms):
     rows = lines[1:]
     if len(rows) != len(grid):
         raise UsageError(f"sample CSV has {len(rows)} rows, grid has {len(grid)}")
-    values = []
-    for row, gp in zip(rows, grid):
-        cells = row.split(",")
-        if len(cells) != len(names):
+    labels, cells = [], [row.split(",") for row in rows]
+    for row, c in zip(rows, cells):
+        if len(c) != len(names):
             raise UsageError(f"malformed sample row: {row!r}")
         try:
-            label = tuple(int(c) for c in cells[: -2])
+            labels.append(tuple(int(v) for v in c[:-2]))
         except ValueError:
             raise UsageError(f"malformed sample row: {row!r}") from None
-        if label != gp.label:
-            raise UsageError(
-                f"sample row label {label} does not match canonical grid label {gp.label}"
-            )
-        values.append(_finite(cells[-2], cells[-1], f"sample row {row!r}"))
+    _check_labels(labels, labels, grid.labels, "sample row", "grid")
+    values = [_finite(c[-2], c[-1], f"sample row {row!r}") for row, c in zip(rows, cells)]
     return make_samples(sysm, kind, ms, values)
 
 
 def _write_coeff_json(out, coeffs: CoefficientSet):
     entries = []
-    for sp, v in zip(coeffs.spectrum, coeffs.values):
-        t = ", ".join(str(x) for x in sp.label)
+    for label, v in zip(coeffs.spectrum.labels.tolist(), coeffs.values):
+        t = ", ".join(str(x) for x in label)
         entries.append(
             f'    {{"t": [{t}], "re": {_fmt17(v.real)}, "im": {_fmt17(v.imag)}}}'
         )
@@ -236,18 +240,15 @@ def _read_coeff_json(path):
         raise UsageError(
             f"JSON has {len(data['entries'])} entries, spectrum has {len(spectrum)}"
         )
-    values = []
-    for entry, sp in zip(data["entries"], spectrum):
+    labels, parts = [], []
+    for entry in data["entries"]:
         try:
-            label, re_part, im_part = tuple(entry["t"]), entry["re"], entry["im"]
+            labels.append(tuple(entry["t"]))
+            parts.append((entry["re"], entry["im"], f"coefficient entry {entry!r}"))
         except (KeyError, TypeError):
             raise UsageError(f"malformed coefficient entry {entry!r}") from None
-        if label != sp.label:
-            raise UsageError(
-                f"entry label {entry['t']} does not match canonical spectrum label {sp.label}"
-            )
-        values.append(_finite(re_part, im_part, f"coefficient entry {entry!r}"))
-    return CoefficientSet(sysm, kind, ms, spectrum, values)
+    _check_labels(labels, [e["t"] for e in data["entries"]], spectrum.labels, "entry", "spectrum")
+    return CoefficientSet(sysm, kind, ms, spectrum, [_finite(*p) for p in parts])
 
 
 def _cmd_forward(args):
@@ -261,8 +262,8 @@ def _cmd_forward(args):
 def _cmd_inverse(args):
     samples = inverse_discrete(_read_coeff_json(args.coeffs))
     _write_csv(args, _sample_header(samples.system), (
-        [*map(str, gp.label), _fmt17(v.real), _fmt17(v.imag)]
-        for gp, v in zip(samples.grid, samples.values)
+        [*map(str, label), _fmt17(v.real), _fmt17(v.imag)]
+        for label, v in zip(samples.grid.labels.tolist(), samples.values)
     ))
     return 0
 
@@ -286,7 +287,7 @@ def _cmd_verify(args):
     residual = gram_residual(sysm, args.kind, ms)
     worst_rt = 0.0
     for _ in range(args.trials):
-        vals = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in grid]
+        vals = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(len(grid))]
         samples = make_samples(sysm, args.kind, ms, vals)
         back = inverse_discrete(forward_discrete(samples))
         worst_rt = max(worst_rt, max(map(abs, (back.values - samples.values).tolist())))

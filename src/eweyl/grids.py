@@ -6,13 +6,12 @@ enumerates integer per-factor cells over that description, and every
 enumeration here (point and weight grids, dominant weights) consumes
 it.  Each gluing reflection acts on one factor only, so it is applied
 to that factor's cells before the product is taken.  The point grid is
-the only discretisation of the domain.  Each grid is kept as the
-read-only integer arrays it is built from, in one cached record per
-side (:func:`point_grid`, :func:`weight_grid`); the tuples of
-:func:`build_point_grid` and :func:`build_weight_grid` are built from
-the record once and kept in it.  The quadrature cells of the
-continuous transform read :func:`point_grid_arrays`, the same record
-uncached.
+the only discretisation of the domain.  Each grid is one cached record
+per side (:func:`build_point_grid`, :func:`build_weight_grid`) of the
+read-only integer arrays it is built from; as a sequence it reads as
+its ``GridPoint``/``SpectralPoint`` tuple, built on first use and kept
+in it.  The quadrature cells of the continuous transform read
+:func:`point_grid_arrays`, the same record uncached.
 
 Grid cells carry Kac-style labels: nonnegative integers ``[s0, s1, ...]``
 per factor with ``s0 + sum(m_i s_i) = M`` (marks ``m`` for point grids,
@@ -299,8 +298,21 @@ def _require_distinct(keys: np.ndarray, what: str):
         raise AssertionError(f"duplicate {what} in a grid")
 
 
+class _GridRecord:
+    """Read as the sequence of its ``points`` tuple; ``len`` reads the arrays."""
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __getitem__(self, k):
+        return self.points[k]
+
+    def __iter__(self):
+        return iter(self.points)
+
+
 @dataclass(frozen=True, eq=False)
-class PointGrid:
+class PointGrid(_GridRecord):
     """A point grid as read-only int64 arrays, one row per point in canonical order.
 
     Point ``k`` is ``numerators[k] / denominator`` with label ``labels[k]``,
@@ -322,7 +334,7 @@ class PointGrid:
 
 
 @dataclass(frozen=True, eq=False)
-class WeightGrid:
+class WeightGrid(_GridRecord):
     """A weight grid as read-only arrays, one row per weight in canonical order.
 
     Weight ``weights[k]`` has label ``labels[k]``, stabiliser order
@@ -362,20 +374,15 @@ def point_grid_arrays(system: SemisimpleSystem, kind: str, ms) -> PointGrid:
 _point_grid_cached = lru_cache(maxsize=32)(point_grid_arrays)
 
 
-def point_grid(system: SemisimpleSystem, kind: str, ms) -> PointGrid:
-    """The cached :class:`PointGrid` of ``(system, kind, ms)``."""
-    ms, _ = check_moduli(system, kind, ms)
-    return _point_grid_cached(system, kind, ms)
-
-
-def build_point_grid(system: SemisimpleSystem, kind: str, ms) -> tuple[GridPoint, ...]:
-    """The discrete even fundamental domain with labels and orbit sizes.
+def build_point_grid(system: SemisimpleSystem, kind: str, ms) -> PointGrid:
+    """The cached :class:`PointGrid`: the discrete even fundamental domain.
 
     ``ms`` is a single modulus for kind ``"e"`` and one modulus per
     factor for kind ``"ee"``.  Points come out in the canonical order
     of :func:`glue`, each part in nested label order.
     """
-    return point_grid(system, kind, ms).points
+    ms, _ = check_moduli(system, kind, ms)
+    return _point_grid_cached(system, kind, ms)
 
 
 def modulus_power(system: SemisimpleSystem, kind: str, ms) -> int:
@@ -399,15 +406,10 @@ def _weight_grid_cached(system: SemisimpleSystem, kind: str, ms: tuple[int, ...]
     return WeightGrid(weights, labels, h, norms)
 
 
-def weight_grid(system: SemisimpleSystem, kind: str, ms) -> WeightGrid:
-    """The cached :class:`WeightGrid` of ``(system, kind, ms)``."""
+def build_weight_grid(system: SemisimpleSystem, kind: str, ms) -> WeightGrid:
+    """The cached :class:`WeightGrid`, the spectral grid dual to :func:`build_point_grid`."""
     ms, _ = check_moduli(system, kind, ms)
     return _weight_grid_cached(system, kind, ms)
-
-
-def build_weight_grid(system: SemisimpleSystem, kind: str, ms) -> tuple[SpectralPoint, ...]:
-    """The spectral grid dual to :func:`build_point_grid`."""
-    return weight_grid(system, kind, ms).points
 
 
 # ---------------------------------------------------------------------------

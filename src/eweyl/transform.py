@@ -10,13 +10,14 @@ orders, the forward coefficients are
 
 and the inverse is plain series evaluation on the grid.  The phase
 matrix ``P`` (spectrum rows by grid columns) pairs the residue keys of
-the cached point record (:func:`eweyl.grids.point_grid`) with the
-weights of the weight record; the records also hold ``eps`` and
+the cached point record (:func:`eweyl.grids.build_point_grid`) with
+the weights of the weight record; the records also hold ``eps`` and
 ``N(lam)``.  ``P`` is applied without a copy: the forward transform
 conjugates the vector, ``conj(P @ conj(eps * f)) / N``, not the
-matrix, and the inverse is ``P.T @ c``.  Sample and coefficient values
-are one read-only complex128 array each, and the canonical grid is
-recognised by identity before equality.
+matrix, and the inverse is ``P.T @ c``.  A sample or coefficient set
+holds one read-only complex128 array of values and the cached record
+of its grid, checked once when the set is made; the transforms read
+only the record's arrays.
 
 The product even group is the product of the factors' even groups, so
 every kind ``"ee"`` orbit sum is a product of per-factor ones and,
@@ -76,68 +77,75 @@ from .weyl import (
     weight_keys,
 )
 from .grids import (
-    GridPoint,
-    SpectralPoint,
+    PointGrid,
+    WeightGrid,
     build_point_grid,
     build_weight_grid,
     domain_blocks,
     enumerate_dominant,
     fraction_rows,
     modulus_power,
-    point_grid,
     point_grid_arrays,
-    weight_grid,
 )
 
 TOL_ORTHOGONALITY = 1e-9
 
 
-def _set_values(owner, n: int, what: str) -> None:
-    """Store ``owner.values`` as a read-only complex128 array of ``n`` entries.
+def _check_set(owner, field: str, build, noun: str) -> None:
+    """Store a set's ``ms`` as a tuple, ``field`` as the cached record and ``values`` as an array.
 
-    A read-only complex128 array is kept as it is; anything else is copied.
+    Another sequence equal to the record item by item stands for it.  A
+    read-only complex128 ``values`` array is kept as it is, anything else copied.
     """
+    ms, _ = check_moduli(owner.system, owner.kind, owner.ms)
+    record = build(owner.system, owner.kind, ms)
+    try:
+        same = getattr(owner, field) is record or tuple(getattr(owner, field)) == record.points
+    except (TypeError, ValueError):
+        same = False
+    if not same:
+        raise UsageError(f"{noun} {field} is not the canonical {field} for its metadata")
     values = owner.values
     if not isinstance(values, np.ndarray) or values.dtype != complex or values.flags.writeable:
         values = np.array(values, dtype=complex)
         values.setflags(write=False)
-    if values.shape != (n,):
+    if values.shape != (len(record),):
         got = len(values) if values.ndim == 1 else f"shape {values.shape}"
-        raise UsageError(f"expected {n} {what}, got {got}")
-    object.__setattr__(owner, "values", values)
+        raise UsageError(f"expected {len(record)} {noun} values for this {field}, got {got}")
+    for name, value in (("ms", ms), (field, record), ("values", values)):
+        object.__setattr__(owner, name, value)
 
 
 @dataclass(frozen=True, eq=False)
 class SampleSet:
-    """Function values, a read-only complex128 array, aligned with a point grid."""
+    """Function values, a read-only complex128 array, on the canonical point grid."""
 
     system: SemisimpleSystem
     kind: str
     ms: tuple[int, ...]
-    grid: tuple[GridPoint, ...]
+    grid: PointGrid
     values: np.ndarray
 
     def __post_init__(self):
-        _set_values(self, len(self.grid), "sample values for this grid")
+        _check_set(self, "grid", build_point_grid, "sample")
 
 
 @dataclass(frozen=True, eq=False)
 class CoefficientSet:
-    """Expansion coefficients, a read-only complex128 array, aligned with a weight grid."""
+    """Expansion coefficients, a read-only complex128 array, on the canonical spectrum."""
 
     system: SemisimpleSystem
     kind: str
     ms: tuple[int, ...]
-    spectrum: tuple[SpectralPoint, ...]
+    spectrum: WeightGrid
     values: np.ndarray
 
     def __post_init__(self):
-        _set_values(self, len(self.spectrum), "coefficient values for this spectrum")
+        _check_set(self, "spectrum", build_weight_grid, "coefficient")
 
 
 def make_samples(system, kind, ms, values) -> SampleSet:
     """Wrap raw values (or a callable on torus points) as a SampleSet."""
-    ms, _ = check_moduli(system, kind, ms)
     grid = build_point_grid(system, kind, ms)
     if callable(values):
         values = [values(gp.point) for gp in grid]
@@ -150,7 +158,7 @@ def make_samples(system, kind, ms, values) -> SampleSet:
 
 def normalizers(system, kind, ms) -> np.ndarray:
     """The predicted diagonal of the discrete Gram matrix (read-only)."""
-    return weight_grid(system, kind, ms).norms
+    return build_weight_grid(system, kind, ms).norms
 
 
 #: largest grid with a dense phase matrix: N^2 complex entries stay <= 1 GiB
@@ -160,13 +168,13 @@ MAX_PHASE_MATRIX_N = 8192
 @lru_cache(maxsize=8)
 def phase_matrix(system: SemisimpleSystem, kind: str, ms: tuple[int, ...]) -> np.ndarray:
     """Matrix of orbit-sum values, spectrum rows by grid columns."""
-    points = point_grid(system, kind, ms)
-    if len(points.keys) > MAX_PHASE_MATRIX_N:
+    grid = build_point_grid(system, kind, ms)
+    if len(grid) > MAX_PHASE_MATRIX_N:
         raise UsageError(
-            f"a grid of {len(points.keys)} points is too large for the dense phase matrix; "
+            f"a grid of {len(grid)} points is too large for the dense phase matrix; "
             f"the limit is {MAX_PHASE_MATRIX_N}"
         )
-    out = _orbit_sums(system, kind, weight_grid(system, kind, ms).weights, points.keys, points.n)
+    out = _orbit_sums(system, kind, build_weight_grid(system, kind, ms).weights, grid.keys, grid.n)
     out.setflags(write=False)
     return out
 
@@ -195,29 +203,18 @@ def _apply_phase(system, kind, ms, x, transpose=False) -> np.ndarray:
 
 
 def forward_discrete(samples: SampleSet) -> CoefficientSet:
-    """Expand grid samples into orbit-sum coefficients.
-
-    The grid must be the canonical one for ``(system, kind, ms)``; a
-    reindexed or foreign grid is rejected.
-    """
-    system, kind = samples.system, samples.kind
-    ms, _ = check_moduli(system, kind, samples.ms)
-    points = point_grid(system, kind, ms)
-    if samples.grid is not points.points and samples.grid != points.points:
-        raise UsageError("sample grid is not the canonical grid for its metadata")
-    coeffs = np.conj(_apply_phase(system, kind, ms, np.conj(points.eps * samples.values)))
-    coeffs /= weight_grid(system, kind, ms).norms
+    """Expand grid samples into orbit-sum coefficients."""
+    system, kind, ms = samples.system, samples.kind, samples.ms
+    coeffs = np.conj(_apply_phase(system, kind, ms, np.conj(samples.grid.eps * samples.values)))
+    spectrum = build_weight_grid(system, kind, ms)
+    coeffs /= spectrum.norms
     coeffs.setflags(write=False)
-    return CoefficientSet(system, kind, ms, build_weight_grid(system, kind, ms), coeffs)
+    return CoefficientSet(system, kind, ms, spectrum, coeffs)
 
 
 def inverse_discrete(coeffs: CoefficientSet) -> SampleSet:
     """Evaluate the finite orbit-sum series back on the grid."""
-    system, kind = coeffs.system, coeffs.kind
-    ms, _ = check_moduli(system, kind, coeffs.ms)
-    spectrum = build_weight_grid(system, kind, ms)
-    if coeffs.spectrum is not spectrum and coeffs.spectrum != spectrum:
-        raise UsageError("coefficient spectrum is not the canonical one")
+    system, kind, ms = coeffs.system, coeffs.kind, coeffs.ms
     values = _apply_phase(system, kind, ms, coeffs.values, transpose=True)
     values.setflags(write=False)
     return SampleSet(system, kind, ms, build_point_grid(system, kind, ms), values)
@@ -237,7 +234,7 @@ def gram_matrix(system, kind, ms) -> np.ndarray:
     ms, _ = check_moduli(system, kind, ms)
     ee = phase_matrix(system, kind, ms)
     t = np.conj(ee)
-    t *= point_grid(system, kind, ms).eps
+    t *= build_point_grid(system, kind, ms).eps
     g = t @ ee.T
     return np.conj(g, out=g)
 

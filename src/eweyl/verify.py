@@ -27,7 +27,7 @@ import numpy as np
 
 from .lie_data import SemisimpleSystem, UsageError, system_from_selector
 from .weyl import even_subgroup, stab_order
-from .grids import domain_blocks, label_names, point_grid, weight_grid
+from .grids import build_point_grid, build_weight_grid, domain_blocks, label_names
 from . import efunc
 
 #: largest modulus tried when a row's zero pattern is unrealisable at the
@@ -316,12 +316,12 @@ def _stratum_value(system, kind, coefficient, flags, modulus):
     """
     ms = (modulus,) * len(domain_blocks(system, kind))
     if coefficient == "h":
-        grid = weight_grid(system, kind, ms)
-        labels, values, pick = grid.labels, grid.h, np.min
+        grid = build_weight_grid(system, kind, ms)
+        values, pick = grid.h, np.min
     else:
-        grid = point_grid(system, kind, ms)
-        labels, values, pick = grid.labels, grid.eps, np.max
-    picked = values[((labels != 0) == np.array(flags, dtype=bool)).all(axis=1)]
+        grid = build_point_grid(system, kind, ms)
+        values, pick = grid.eps, np.max
+    picked = values[((grid.labels != 0) == np.array(flags, dtype=bool)).all(axis=1)]
     return int(pick(picked)) if len(picked) else None
 
 

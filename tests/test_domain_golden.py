@@ -34,8 +34,8 @@ def _outputs(sel, kind):
     system = E.system_from_selector(sel)
     moduli = _moduli(kind, len(system.factors))
     return {
-        "points": [E.build_point_grid(system, kind, ms) for ms in moduli],
-        "weights": [E.build_weight_grid(system, kind, ms) for ms in moduli],
+        "points": [tuple(E.build_point_grid(system, kind, ms)) for ms in moduli],
+        "weights": [tuple(E.build_weight_grid(system, kind, ms)) for ms in moduli],
         "dominant": E.enumerate_dominant(system, kind, 2),
         "cells": list(quadrature_cells(system, kind, 3)),
         "domain": [

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import eweyl as E
-from eweyl.grids import _require_distinct, point_grid, weight_grid
+from eweyl.grids import _require_distinct
 from eweyl.weyl import even_subgroup, torus_keys
 from conftest import SELECTORS
 from reference import (
@@ -167,12 +167,12 @@ def test_grid_records_are_read_only_arrays_of_their_tuples():
     for sel in SELECTORS:
         system = E.system_from_selector(sel)
         for kind, ms in (("e", (3,)), ("ee", (2,) * len(system.factors))):
-            points = point_grid(system, kind, ms)
-            weights = weight_grid(system, kind, ms)
+            points = E.build_point_grid(system, kind, ms)
+            weights = E.build_weight_grid(system, kind, ms)
             # one cache entry per side; the tuple is built once and kept in it
-            assert points is point_grid(system, kind, list(ms))
-            assert E.build_point_grid(system, kind, ms) is points.points
-            assert E.build_weight_grid(system, kind, ms) is weights.points
+            assert points is E.build_point_grid(system, kind, list(ms))
+            assert weights is E.build_weight_grid(system, kind, list(ms))
+            assert points.points is points.points and weights.points is weights.points
             for a in (points.numerators, points.labels, points.eps, points.keys,
                       weights.weights, weights.labels, weights.h, weights.norms):
                 assert not a.flags.writeable
@@ -211,3 +211,15 @@ def test_one_modulus_power():
     assert grids.modulus_power(a1xc2, "e", 3) == 3**3
     assert grids.modulus_power(a1xc2, "ee", (2, 5)) == 2 * 5**2
 
+
+def test_grid_records_read_as_their_tuples():
+    system = E.system_from_selector("a1xc2")
+    for grid in (E.build_point_grid(system, "ee", (3, 2)), E.build_weight_grid(system, "e", 3)):
+        items = grid.points
+        assert type(items) is tuple and len(grid) == len(items) == len(grid.labels)
+        assert grid[0] is items[0] and grid[-1] is items[-1] and grid[-3] is items[-3]
+        assert grid[2:7] == items[2:7] and grid[::-2] == items[::-2]
+        assert list(grid) == list(items) and list(reversed(grid)) == list(reversed(items))
+        assert items[4] in grid and tuple(grid) == items
+        with pytest.raises(IndexError):
+            grid[len(items)]

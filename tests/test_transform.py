@@ -108,21 +108,19 @@ def test_inverse_edge_cases():
 def test_foreign_grid_rejected():
     system = E.system_from_selector("a1xa1")
     grid = E.build_point_grid(system, "e", 2)
-    samples = E.SampleSet(system, "e", (2,), tuple(reversed(grid)), (0j,) * len(grid))
     with pytest.raises(E.UsageError):
-        forward_discrete(samples)
+        E.SampleSet(system, "e", (2,), tuple(reversed(grid)), (0j,) * len(grid))
 
 
 def test_foreign_spectrum_rejected():
     system = E.system_from_selector("a1xa1")
     spectrum = E.build_weight_grid(system, "e", 2)
-    coeffs = E.CoefficientSet(system, "e", (2,), tuple(reversed(spectrum)), [0j] * len(spectrum))
     with pytest.raises(E.UsageError):
-        inverse_discrete(coeffs)
+        E.CoefficientSet(system, "e", (2,), tuple(reversed(spectrum)), [0j] * len(spectrum))
     # an equal grid built elsewhere is accepted
     grid = E.build_point_grid(system, "e", 2)
     copy = tuple(E.GridPoint(gp.point, gp.label, gp.epsilon) for gp in grid)
-    assert copy == grid and copy is not grid
+    assert copy == tuple(grid) and copy is not grid
     forward_discrete(E.SampleSet(system, "e", (2,), copy, [1j] * len(grid)))
 
 
@@ -433,3 +431,40 @@ def test_separable_transform_past_the_dense_limit():
     samples = make_samples(system, kind, ms, _random_values(random.Random(19), grid))
     back = inverse_discrete(forward_discrete(samples))
     assert max(abs(a - b) for a, b in zip(back.values, samples.values)) < 1e-9
+
+
+def _fresh_grids():
+    """Empty the grid caches, so that no earlier test has built a record's tuple."""
+    from eweyl import grids
+
+    grids._point_grid_cached.cache_clear()
+    grids._weight_grid_cached.cache_clear()
+
+
+def test_transforms_never_build_the_grid_tuples():
+    _fresh_grids()
+    for sel, kind, ms in (("a1xg2", "e", (5,)), ("a1xa1xa1", "ee", (7, 6, 6))):
+        system = E.system_from_selector(sel)
+        grid, spectrum = E.build_point_grid(system, kind, ms), E.build_weight_grid(system, kind, ms)
+        values = np.random.default_rng(3).standard_normal(len(grid)) + 1j
+        coeffs = forward_discrete(make_samples(system, kind, ms, values))
+        back = inverse_discrete(coeffs)
+        assert coeffs.spectrum is spectrum and back.grid is grid
+        assert np.abs(back.values - values).max() < 1e-9
+        assert "points" not in vars(grid) and "points" not in vars(spectrum)
+
+
+def test_sets_hold_the_cached_record():
+    system = E.system_from_selector("a1xa2")
+    grid, spectrum = E.build_point_grid(system, "e", 2), E.build_weight_grid(system, "e", 2)
+    for ms in (2, [2], (2,), np.int64(2)):
+        samples = E.SampleSet(system, "e", ms, tuple(grid), [0j] * len(grid))
+        coeffs = E.CoefficientSet(system, "e", ms, list(spectrum), [0j] * len(spectrum))
+        assert samples.grid is grid and coeffs.spectrum is spectrum
+        assert samples.ms == coeffs.ms == (2,) and type(samples.ms) is type(coeffs.ms) is tuple
+        assert make_samples(system, "e", ms, [0j] * len(grid)).ms == (2,)
+    for foreign in (None, 5, grid[:-1], tuple(grid)[1:] + tuple(grid)[:1], spectrum):
+        with pytest.raises(E.UsageError, match="sample grid is not the canonical grid"):
+            E.SampleSet(system, "e", (2,), foreign, [0j] * len(grid))
+    with pytest.raises(E.UsageError, match="coefficient spectrum is not the canonical"):
+        E.CoefficientSet(system, "e", (3,), spectrum, [0j] * len(spectrum))
