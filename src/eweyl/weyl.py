@@ -83,10 +83,10 @@ def check_moduli(system: SemisimpleSystem, kind: str, ms):
     if isinstance(ms, numbers.Integral):
         ms = (ms,)
     try:
-        ms = tuple(operator.index(m) for m in ms)
+        ms = tuple(map(operator.index, ms))
     except TypeError:
         raise UsageError(f"moduli must be integers, got {ms!r}") from None
-    if any(m < 1 for m in ms):
+    if ms and min(ms) < 1:
         raise UsageError("moduli must be >= 1")
     k = len(system.factors)
     want = 1 if kind == FULL_EVEN else k
