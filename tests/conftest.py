@@ -1,9 +1,20 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 import eweyl as E
+from eweyl import grids
 
 SELECTORS = E.SUPPORTED_SELECTORS
+
+
+@pytest.fixture
+def fresh_grids():
+    """Empty the grid caches, so that no earlier test has built a record's tuple."""
+    grids._point_grid_cached.cache_clear()
+    grids._weight_grid_cached.cache_clear()
+
 
 #: (system, kind, moduli) cases used by the orthogonality/round-trip suites
 def discrete_cases():

@@ -430,11 +430,7 @@ def test_file_readers_name_the_first_row_off_the_canonical_grid(tmp_path, capsys
         assert (status, captured.out, captured.err) == (2, "", f"error: {want}\n")
 
 
-def test_cli_forward_inverse_never_build_the_grid_tuples(tmp_path, capsys):
-    from eweyl import grids
-
-    grids._point_grid_cached.cache_clear()
-    grids._weight_grid_cached.cache_clear()
+def test_cli_forward_inverse_never_build_the_grid_tuples(tmp_path, capsys, fresh_grids):
     system, ms = E.system_from_selector("a1xc2"), (5, 3)
     grid = E.build_point_grid(system, "ee", ms)
     rows = [",".join(label_names(system, "s") + ["re", "im"])]

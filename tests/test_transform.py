@@ -433,16 +433,7 @@ def test_separable_transform_past_the_dense_limit():
     assert max(abs(a - b) for a, b in zip(back.values, samples.values)) < 1e-9
 
 
-def _fresh_grids():
-    """Empty the grid caches, so that no earlier test has built a record's tuple."""
-    from eweyl import grids
-
-    grids._point_grid_cached.cache_clear()
-    grids._weight_grid_cached.cache_clear()
-
-
-def test_transforms_never_build_the_grid_tuples():
-    _fresh_grids()
+def test_transforms_never_build_the_grid_tuples(fresh_grids):
     for sel, kind, ms in (("a1xg2", "e", (5,)), ("a1xa1xa1", "ee", (7, 6, 6))):
         system = E.system_from_selector(sel)
         grid, spectrum = E.build_point_grid(system, kind, ms), E.build_weight_grid(system, kind, ms)
