@@ -56,11 +56,6 @@ def _fmt17(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _fraction_str(v: Fraction) -> str:
-    v = Q(v)
-    return f"{v.numerator}/{v.denominator}"
-
-
 def _parse_fraction(text: str) -> Fraction:
     try:
         return Q(text)
@@ -68,14 +63,14 @@ def _parse_fraction(text: str) -> Fraction:
         raise UsageError(f"not a rational number: {text!r}") from None
 
 
-def _finite(re_part, im_part, where) -> complex:
-    """A finite complex value from two real parts read from a file."""
+def _finite(re_part, im_part, what: str, item) -> complex:
+    """A finite complex value from two real parts read from a file; errors name ``what item``."""
     try:
         value = complex(float(re_part), float(im_part))
     except (TypeError, ValueError):
-        raise UsageError(f"{where}: not a pair of real numbers") from None
+        raise UsageError(f"{what} {item!r}: not a pair of real numbers") from None
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise UsageError(f"{where}: value is not finite")
+        raise UsageError(f"{what} {item!r}: value is not finite")
     return value
 
 
@@ -125,8 +120,12 @@ def _cmd_grid(args):
     sysm = _system(args)
     grid = build_point_grid(sysm, args.kind, args.M)
     header = label_names(sysm, "s") + [f"x{i + 1}" for i in range(sysm.n)] + ["eps"]
+    # coordinates in lowest terms as ``num/den``, straight from the integer numerators
+    g = np.gcd(grid.numerators, grid.denominator)
+    nums, dens = (grid.numerators // g).tolist(), (grid.denominator // g).tolist()
     _write_csv(args, header, (
-        [*map(str, gp.label), *map(_fraction_str, gp.point), str(gp.epsilon)] for gp in grid
+        [*map(str, label), *map("{}/{}".format, n, d), str(eps)]
+        for label, n, d, eps in zip(grid.labels.tolist(), nums, dens, grid.eps.tolist())
     ))
     return 0
 
@@ -136,7 +135,8 @@ def _cmd_spectrum(args):
     spectrum = build_weight_grid(sysm, args.kind, args.M)
     header = label_names(sysm, "t") + [f"a{i + 1}" for i in range(sysm.n)] + ["h"]
     _write_csv(args, header, (
-        [*map(str, sp.label), *map(str, sp.weight), str(sp.h)] for sp in spectrum
+        [*map(str, label), *map(str, weight), str(h)] for label, weight, h in
+        zip(spectrum.labels.tolist(), spectrum.weights.tolist(), spectrum.h.tolist())
     ))
     return 0
 
@@ -194,7 +194,7 @@ def _read_samples_csv(path, sysm, kind, ms):
         except ValueError:
             raise UsageError(f"malformed sample row: {row!r}") from None
     _check_labels(labels, labels, grid.labels, "sample row", "grid")
-    values = [_finite(c[-2], c[-1], f"sample row {row!r}") for row, c in zip(rows, cells)]
+    values = [_finite(c[-2], c[-1], "sample row", row) for row, c in zip(rows, cells)]
     return make_samples(sysm, kind, ms, values)
 
 
@@ -244,7 +244,7 @@ def _read_coeff_json(path):
     for entry in data["entries"]:
         try:
             labels.append(tuple(entry["t"]))
-            parts.append((entry["re"], entry["im"], f"coefficient entry {entry!r}"))
+            parts.append((entry["re"], entry["im"], "coefficient entry", entry))
         except (KeyError, TypeError):
             raise UsageError(f"malformed coefficient entry {entry!r}") from None
     _check_labels(labels, [e["t"] for e in data["entries"]], spectrum.labels, "entry", "spectrum")

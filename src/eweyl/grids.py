@@ -4,14 +4,15 @@ Both even domains are described once, by :func:`domain_blocks`, as a
 product of gluing blocks ``F_B u r_B(F_B interior)``; :func:`glue`
 enumerates integer per-factor cells over that description, and every
 enumeration here (point and weight grids, dominant weights) consumes
-it.  Each gluing reflection acts on one factor only, so it is applied
-to that factor's cells before the product is taken.  The point grid is
-the only discretisation of the domain.  Each grid is one cached record
-per side (:func:`build_point_grid`, :func:`build_weight_grid`) of the
-read-only integer arrays it is built from; as a sequence it reads as
-its ``GridPoint``/``SpectralPoint`` tuple, built on first use and kept
-in it.  The quadrature cells of the continuous transform read
-:func:`point_grid_arrays`, the same record uncached.
+it.  A block names the one factor its gluing reflection moves, and
+only that factor's cells are reflected before the product is taken.
+The point grid is the only discretisation of the domain.  Each grid is
+one cached record per side (:func:`build_point_grid`,
+:func:`build_weight_grid`) of the read-only integer arrays it is built
+from; as a sequence it reads as its ``GridPoint``/``SpectralPoint``
+tuple, built on first use and kept in it.  The quadrature cells of the
+continuous transform read :func:`point_grid_arrays`, the same record
+uncached.
 
 Grid cells carry Kac-style labels: nonnegative integers ``[s0, s1, ...]``
 per factor with ``s0 + sum(m_i s_i) = M`` (marks ``m`` for point grids,
@@ -45,17 +46,14 @@ from .lie_data import (
     UsageError,
     Weight,
     assemble_system,
-    identity_matrix,
 )
 from .weyl import (
     FULL_EVEN,
-    GroupElement,
     _scaled,
     check_even_kind,
     check_moduli,
     even_subgroup,
     length_error,
-    orbit,
     scaled_torus_keys,
     simple_reflection,
     torus_orbit_sizes,
@@ -125,13 +123,14 @@ def _circle_labels(modulus: int):
 class GluingBlock:
     """``F_B u r(F_B interior)`` over the product ``F_B`` of some factors.
 
-    ``reflection`` acts on the concatenated coordinates of ``factors``.
-    A ``circle`` block is one A1 factor whose two halves are enumerated
-    together as the signed circle ``-M < s <= M``.
+    ``r`` is the first simple reflection of factor ``reflected``, one of
+    ``factors``; it fixes the other factors.  A ``circle`` block is one
+    A1 factor whose two halves are enumerated together as the signed
+    circle ``-M < s <= M``.
     """
 
     factors: tuple[int, ...]
-    reflection: GroupElement
+    reflected: int
     circle: bool
 
 
@@ -139,40 +138,23 @@ class GluingBlock:
 def domain_blocks(system: SemisimpleSystem, kind: str) -> tuple[GluingBlock, ...]:
     """The even fundamental domain of ``kind`` as a product of blocks.
 
-    Kind ``"e"`` glues the whole simplex product with one reflection:
-    the first simple root of the first rank >= 2 factor, or the very
-    first coordinate when all factors are A1.  Kind ``"ee"`` glues every
-    factor separately with its own first simple reflection.
+    Kind ``"e"`` glues the whole simplex product with one reflection,
+    that of the first rank >= 2 factor, or of factor 0 when all factors
+    are A1.  Kind ``"ee"`` glues every factor separately with its own
+    reflection.
     """
     if check_even_kind(kind) == FULL_EVEN:
-        everything = tuple(range(len(system.factors)))
-        first = next((off for off, f in zip(system.offsets, system.factors) if f.rank >= 2), 0)
-        return (GluingBlock(everything, simple_reflection(system, first), False),)
-    return tuple(
-        GluingBlock((i,), simple_reflection(assemble_system((f.kind,)), 0), f.rank == 1)
-        for i, f in enumerate(system.factors)
-    )
+        first = next((i for i, f in enumerate(system.factors) if f.rank >= 2), 0)
+        return (GluingBlock(tuple(range(len(system.factors))), first, False),)
+    return tuple(GluingBlock((i,), i, f.rank == 1) for i, f in enumerate(system.factors))
 
 
-def _factor_reflections(system: SemisimpleSystem, block: GluingBlock, dual: bool):
-    """The gluing reflection of ``block`` split into one matrix per factor.
-
-    Every gluing reflection is a simple reflection, so its matrix is
-    the identity outside the diagonal block of the one factor holding
-    its root.  Returns one entry per factor of ``block``: that factor's
-    diagonal block (weight action if ``dual``, else coweight action),
-    or ``None`` where it is the identity.
-    """
-    refl = block.reflection
-    matrix = refl.weight_matrix if dual else refl.coweight_matrix
-    out, lo = [], 0
-    for i in block.factors:
-        hi = lo + system.factors[i].rank
-        sub = tuple(row[lo:hi] for row in matrix[lo:hi])
-        if any(v for row in matrix[lo:hi] for v in row[:lo] + row[hi:]):
-            raise AssertionError("a gluing reflection mixes factors")
-        out.append(None if sub == identity_matrix(hi - lo) else sub)
-        lo = hi
+@lru_cache(maxsize=None)
+def _gluing_reflection(kind: str, dual: bool) -> np.ndarray:
+    """Factor ``kind``'s first simple reflection: int64 weight action if ``dual``, else coweight."""
+    r = simple_reflection(assemble_system((kind,)), 0)
+    out = np.array(r.weight_matrix if dual else r.coweight_matrix, dtype=np.int64)
+    out.setflags(write=False)
     return out
 
 
@@ -206,15 +188,12 @@ def glue(system: SemisimpleSystem, kind: str, piece, dual: bool):
     blocks = []
     for block in domain_blocks(system, kind):
         if block.circle:
-            blocks.append(piece(block.factors[0], "circle"))
+            blocks.append(piece(block.reflected, "circle"))
             continue
         closed = _array_product([piece(i, "closed") for i in block.factors])
-        interiors = []
-        for i, sub in zip(block.factors, _factor_reflections(system, block, dual)):
-            coords, tags = piece(i, "interior")
-            if sub is not None:
-                coords = coords @ np.array(sub, dtype=np.int64).T
-            interiors.append((coords, tags))
+        interiors = [piece(i, "interior") for i in block.factors]
+        k, f = block.factors.index(block.reflected), system.factors[block.reflected]
+        interiors[k] = (interiors[k][0] @ _gluing_reflection(f.kind, dual).T, interiors[k][1])
         interior = _array_product(interiors)
         blocks.append(tuple(np.concatenate([a, b]) for a, b in zip(closed, interior)))
     return _array_product(blocks)
@@ -278,7 +257,7 @@ def _check_grid_size(system: SemisimpleSystem, kind: str, ms, dual: bool) -> Non
     size = 1
     for block in domain_blocks(system, kind):
         if block.circle:
-            size *= 2 * per_factor[block.factors[0]]
+            size *= 2 * per_factor[block.reflected]
             continue
         for i in block.factors:
             f = system.factors[i]
@@ -421,21 +400,19 @@ def domain_mask(system: SemisimpleSystem, kind: str, numerators, lcm: int) -> np
 
     Per block of :func:`domain_blocks`: closed, or reflected into the
     interior.  On the integer numerators ``c`` a factor's simplex is
-    ``c >= 0, sum(m c) <= lcm``, and the reflection is the block's
-    integer coweight matrix; all arithmetic is on Python ints.
+    ``c >= 0, sum(m c) <= lcm``, and the reflection moves the reflected
+    factor's coordinates only; all arithmetic is on Python ints.
     """
     x = np.array(numerators, dtype=object).reshape(-1, system.n)
     inside = np.ones(len(x), dtype=bool)
     for block in domain_blocks(system, kind):
-        part = x[:, [j for i in block.factors for j in range(*system.factor_slices()[i])]]
-        reflected = part @ np.array(block.reflection.coweight_matrix, dtype=object).T
         closed = interior = True
-        lo = 0
-        for f in (system.factors[i] for i in block.factors):
-            c, r, marks = part[:, lo:lo + f.rank], reflected[:, lo:lo + f.rank], list(f.marks)
+        for i in block.factors:
+            f = system.factors[i]
+            c, marks = x[:, slice(*system.factor_slices()[i])], list(f.marks)
+            r = c @ _gluing_reflection(f.kind, False).T.astype(object) if i == block.reflected else c
             closed &= (c >= 0).all(axis=1) & (c @ marks <= lcm)
             interior &= (r > 0).all(axis=1) & (r @ marks < lcm)
-            lo += f.rank
         inside &= closed | interior
     return inside
 
@@ -456,8 +433,9 @@ def enumerate_dominant(system: SemisimpleSystem, kind: str, bound: int):
     """A finite truncation of the even-orbit representative weights.
 
     Every generator integer runs through ``0..bound`` (``-bound..bound``
-    along a circle block), the reflected part through ``1..bound``; one
-    representative per even-orbit class is kept, in generation order.
+    along a circle block), the reflected part through ``1..bound``, in
+    the order of :func:`glue`.  The domain holds one representative per
+    even orbit, so no two weights share an orbit.
     """
     if bound < 0:
         raise UsageError("bound must be >= 0")
@@ -469,12 +447,4 @@ def enumerate_dominant(system: SemisimpleSystem, kind: str, bound: int):
         coords = np.array(coords, dtype=np.int64).reshape(-1, rank)
         return coords, np.empty((len(coords), 0), dtype=np.int64)
 
-    group = even_subgroup(system, kind)
-    out = []
-    seen = set()
-    for w in map(tuple, glue(system, kind, piece, dual=True)[0].tolist()):
-        key = orbit(group, w)[0]
-        if key not in seen:
-            seen.add(key)
-            out.append(w)
-    return out
+    return list(map(tuple, glue(system, kind, piece, dual=True)[0].tolist()))

@@ -171,14 +171,6 @@ class SemisimpleSystem:
             (off, off + f.rank) for off, f in zip(self.offsets, self.factors)
         )
 
-    @property
-    def marks(self) -> tuple[int, ...]:
-        return tuple(m for f in self.factors for m in f.marks)
-
-    @property
-    def dual_marks(self) -> tuple[int, ...]:
-        return tuple(m for f in self.factors for m in f.dual_marks)
-
 
 @lru_cache(maxsize=None)
 def assemble_system(kinds: tuple[str, ...]) -> SemisimpleSystem:

@@ -79,6 +79,8 @@ from .weyl import (
 from .grids import (
     PointGrid,
     WeightGrid,
+    _point_grid_cached,
+    _weight_grid_cached,
     build_point_grid,
     build_weight_grid,
     domain_blocks,
@@ -91,14 +93,16 @@ from .grids import (
 TOL_ORTHOGONALITY = 1e-9
 
 
-def _check_set(owner, field: str, build, noun: str) -> None:
+def _check_set(owner, field: str, cached, noun: str) -> None:
     """Store a set's ``ms`` as a tuple, ``field`` as the cached record and ``values`` as an array.
 
-    Another sequence equal to the record item by item stands for it.  A
-    read-only complex128 ``values`` array is kept as it is, anything else copied.
+    ``cached`` is the grid cache of that side, read with the moduli
+    normalised here.  Another sequence equal to the record item by item
+    stands for it.  A read-only complex128 ``values`` array is kept as
+    it is, anything else copied.
     """
     ms, _ = check_moduli(owner.system, owner.kind, owner.ms)
-    record = build(owner.system, owner.kind, ms)
+    record = cached(owner.system, owner.kind, ms)
     try:
         same = getattr(owner, field) is record or tuple(getattr(owner, field)) == record.points
     except (TypeError, ValueError):
@@ -127,7 +131,7 @@ class SampleSet:
     values: np.ndarray
 
     def __post_init__(self):
-        _check_set(self, "grid", build_point_grid, "sample")
+        _check_set(self, "grid", _point_grid_cached, "sample")
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,14 +145,14 @@ class CoefficientSet:
     values: np.ndarray
 
     def __post_init__(self):
-        _check_set(self, "spectrum", build_weight_grid, "coefficient")
+        _check_set(self, "spectrum", _weight_grid_cached, "coefficient")
 
 
 def make_samples(system, kind, ms, values) -> SampleSet:
     """Wrap raw values (or a callable on torus points) as a SampleSet."""
     grid = build_point_grid(system, kind, ms)
     if callable(values):
-        values = [values(gp.point) for gp in grid]
+        values = list(map(values, fraction_rows(grid.numerators, grid.denominator)))
     return SampleSet(system, kind, ms, grid, values)
 
 

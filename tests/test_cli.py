@@ -390,23 +390,25 @@ def test_dump_group(capsys):
 
 def test_file_readers_name_the_first_row_off_the_canonical_grid(tmp_path, capsys):
     # every row is read against the canonical labels: a count mismatch,
-    # then the first row whose label differs, is exit 2 with its message
+    # then the first row whose label differs, then a row whose value is
+    # not a finite pair, is exit 2 with its message
     system = E.system_from_selector("a1xa1")
     grid = E.build_point_grid(system, "e", 2)
     spectrum = E.build_weight_grid(system, "e", 2)
     labels = [list(gp.label) for gp in grid]
     swapped = labels[:2] + [labels[3], labels[2]] + labels[4:]
 
-    def forward(rows):
+    def forward(rows, im1=0.0):
         path = tmp_path / "s.csv"
-        lines = ["s0,s1,s0',s2,re,im"] + [",".join(map(str, r + [0.5, 0.0])) for r in rows]
+        cells = [r + [0.5, im1 if k == 1 else 0.0] for k, r in enumerate(rows)]
+        lines = ["s0,s1,s0',s2,re,im"] + [",".join(map(str, c)) for c in cells]
         path.write_text("\n".join(lines) + "\n")
         return run(["forward", "--group", "a1xa1", "--kind", "e", "--M", "2",
                     "--samples", str(path)])
 
-    def inverse(ts):
+    def inverse(ts, re2=0.5):
         path = tmp_path / "c.json"
-        entries = [{"t": t, "re": 0.5, "im": 0.0} for t in ts]
+        entries = [{"t": t, "re": re2 if k == 2 else 0.5, "im": 0.0} for k, t in enumerate(ts)]
         path.write_text(json.dumps({"group": "a1xa1", "kind": "e", "M": [2], "entries": entries}))
         return run(["inverse", "--coeffs", str(path)])
 
@@ -424,6 +426,14 @@ def test_file_readers_name_the_first_row_off_the_canonical_grid(tmp_path, capsys
          f"entry label {t[1][:3]} does not match canonical spectrum label {spectrum[1].label}"),
         (lambda: inverse(t[:4] + ["abcd"] + t[5:]),  # not a list of integers
          f"entry label abcd does not match canonical spectrum label {spectrum[4].label}"),
+        (lambda: forward(labels, "abc"),
+         f"sample row {','.join(map(str, labels[1] + [0.5, 'abc']))!r}: not a pair of real numbers"),
+        (lambda: forward(labels, "nan"),
+         f"sample row {','.join(map(str, labels[1] + [0.5, 'nan']))!r}: value is not finite"),
+        (lambda: inverse(t, [1]),
+         f"coefficient entry {dict(t=t[2], re=[1], im=0.0)!r}: not a pair of real numbers"),
+        (lambda: inverse(t, math.inf),
+         f"coefficient entry {dict(t=t[2], re=math.inf, im=0.0)!r}: value is not finite"),
     ]:
         status = reader()
         captured = capsys.readouterr()
@@ -445,5 +455,9 @@ def test_cli_forward_inverse_never_build_the_grid_tuples(tmp_path, capsys, fresh
     assert max(abs(float(c[-2]) - 0.25) + abs(float(c[-1]) + 1) for c in
                (line.split(",") for line in lines[1:])) < 1e-9
     spectrum = E.build_weight_grid(system, "ee", ms)
+    moduli = ["--group", "a1xc2", "--kind", "ee", "--M", "5", "3"]
+    assert run(["grid", *moduli]) == 0 and run(["spectrum", *moduli]) == 0
+    captured = capsys.readouterr()
+    assert len(captured.out.splitlines()) == len(grid) + 1 + len(spectrum) + 1
     assert "points" not in vars(grid) and "points" not in vars(spectrum)
-    assert capsys.readouterr().err == ""
+    assert captured.err == ""

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import eweyl as E
-from eweyl.grids import _require_distinct
-from eweyl.weyl import even_subgroup, torus_keys
+from eweyl.grids import _gluing_reflection, _require_distinct, domain_blocks
+from eweyl.weyl import even_subgroup, simple_reflection, torus_keys
 from conftest import SELECTORS
 from reference import (
     canonical_torus_point,
@@ -129,12 +129,32 @@ def test_enumerate_dominant_examples():
 
 
 def test_enumerate_dominant_orbit_disjoint():
-    for sel, kind in [("a1xa2", "e"), ("a1xc2", "ee"), ("a1xa1xa1", "e")]:
+    # enumerate_dominant keeps every glued weight: only a correct domain
+    # gives one weight per even orbit
+    for sel, kind, bound in itertools.product(SELECTORS, ("e", "ee"), range(5)):
         system = E.system_from_selector(sel)
         group = even_subgroup(system, kind)
-        weights = E.enumerate_dominant(system, kind, 2)
+        weights = E.enumerate_dominant(system, kind, bound)
         reps = [E.orbit(group, w)[0] for w in weights]
-        assert len(set(reps)) == len(weights)
+        assert len(set(reps)) == len(weights), (sel, kind, bound)
+
+
+def test_gluing_reflection_moves_only_its_factor():
+    for sel in SELECTORS:
+        system = E.system_from_selector(sel)
+        first = next((i for i, f in enumerate(system.factors) if f.rank >= 2), 0)
+        assert [b.reflected for b in domain_blocks(system, "e")] == [first]
+        assert [b.reflected for b in domain_blocks(system, "ee")] == [*range(len(system.factors))]
+        for block in domain_blocks(system, "e") + domain_blocks(system, "ee"):
+            assert block.reflected in block.factors
+            lo, hi = system.factor_slices()[block.reflected]
+            r = simple_reflection(system, lo)
+            kind = system.factors[block.reflected].kind
+            for matrix, dual in ((r.weight_matrix, True), (r.coweight_matrix, False)):
+                outside = np.array(matrix)
+                assert (outside[lo:hi, lo:hi] == _gluing_reflection(kind, dual)).all()
+                outside[lo:hi, lo:hi] = np.eye(hi - lo, dtype=int)
+                assert (outside == np.eye(system.n, dtype=int)).all()
 
 
 def test_grid_is_deterministic():

@@ -442,7 +442,15 @@ def test_transforms_never_build_the_grid_tuples(fresh_grids):
         back = inverse_discrete(coeffs)
         assert coeffs.spectrum is spectrum and back.grid is grid
         assert np.abs(back.values - values).max() < 1e-9
+
+        def f(x):
+            return complex(sum(x), x[-1] ** 2)
+
+        called = make_samples(system, kind, ms, f)
+        assert called.grid is grid
         assert "points" not in vars(grid) and "points" not in vars(spectrum)
+        listed = make_samples(system, kind, ms, [f(gp.point) for gp in grid])
+        assert np.array_equal(called.values, listed.values)
 
 
 def test_sets_hold_the_cached_record():
