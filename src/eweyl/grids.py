@@ -188,7 +188,7 @@ def glue(system: SemisimpleSystem, kind: str, piece, dual: bool):
     blocks = []
     for block in domain_blocks(system, kind):
         if block.circle:
-            blocks.append(piece(block.reflected, "circle"))
+            blocks.append(piece(block.factors[0], "circle"))
             continue
         closed = _array_product([piece(i, "closed") for i in block.factors])
         interiors = [piece(i, "interior") for i in block.factors]
@@ -257,7 +257,7 @@ def _check_grid_size(system: SemisimpleSystem, kind: str, ms, dual: bool) -> Non
     size = 1
     for block in domain_blocks(system, kind):
         if block.circle:
-            size *= 2 * per_factor[block.reflected]
+            size *= 2 * per_factor[block.factors[0]]
             continue
         for i in block.factors:
             f = system.factors[i]
