@@ -36,7 +36,6 @@ from .grids import (
     build_point_grid,
     build_weight_grid,
     domain_mask,
-    fraction_rows,
     label_names,
 )
 from .efunc import scaled_orbit_sums, xi
@@ -154,7 +153,7 @@ def _point_from_args(sysm, args):
     if len(args.label) == grid.labels.shape[1]:
         hits = np.flatnonzero((grid.labels == args.label).all(axis=1))
         if len(hits):  # the first one lies on the closed branch
-            return fraction_rows(grid.numerators[hits[:1]], grid.denominator)[0]
+            return grid[hits[0]].point
     raise UsageError(f"--label {args.label} is not a label of this grid (see 'eweyl grid')")
 
 

@@ -9,10 +9,10 @@ only that factor's cells are reflected before the product is taken.
 The point grid is the only discretisation of the domain.  Each grid is
 one cached record per side (:func:`build_point_grid`,
 :func:`build_weight_grid`) of the read-only integer arrays it is built
-from; as a sequence it reads as its ``GridPoint``/``SpectralPoint``
-tuple, built on first use and kept in it.  The quadrature cells of the
-continuous transform read :func:`point_grid_arrays`, the same record
-uncached.
+from, and nothing else.  As a sequence it reads as ``GridPoint``/
+``SpectralPoint`` items, built from the arrays each time one is read
+and never kept.  The quadrature cells of the continuous transform read
+:func:`point_grid_arrays`, the same record uncached.
 
 Grid cells carry Kac-style labels: nonnegative integers ``[s0, s1, ...]``
 per factor with ``s0 + sum(m_i s_i) = M`` (marks ``m`` for point grids,
@@ -33,8 +33,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -278,16 +279,22 @@ def _require_distinct(keys: np.ndarray, what: str):
 
 
 class _GridRecord:
-    """Read as the sequence of its ``points`` tuple; ``len`` reads the arrays."""
+    """Read as the items ``_items(rows)`` builds from a slice of the arrays; none is kept."""
 
     def __len__(self) -> int:
         return len(self.labels)
 
     def __getitem__(self, k):
-        return self.points[k]
+        if isinstance(k, slice):
+            return tuple(self._items(k))
+        k = range(len(self))[k]
+        return self._items(slice(k, k + 1))[0]
 
     def __iter__(self):
-        return iter(self.points)
+        return iter(self._items(slice(None)))
+
+    def __reversed__(self):
+        return iter(self._items(slice(None, None, -1)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,11 +312,10 @@ class PointGrid(_GridRecord):
     keys: np.ndarray
     n: int
 
-    @cached_property
-    def points(self) -> tuple[GridPoint, ...]:
-        """The ``GridPoint`` tuple, with ``Fraction`` coordinates."""
-        coords = fraction_rows(self.numerators, self.denominator)
-        return tuple(map(GridPoint, coords, map(tuple, self.labels.tolist()), self.eps.tolist()))
+    def _items(self, rows: slice) -> list[GridPoint]:
+        coords = fraction_rows(self.numerators[rows], self.denominator)
+        return list(map(GridPoint, coords, map(tuple, self.labels[rows].tolist()),
+                        self.eps[rows].tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -326,11 +332,9 @@ class WeightGrid(_GridRecord):
     h: np.ndarray
     norms: np.ndarray
 
-    @cached_property
-    def points(self) -> tuple[SpectralPoint, ...]:
-        """The ``SpectralPoint`` tuple."""
-        rows = (map(tuple, a.tolist()) for a in (self.weights, self.labels))
-        return tuple(map(SpectralPoint, *rows, self.h.tolist()))
+    def _items(self, rows: slice) -> list[SpectralPoint]:
+        weights, labels = (map(tuple, a[rows].tolist()) for a in (self.weights, self.labels))
+        return list(map(SpectralPoint, weights, labels, self.h[rows].tolist()))
 
 
 def point_grid_arrays(system: SemisimpleSystem, kind: str, ms) -> PointGrid:
@@ -435,10 +439,23 @@ def enumerate_dominant(system: SemisimpleSystem, kind: str, bound: int):
     Every generator integer runs through ``0..bound`` (``-bound..bound``
     along a circle block), the reflected part through ``1..bound``, in
     the order of :func:`glue`.  The domain holds one representative per
-    even orbit, so no two weights share an orbit.
+    even orbit, so no two weights share an orbit.  A bound giving more
+    than :data:`MAX_GRID_CELLS` weights is refused before enumerating:
+    each block counts ``(bound + 1)^rank + bound^rank`` weights over its
+    total rank (``2 bound + 1`` on a circle).
     """
+    try:
+        bound = operator.index(bound)
+    except TypeError:
+        raise UsageError(f"bound must be an integer, got {bound!r}") from None
     if bound < 0:
         raise UsageError("bound must be >= 0")
+    count = 1
+    for block in domain_blocks(system, kind):
+        rank = sum(system.factors[i].rank for i in block.factors)
+        count *= (bound + 1) ** rank + bound**rank
+    if count > MAX_GRID_CELLS:
+        raise UsageError(f"bound {bound} gives {count} weights; the limit is {MAX_GRID_CELLS}")
 
     def piece(i, part):
         lo = {"closed": 0, "interior": 1, "circle": -bound}[part]

@@ -16,8 +16,8 @@ the weights of the weight record; the records also hold ``eps`` and
 conjugates the vector, ``conj(P @ conj(eps * f)) / N``, not the
 matrix, and the inverse is ``P.T @ c``.  A sample or coefficient set
 holds one read-only complex128 array of values and the cached record
-of its grid, checked once when the set is made; the transforms read
-only the record's arrays.
+of its grid, not an equal copy, checked once when the set is made;
+the transforms and :func:`interpolate` read only the record's arrays.
 
 The product even group is the product of the factors' even groups, so
 every kind ``"ee"`` orbit sum is a product of per-factor ones and,
@@ -42,7 +42,8 @@ orthogonality this cubature is exact for every product of two orbit
 sums of the spectrum unless their weights alias modulo ``M`` times the
 root lattice, which :func:`continuous_coefficients` refuses.  The
 integrand ``f`` receives ``Fraction`` tuples, built block by block from
-a table of the few distinct numerators.  The spectrum of the
+a table of the few distinct numerators, and each block's orbit sums
+stay within 2**20 entries.  The spectrum of the
 continuous transform is the finite truncation produced by
 :func:`eweyl.grids.enumerate_dominant`.  Both transforms take their
 orbit sums from the exact integer kernel of :mod:`eweyl.efunc` (the
@@ -79,6 +80,7 @@ from .weyl import (
 from .grids import (
     PointGrid,
     WeightGrid,
+    _GridRecord,
     _point_grid_cached,
     _weight_grid_cached,
     build_point_grid,
@@ -94,20 +96,16 @@ TOL_ORTHOGONALITY = 1e-9
 
 
 def _check_set(owner, field: str, cached, noun: str) -> None:
-    """Store a set's ``ms`` as a tuple, ``field`` as the cached record and ``values`` as an array.
+    """Refuse a set whose ``field`` is not the cached record; store ``ms`` and ``values``.
 
     ``cached`` is the grid cache of that side, read with the moduli
-    normalised here.  Another sequence equal to the record item by item
-    stands for it.  A read-only complex128 ``values`` array is kept as
-    it is, anything else copied.
+    normalised here; even a sequence equal to the record is refused.
+    ``ms`` is stored as a tuple; a read-only complex128 ``values`` array
+    is kept as it is, anything else copied.
     """
     ms, _ = check_moduli(owner.system, owner.kind, owner.ms)
     record = cached(owner.system, owner.kind, ms)
-    try:
-        same = getattr(owner, field) is record or tuple(getattr(owner, field)) == record.points
-    except (TypeError, ValueError):
-        same = False
-    if not same:
+    if getattr(owner, field) is not record:
         raise UsageError(f"{noun} {field} is not the canonical {field} for its metadata")
     values = owner.values
     if not isinstance(values, np.ndarray) or values.dtype != complex or values.flags.writeable:
@@ -116,8 +114,8 @@ def _check_set(owner, field: str, cached, noun: str) -> None:
     if values.shape != (len(record),):
         got = len(values) if values.ndim == 1 else f"shape {values.shape}"
         raise UsageError(f"expected {len(record)} {noun} values for this {field}, got {got}")
-    for name, value in (("ms", ms), (field, record), ("values", values)):
-        object.__setattr__(owner, name, value)
+    object.__setattr__(owner, "ms", ms)
+    object.__setattr__(owner, "values", values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,8 +226,8 @@ def interpolate(coeffs: CoefficientSet, x: TorusPoint) -> complex:
     """Evaluate the finite series at an arbitrary torus point."""
     x = tuple(x)
     total = 0j
-    for sp, c in zip(coeffs.spectrum, coeffs.values.tolist()):
-        total += c * xi(coeffs.system, coeffs.kind, sp.weight, x)
+    for lam, c in zip(coeffs.spectrum.weights.tolist(), coeffs.values.tolist()):
+        total += c * xi(coeffs.system, coeffs.kind, lam, x)
     return total
 
 
@@ -260,12 +258,12 @@ _CELL_BLOCK = 2**14
 
 
 @dataclass(frozen=True, eq=False)
-class QuadratureCells:
+class QuadratureCells(_GridRecord):
     """Cells of :func:`quadrature_cells` as integer numerators over one denominator.
 
     Cell ``k`` is the point ``numerators[k] / denominator`` with weight
-    ``weights[k]``.  Iterating yields ``(point, weight)`` pairs with
-    ``Fraction`` coordinates and a float weight.
+    ``weights[k]``.  As a sequence it reads as ``(point, weight)`` pairs
+    with ``Fraction`` coordinates and a float weight, built when read.
     """
 
     numerators: np.ndarray
@@ -275,12 +273,9 @@ class QuadratureCells:
     def __len__(self) -> int:
         return len(self.numerators)
 
-    def points(self, start: int = 0, stop: int | None = None) -> list[TorusPoint]:
-        """``Fraction`` tuples of the cells ``start:stop``."""
-        return fraction_rows(self.numerators[start:stop], self.denominator)
-
-    def __iter__(self):
-        return zip(self.points(), self.weights.tolist())
+    def _items(self, rows: slice) -> list[tuple[TorusPoint, float]]:
+        return list(zip(fraction_rows(self.numerators[rows], self.denominator),
+                        self.weights[rows].tolist()))
 
 
 def quadrature_cells(system: SemisimpleSystem, kind: str, resolution: int) -> QuadratureCells:
@@ -302,15 +297,22 @@ def _check_alias_free(system, group, spectrum, per_factor) -> None:
 
     The grid sums ``Xi_mu * conj(Xi_lam) = sum_w Xi_(mu - w lam)``
     exactly unless some nonzero ``mu - w lam`` is congruent to 0 modulo
-    ``M_f`` times the root lattice of each factor ``f``.
+    ``M_f`` times the root lattice of each factor ``f``.  That lattice
+    is invariant under the group, so this happens iff two distinct
+    points of the orbits ``{w lam}`` share a residue key: one sort of
+    the ``|group| * len(spectrum)`` images finds them.
     """
     lams = np.array(spectrum, dtype=np.int64).reshape(len(spectrum), system.n)
-    images = np.stack([lams @ np.array(w.weight_matrix, dtype=np.int64).T for w in group])
-    diffs = (lams[None, :, None, :] - images[:, None, :, :]).reshape(-1, system.n)
-    diffs = diffs[diffs.any(axis=1)]
-    aliased = ~weight_keys(system, diffs, per_factor).any(axis=1)
-    if aliased.any():
-        nu = tuple(diffs[aliased][0].tolist())
+    images = np.concatenate([lams @ np.array(w.weight_matrix, dtype=np.int64).T for w in group])
+    # distinct images by sorted rows, not np.unique(axis=0), which imports numpy.ma
+    images = images[np.lexsort(images.T)]
+    images = images[np.r_[True, (images[1:] != images[:-1]).any(axis=1)]]
+    keys = weight_keys(system, images, per_factor)
+    order = np.lexsort(keys.T)
+    clash = np.flatnonzero((keys[order[1:]] == keys[order[:-1]]).all(axis=1))
+    if len(clash):
+        k = clash[0]
+        nu = tuple((images[order[k + 1]] - images[order[k]]).tolist())
         raise UsageError(f"resolution {per_factor[0]} aliases the weight {nu} to 0; raise it")
 
 
@@ -357,13 +359,17 @@ def continuous_coefficients(
     resolution raises :class:`UsageError`.
     """
     group = even_subgroup(system, check_kind(kind))
-    cells = quadrature_cells(system, kind, resolution)
     spectrum = enumerate_dominant(system, kind, weight_bound)
+    cells = quadrature_cells(system, kind, resolution)
     _check_alias_free(system, group, spectrum, (resolution,) * len(system.factors))
     integrals = np.zeros(len(spectrum), dtype=complex)
-    for start in range(0, len(cells), _CELL_BLOCK):
-        stop = start + _CELL_BLOCK
-        values = np.array([complex(f(p)) for p in cells.points(start, stop)])
+    # the spectrum-by-block orbit sums stay within 2**20 complex entries (16 MB)
+    block = max(1, min(_CELL_BLOCK, 2**20 // len(spectrum)))
+    for start in range(0, len(cells), block):
+        stop = start + block
+        values = np.array(
+            [complex(f(p)) for p in fraction_rows(cells.numerators[start:stop], cells.denominator)]
+        )
         weighted = cells.weights[start:stop] * values
         xi_vals = scaled_orbit_sums(
             system, kind, spectrum, cells.numerators[start:stop], cells.denominator

@@ -1,3 +1,4 @@
+import contextlib
 import random
 from fractions import Fraction
 
@@ -9,11 +10,20 @@ from eweyl import grids
 SELECTORS = E.SUPPORTED_SELECTORS
 
 
-@pytest.fixture
-def fresh_grids():
-    """Empty the grid caches, so that no earlier test has built a record's tuple."""
-    grids._point_grid_cached.cache_clear()
-    grids._weight_grid_cached.cache_clear()
+@contextlib.contextmanager
+def no_grid_items():
+    """Fail on any call of ``GridPoint`` or ``SpectralPoint`` inside the block.
+
+    Code that reads only the grid records' arrays builds no item.
+    """
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a grid item was built")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(grids, "GridPoint", refuse)
+        patch.setattr(grids, "SpectralPoint", refuse)
+        yield
 
 
 #: (system, kind, moduli) cases used by the orthogonality/round-trip suites

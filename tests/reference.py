@@ -4,10 +4,12 @@ import itertools
 import math
 from fractions import Fraction as Q
 
+import numpy as np
+
 import eweyl as E
 from eweyl.grids import in_even_domain
 from eweyl.lie_data import exp_phase, mat_inverse, mat_transpose, mat_vec
-from eweyl.weyl import check_moduli, torus_keys
+from eweyl.weyl import check_moduli, torus_keys, weight_keys
 
 
 def fraction_xi(system, kind, lam, x):
@@ -101,3 +103,22 @@ def oracle_point_grid(system, kind, ms) -> frozenset:
                 hits.add(canonical_torus_point(system, rep))
                 break
     return frozenset(hits)
+
+
+def spectrum_differences(system, group, spectrum) -> np.ndarray:
+    """The distinct nonzero ``mu - w lam`` over ``mu, lam`` in the spectrum and ``w`` in the group.
+
+    The grid of modulus ``M`` integrates the spectrum exactly iff none
+    of them is congruent to 0 modulo ``M_f`` times the root lattice of
+    each factor (``weight_keys`` all zero): the quadratic definition
+    that ``transform._check_alias_free`` decides by sorting.
+    """
+    lams = np.array(spectrum, dtype=np.int64).reshape(len(spectrum), system.n)
+    images = np.stack([lams @ np.array(w.weight_matrix, dtype=np.int64).T for w in group])
+    diffs = (lams[None, :, None, :] - images[:, None, :, :]).reshape(-1, system.n)
+    # one row per distinct mixed-radix code (np.unique(axis=0) is ~10x slower)
+    lo = diffs.min(axis=0)
+    radix = np.cumprod(np.r_[1, diffs.max(axis=0)[:-1] - lo[:-1] + 1])
+    _, first = np.unique((diffs - lo) @ radix, return_index=True)
+    diffs = diffs[first]
+    return diffs[diffs.any(axis=1)]

@@ -6,6 +6,7 @@ import time
 import eweyl as E
 from eweyl.cli import run
 from eweyl.grids import in_even_domain, label_names
+from conftest import no_grid_items
 from fractions import Fraction as Q
 
 
@@ -440,24 +441,25 @@ def test_file_readers_name_the_first_row_off_the_canonical_grid(tmp_path, capsys
         assert (status, captured.out, captured.err) == (2, "", f"error: {want}\n")
 
 
-def test_cli_forward_inverse_never_build_the_grid_tuples(tmp_path, capsys, fresh_grids):
+def test_cli_forward_inverse_never_build_the_grid_tuples(tmp_path, capsys):
     system, ms = E.system_from_selector("a1xc2"), (5, 3)
     grid = E.build_point_grid(system, "ee", ms)
     rows = [",".join(label_names(system, "s") + ["re", "im"])]
     rows += [",".join(map(str, label + [0.25, -1.0])) for label in grid.labels.tolist()]
     samples, coeffs, back = tmp_path / "s.csv", tmp_path / "c.json", tmp_path / "b.csv"
     samples.write_text("\n".join(rows) + "\n")
-    assert run(["forward", "--group", "a1xc2", "--kind", "ee", "--M", "5", "3",
-                "--samples", str(samples), "--out", str(coeffs)]) == 0
-    assert run(["inverse", "--coeffs", str(coeffs), "--out", str(back)]) == 0
+    moduli = ["--group", "a1xc2", "--kind", "ee", "--M", "5", "3"]
+    with no_grid_items():
+        assert run(["forward", *moduli, "--samples", str(samples), "--out", str(coeffs)]) == 0
+        assert run(["inverse", "--coeffs", str(coeffs), "--out", str(back)]) == 0
+        assert run(["grid", *moduli]) == 0 and run(["spectrum", *moduli]) == 0
+        listed = capsys.readouterr()
+        assert run(["verify", *moduli]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "PASS"
     lines = back.read_text().strip().splitlines()
     assert [line.split(",")[:-2] for line in lines[1:]] == [r.split(",")[:-2] for r in rows[1:]]
     assert max(abs(float(c[-2]) - 0.25) + abs(float(c[-1]) + 1) for c in
                (line.split(",") for line in lines[1:])) < 1e-9
     spectrum = E.build_weight_grid(system, "ee", ms)
-    moduli = ["--group", "a1xc2", "--kind", "ee", "--M", "5", "3"]
-    assert run(["grid", *moduli]) == 0 and run(["spectrum", *moduli]) == 0
-    captured = capsys.readouterr()
-    assert len(captured.out.splitlines()) == len(grid) + 1 + len(spectrum) + 1
-    assert "points" not in vars(grid) and "points" not in vars(spectrum)
-    assert captured.err == ""
+    assert len(listed.out.splitlines()) == len(grid) + 1 + len(spectrum) + 1
+    assert listed.err == ""

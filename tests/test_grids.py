@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from fractions import Fraction as Q
 
@@ -5,7 +6,9 @@ import numpy as np
 import pytest
 
 import eweyl as E
-from eweyl.grids import _gluing_reflection, _require_distinct, domain_blocks
+from eweyl import grids
+from eweyl.grids import PointGrid, WeightGrid, _gluing_reflection, _require_distinct, domain_blocks
+from eweyl.transform import quadrature_cells
 from eweyl.weyl import even_subgroup, simple_reflection, torus_keys
 from conftest import SELECTORS
 from reference import (
@@ -139,6 +142,32 @@ def test_enumerate_dominant_orbit_disjoint():
         assert len(set(reps)) == len(weights), (sel, kind, bound)
 
 
+def test_enumerate_dominant_counts_before_enumerating(monkeypatch):
+    # with the limit one below the true size, the refusal names the exact count
+    for sel, kind, bound in itertools.product(SELECTORS, ("e", "ee"), range(7)):
+        system = E.system_from_selector(sel)
+        size = len(E.enumerate_dominant(system, kind, bound))
+        monkeypatch.setattr(grids, "MAX_GRID_CELLS", size - 1)
+        with pytest.raises(E.UsageError, match=f"bound {bound} gives {size} weights"):
+            E.enumerate_dominant(system, kind, bound)
+        monkeypatch.undo()
+
+
+def test_enumerate_dominant_refusals():
+    a1xc2 = E.system_from_selector("a1xc2")
+    # about 2e12 weights: refused from the count alone
+    with pytest.raises(E.UsageError, match="the limit is"):
+        E.enumerate_dominant(a1xc2, "e", 10**4)
+    with pytest.raises(E.UsageError, match="the limit is"):
+        E.continuous_coefficients(lambda p: 1.0, a1xc2, "ee", weight_bound=10**4, resolution=2)
+    for bound in (2.5, 2.0, "2", None):
+        with pytest.raises(E.UsageError, match="bound must be an integer"):
+            E.enumerate_dominant(a1xc2, "e", bound)
+    with pytest.raises(E.UsageError, match="bound must be >= 0"):
+        E.enumerate_dominant(a1xc2, "e", -1)
+    assert E.enumerate_dominant(a1xc2, "e", np.int64(1)) == E.enumerate_dominant(a1xc2, "e", 1)
+
+
 def test_gluing_reflection_moves_only_its_factor():
     for sel in SELECTORS:
         system = E.system_from_selector(sel)
@@ -189,24 +218,27 @@ def test_grid_records_are_read_only_arrays_of_their_tuples():
         for kind, ms in (("e", (3,)), ("ee", (2,) * len(system.factors))):
             points = E.build_point_grid(system, kind, ms)
             weights = E.build_weight_grid(system, kind, ms)
-            # one cache entry per side; the tuple is built once and kept in it
+            # one cache entry per side; its items are built when read, never kept
             assert points is E.build_point_grid(system, kind, list(ms))
             assert weights is E.build_weight_grid(system, kind, list(ms))
-            assert points.points is points.points and weights.points is weights.points
+            items, spectral = tuple(points), tuple(weights)
+            assert points[0] == items[0] and points[0] is not points[0]
+            assert [*vars(points)] == [f.name for f in dataclasses.fields(points)]
+            assert [*vars(weights)] == [f.name for f in dataclasses.fields(weights)]
             for a in (points.numerators, points.labels, points.eps, points.keys,
                       weights.weights, weights.labels, weights.h, weights.norms):
                 assert not a.flags.writeable
                 with pytest.raises(ValueError):
                     a[0] = 0
-            assert points.labels.tolist() == [list(gp.label) for gp in points.points]
-            assert points.eps.tolist() == [gp.epsilon for gp in points.points]
+            assert points.labels.tolist() == [list(gp.label) for gp in items]
+            assert points.eps.tolist() == [gp.epsilon for gp in items]
             assert [tuple(Q(v, points.denominator) for v in row)
-                    for row in points.numerators.tolist()] == [gp.point for gp in points.points]
-            keys, n = torus_keys(system, [gp.point for gp in points.points])
+                    for row in points.numerators.tolist()] == [gp.point for gp in items]
+            keys, n = torus_keys(system, [gp.point for gp in items])
             assert (points.keys.tolist(), points.n) == (keys.tolist(), n)
-            assert weights.weights.tolist() == [list(sp.weight) for sp in weights.points]
-            assert weights.labels.tolist() == [list(sp.label) for sp in weights.points]
-            assert weights.h.tolist() == [sp.h for sp in weights.points]
+            assert weights.weights.tolist() == [list(sp.weight) for sp in spectral]
+            assert weights.labels.tolist() == [list(sp.label) for sp in spectral]
+            assert weights.h.tolist() == [sp.h for sp in spectral]
 
 
 def test_in_even_domain_refuses_malformed_points():
@@ -232,14 +264,31 @@ def test_one_modulus_power():
     assert grids.modulus_power(a1xc2, "ee", (2, 5)) == 2 * 5**2
 
 
+def _items_from_arrays(record):
+    """The items of a point, weight or cubature record, built straight from its arrays."""
+    if isinstance(record, WeightGrid):
+        return tuple(E.SpectralPoint(tuple(w), tuple(label), h) for w, label, h in
+                     zip(record.weights.tolist(), record.labels.tolist(), record.h.tolist()))
+    points = [tuple(Q(v, record.denominator) for v in row) for row in record.numerators.tolist()]
+    if isinstance(record, PointGrid):
+        return tuple(E.GridPoint(p, tuple(label), e) for p, label, e in
+                     zip(points, record.labels.tolist(), record.eps.tolist()))
+    return tuple(zip(points, record.weights.tolist()))
+
+
 def test_grid_records_read_as_their_tuples():
     system = E.system_from_selector("a1xc2")
-    for grid in (E.build_point_grid(system, "ee", (3, 2)), E.build_weight_grid(system, "e", 3)):
-        items = grid.points
-        assert type(items) is tuple and len(grid) == len(items) == len(grid.labels)
-        assert grid[0] is items[0] and grid[-1] is items[-1] and grid[-3] is items[-3]
+    for grid in (E.build_point_grid(system, "ee", (3, 2)), E.build_weight_grid(system, "e", 3),
+                 quadrature_cells(system, "ee", 3)):
+        items = _items_from_arrays(grid)
+        assert len(grid) == len(items) > 7
+        assert grid[0] == items[0] and grid[-1] == items[-1] and grid[-3] == items[-3]
+        assert grid[np.int64(5)] == items[5] and grid[len(items) - 1] == items[-1]
         assert grid[2:7] == items[2:7] and grid[::-2] == items[::-2]
+        assert grid[5:1:-3] == items[5:1:-3]
+        assert grid[len(items):] == () and type(grid[1:3]) is tuple
         assert list(grid) == list(items) and list(reversed(grid)) == list(reversed(items))
         assert items[4] in grid and tuple(grid) == items
-        with pytest.raises(IndexError):
-            grid[len(items)]
+        for k in (len(items), -len(items) - 1):
+            with pytest.raises(IndexError):
+                grid[k]

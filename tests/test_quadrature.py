@@ -1,7 +1,9 @@
 """The point grid as the cubature of the continuous transform."""
 
+import ast
 import inspect
 import math
+import re
 from fractions import Fraction as Q
 
 import numpy as np
@@ -13,6 +15,8 @@ from eweyl.efunc import orbit_sums, scaled_orbit_sums
 from eweyl.grids import MAX_GRID_CELLS, domain_blocks
 from eweyl.lie_data import UsageError, coweight_gram, domain_volume, mat_det
 from eweyl.transform import modulus_power, quadrature_cells
+from eweyl.weyl import weight_keys
+from reference import spectrum_differences
 
 RESOLUTIONS = range(1, 7)
 PAIRS = [(sel, kind) for sel in E.SUPPORTED_SELECTORS for kind in ("e", "ee")]
@@ -104,3 +108,42 @@ def test_default_resolution_is_alias_free_and_within_size():
         per_factor = (resolution,) * len(system.factors)
         transform._check_alias_free(system, E.even_subgroup(system, kind), spectrum, per_factor)
         assert len(quadrature_cells(system, kind, resolution)) <= MAX_GRID_CELLS
+
+
+def test_alias_check_agrees_with_the_quadratic_definition():
+    for sel, kind in PAIRS:
+        system = E.system_from_selector(sel)
+        group = E.even_subgroup(system, kind)
+        for bound in range(5):
+            spectrum = E.enumerate_dominant(system, kind, bound)
+            diffs = spectrum_differences(system, group, spectrum)
+            for resolution in range(1, 16):
+                per_factor = (resolution,) * len(system.factors)
+                aliased = ~weight_keys(system, diffs, per_factor).any(axis=1)
+                try:
+                    transform._check_alias_free(system, group, spectrum, per_factor)
+                except UsageError as e:
+                    nu = re.search(r"aliases the weight (\(.*\)) to 0", str(e)).group(1)
+                    nu = np.array(ast.literal_eval(nu))
+                    # the named weight is a nonzero difference congruent to 0
+                    assert nu.any() and not weight_keys(system, [nu], per_factor).any()
+                    assert aliased.any(), (sel, kind, bound, resolution)
+                else:
+                    assert not aliased.any(), (sel, kind, bound, resolution)
+
+
+def test_orbit_sum_blocks_stay_within_2_20_entries(monkeypatch):
+    # 729 weights: the cells go in blocks of 2**20 // 729 = 1438, not 2**14
+    system, kind = E.system_from_selector("a1xa1xa1"), "ee"
+    calls = []
+
+    def recorded(system, kind, spectrum, numerators, denominator):
+        calls.append(len(spectrum) * len(numerators))
+        return scaled_orbit_sums(system, kind, spectrum, numerators, denominator)
+
+    monkeypatch.setattr(transform, "scaled_orbit_sums", recorded)
+    mu = (1, -3, 4)
+    cc = E.continuous_coefficients(lambda p: E.xi(system, kind, mu, p), system, kind,
+                                   weight_bound=4, resolution=6)
+    assert len(cc.weights) == 729 and len(calls) == 2 and max(calls) <= 2**20
+    assert max(abs(v - (w == mu)) for w, v in zip(cc.weights, cc.values)) <= 1e-12

@@ -21,7 +21,7 @@ from eweyl.transform import (
 )
 from eweyl.weyl import even_subgroup
 from eweyl.efunc import xi, xi_closed
-from conftest import discrete_cases, int_weight, rational_point
+from conftest import discrete_cases, int_weight, no_grid_items, rational_point
 
 
 def _random_values(rng, grid):
@@ -117,11 +117,14 @@ def test_foreign_spectrum_rejected():
     spectrum = E.build_weight_grid(system, "e", 2)
     with pytest.raises(E.UsageError):
         E.CoefficientSet(system, "e", (2,), tuple(reversed(spectrum)), [0j] * len(spectrum))
-    # an equal grid built elsewhere is accepted
+    # only the cached record is a set's grid: an equal copy is refused too
     grid = E.build_point_grid(system, "e", 2)
     copy = tuple(E.GridPoint(gp.point, gp.label, gp.epsilon) for gp in grid)
-    assert copy == tuple(grid) and copy is not grid
-    forward_discrete(E.SampleSet(system, "e", (2,), copy, [1j] * len(grid)))
+    assert copy == tuple(grid)
+    with pytest.raises(E.UsageError, match="not the canonical grid"):
+        E.SampleSet(system, "e", (2,), copy, [1j] * len(grid))
+    with pytest.raises(E.UsageError, match="not the canonical spectrum"):
+        E.CoefficientSet(system, "e", (2,), list(spectrum), [0j] * len(spectrum))
 
 
 def test_sets_hold_one_read_only_complex_array():
@@ -433,22 +436,23 @@ def test_separable_transform_past_the_dense_limit():
     assert max(abs(a - b) for a, b in zip(back.values, samples.values)) < 1e-9
 
 
-def test_transforms_never_build_the_grid_tuples(fresh_grids):
+def test_transforms_never_build_the_grid_tuples():
+    def f(x):
+        return complex(sum(x), x[-1] ** 2)
+
     for sel, kind, ms in (("a1xg2", "e", (5,)), ("a1xa1xa1", "ee", (7, 6, 6))):
         system = E.system_from_selector(sel)
         grid, spectrum = E.build_point_grid(system, kind, ms), E.build_weight_grid(system, kind, ms)
         values = np.random.default_rng(3).standard_normal(len(grid)) + 1j
-        coeffs = forward_discrete(make_samples(system, kind, ms, values))
-        back = inverse_discrete(coeffs)
-        assert coeffs.spectrum is spectrum and back.grid is grid
+        x = grid[len(grid) // 2].point
+        with no_grid_items():
+            coeffs = forward_discrete(make_samples(system, kind, ms, values))
+            back = inverse_discrete(coeffs)
+            called = make_samples(system, kind, ms, f)
+            at_x = interpolate(coeffs, x)
+        assert coeffs.spectrum is spectrum and back.grid is grid and called.grid is grid
         assert np.abs(back.values - values).max() < 1e-9
-
-        def f(x):
-            return complex(sum(x), x[-1] ** 2)
-
-        called = make_samples(system, kind, ms, f)
-        assert called.grid is grid
-        assert "points" not in vars(grid) and "points" not in vars(spectrum)
+        assert abs(at_x - values[len(grid) // 2]) < 1e-9
         listed = make_samples(system, kind, ms, [f(gp.point) for gp in grid])
         assert np.array_equal(called.values, listed.values)
 
@@ -457,13 +461,18 @@ def test_sets_hold_the_cached_record():
     system = E.system_from_selector("a1xa2")
     grid, spectrum = E.build_point_grid(system, "e", 2), E.build_weight_grid(system, "e", 2)
     for ms in (2, [2], (2,), np.int64(2)):
-        samples = E.SampleSet(system, "e", ms, tuple(grid), [0j] * len(grid))
-        coeffs = E.CoefficientSet(system, "e", ms, list(spectrum), [0j] * len(spectrum))
+        samples = E.SampleSet(system, "e", ms, grid, [0j] * len(grid))
+        coeffs = E.CoefficientSet(system, "e", ms, spectrum, [0j] * len(spectrum))
         assert samples.grid is grid and coeffs.spectrum is spectrum
         assert samples.ms == coeffs.ms == (2,) and type(samples.ms) is type(coeffs.ms) is tuple
         assert make_samples(system, "e", ms, [0j] * len(grid)).ms == (2,)
-    for foreign in (None, 5, grid[:-1], tuple(grid)[1:] + tuple(grid)[:1], spectrum):
+    # a sequence equal to the record item by item is not the record
+    for foreign in (None, 5, grid[:-1], tuple(grid)[1:] + tuple(grid)[:1], spectrum,
+                    tuple(grid), list(grid)):
         with pytest.raises(E.UsageError, match="sample grid is not the canonical grid"):
             E.SampleSet(system, "e", (2,), foreign, [0j] * len(grid))
+    for foreign in (tuple(spectrum), list(spectrum), E.build_weight_grid(system, "e", 3)):
+        with pytest.raises(E.UsageError, match="coefficient spectrum is not the canonical"):
+            E.CoefficientSet(system, "e", (2,), foreign, [0j] * len(spectrum))
     with pytest.raises(E.UsageError, match="coefficient spectrum is not the canonical"):
         E.CoefficientSet(system, "e", (3,), spectrum, [0j] * len(spectrum))
