@@ -121,27 +121,42 @@ def _phasor_table(n: int) -> np.ndarray:
 
 
 def _orbit_sums(system: SemisimpleSystem, kind: str, weights, keys: np.ndarray, n: int):
-    """The orbit-sum kernel on torus keys ``(keys, n)``; see :func:`orbit_sums`."""
+    """Orbit sums of ``weights`` at the torus keys ``(keys, n)``; see :func:`orbit_sums`."""
+    return _orbit_sum_kernel(system, kind, weights, n)(keys)
+
+
+def _orbit_sum_kernel(system: SemisimpleSystem, kind: str, weights, n: int):
+    """:func:`_orbit_sums` of ``weights`` as a function of keys modulo ``n``.
+
+    The set-up, the ``|group|`` weight-image matrices ``W lam`` and
+    their dtype bound, is done once here; each call of the result does
+    only the per-key work, so blocks of keys can share it.
+    """
     group = even_subgroup(system, check_kind(kind))
     dim = system.n
     weights = [_integer_weight(system, v) for v in weights]
     lam = np.array(weights, dtype=object).reshape(len(weights), dim)
     rows = [lam @ np.array(w.weight_matrix, dtype=object).T for w in group]
     dtype = int_dtype(max(dim * max(abs(r).max(initial=0) for r in rows) * n, n))
-    cols = keys.T.astype(dtype)
-    total = np.zeros((len(weights), len(keys)), dtype=complex)
-    if dtype is np.int64 and n <= min(total.size, _TABLE_MAX):
-        table = _phasor_table(n)
-        for r in rows:
-            total += table[r.astype(dtype) @ cols % n]
-        return total
+    rows = [r.astype(dtype) for r in rows]
     phasor = lru_cache(maxsize=None)(lambda k: residue_phasor(k, n))
-    for r in rows:
-        k = r.astype(dtype) @ cols % n
-        seen = np.unique(k)
-        table = np.array([phasor(v) for v in seen.tolist()], dtype=complex)
-        total += table[np.searchsorted(seen, k)]
-    return total
+
+    def sums(keys: np.ndarray) -> np.ndarray:
+        cols = keys.T.astype(dtype)
+        total = np.zeros((len(weights), len(keys)), dtype=complex)
+        if dtype is np.int64 and n <= min(total.size, _TABLE_MAX):
+            table = _phasor_table(n)
+            for r in rows:
+                total += table[r @ cols % n]
+            return total
+        for r in rows:
+            k = r @ cols % n
+            seen = np.unique(k)
+            table = np.array([phasor(v) for v in seen.tolist()], dtype=complex)
+            total += table[np.searchsorted(seen, k)]
+        return total
+
+    return sums
 
 
 # ---------------------------------------------------------------------------

@@ -42,12 +42,14 @@ orthogonality this cubature is exact for every product of two orbit
 sums of the spectrum unless their weights alias modulo ``M`` times the
 root lattice, which :func:`continuous_coefficients` refuses.  The
 integrand ``f`` receives ``Fraction`` tuples, built block by block from
-a table of the few distinct numerators, and each block's orbit sums
-stay within 2**20 entries.  The spectrum of the
+a table of the few distinct numerators.  A block holds at most
+2**16 orbit-sum entries (1 MiB), and the orbit sums read the cells'
+residue keys, so the working memory stays bounded however large the
+spectrum or the grid.  The spectrum of the
 continuous transform is the finite truncation produced by
 :func:`eweyl.grids.enumerate_dominant`.  Both transforms take their
-orbit sums from the exact integer kernel of :mod:`eweyl.efunc` (the
-continuous one straight from the numerators), so every phase is exact.
+orbit sums from the exact integer kernel of :mod:`eweyl.efunc` on the
+point record's residue keys, so every phase is exact.
 
 ``TOL_ORTHOGONALITY`` (1e-9) bounds the Gram residual and the round-trip
 error that ``eweyl verify`` accepts.
@@ -67,7 +69,7 @@ from .lie_data import (
     Weight,
     assemble_system,
 )
-from .efunc import _orbit_sums, scaled_orbit_sums, xi
+from .efunc import _orbit_sum_kernel, _orbit_sums, xi
 from .weyl import (
     PRODUCT_EVEN,
     _integer_weight,
@@ -253,8 +255,8 @@ def gram_residual(system, kind, ms) -> float:
 # continuous transform
 # ---------------------------------------------------------------------------
 
-#: quadrature cells per block of Fraction points and orbit sums
-_CELL_BLOCK = 2**14
+#: orbit-sum entries (spectrum by cells) per block of the continuous transform
+_BLOCK_ENTRIES = 2**16
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,13 +264,16 @@ class QuadratureCells(_GridRecord):
     """Cells of :func:`quadrature_cells` as integer numerators over one denominator.
 
     Cell ``k`` is the point ``numerators[k] / denominator`` with weight
-    ``weights[k]``.  As a sequence it reads as ``(point, weight)`` pairs
+    ``weights[k]`` and residue key ``keys[k]`` over ``n``, those of the
+    point record.  As a sequence it reads as ``(point, weight)`` pairs
     with ``Fraction`` coordinates and a float weight, built when read.
     """
 
     numerators: np.ndarray
     denominator: int
     weights: np.ndarray
+    keys: np.ndarray
+    n: int
 
     def __len__(self) -> int:
         return len(self.numerators)
@@ -289,7 +294,7 @@ def quadrature_cells(system: SemisimpleSystem, kind: str, resolution: int) -> Qu
     grid = point_grid_arrays(system, kind, ms)
     weights = grid.eps / (even_subgroup(system, kind).order * modulus_power(system, kind, ms))
     weights.setflags(write=False)
-    return QuadratureCells(grid.numerators, grid.denominator, weights)
+    return QuadratureCells(grid.numerators, grid.denominator, weights, grid.keys, grid.n)
 
 
 def _check_alias_free(system, group, spectrum, per_factor) -> None:
@@ -363,18 +368,14 @@ def continuous_coefficients(
     cells = quadrature_cells(system, kind, resolution)
     _check_alias_free(system, group, spectrum, (resolution,) * len(system.factors))
     integrals = np.zeros(len(spectrum), dtype=complex)
-    # the spectrum-by-block orbit sums stay within 2**20 complex entries (16 MB)
-    block = max(1, min(_CELL_BLOCK, 2**20 // len(spectrum)))
+    orbit_sums = _orbit_sum_kernel(system, kind, spectrum, cells.n)
+    block = max(1, _BLOCK_ENTRIES // len(spectrum))
     for start in range(0, len(cells), block):
-        stop = start + block
+        rows = slice(start, start + block)
         values = np.array(
-            [complex(f(p)) for p in fraction_rows(cells.numerators[start:stop], cells.denominator)]
+            [complex(f(p)) for p in fraction_rows(cells.numerators[rows], cells.denominator)]
         )
-        weighted = cells.weights[start:stop] * values
-        xi_vals = scaled_orbit_sums(
-            system, kind, spectrum, cells.numerators[start:stop], cells.denominator
-        )
-        integrals += np.conj(xi_vals) @ weighted
+        integrals += np.conj(orbit_sums(cells.keys[rows])) @ (cells.weights[rows] * values)
     stabilizers = tuple(stab_order(group, lam) for lam in spectrum)
     norm = abs(system.det_cartan)
     return ContinuousCoefficients(

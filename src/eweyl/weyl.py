@@ -246,16 +246,18 @@ def int_dtype(bound: int):
     return np.int64 if bound < 2**63 else object
 
 
-def _residues(rows, matrices, mods) -> np.ndarray:
-    """``rows @ m % mods`` for each integer matrix ``m``, stacked on axis 0."""
-    mats = np.array(matrices, dtype=object)
+def _residues(rows, matrix, mods) -> np.ndarray:
+    """``rows @ matrix % mods`` for one integer matrix, int64 when a bound proves it fits."""
+    mat = np.array(matrix, dtype=object)
     if not isinstance(rows, np.ndarray) or rows.dtype != np.int64:
         rows = np.array(rows, dtype=object)
-    rows = rows.reshape(len(rows), mats.shape[1])
+    rows = rows.reshape(len(rows), mat.shape[0])
     mods = np.array(mods, dtype=object)
-    bound = rows.shape[1] * np.abs(mats).max(initial=0) * int(np.abs(rows).max(initial=0))
+    bound = rows.shape[1] * np.abs(mat).max(initial=0) * int(np.abs(rows).max(initial=0))
     dtype = int_dtype(max(bound, mods.max()))
-    return rows.astype(dtype) @ mats.astype(dtype) % mods.astype(dtype)
+    image = rows.astype(dtype, copy=False) @ mat.astype(dtype)
+    image %= mods.astype(dtype)
+    return image
 
 
 def _rational(v) -> tuple[int, int]:
@@ -314,7 +316,7 @@ def scaled_torus_keys(system: SemisimpleSystem, numerators, lcm: int) -> tuple[n
     truncated.
     """
     n = operator.index(lcm) * abs(system.det_cartan)
-    return _residues(_integer_rows(numerators), [mat_transpose(system.adj_cartan)], n)[0], n
+    return _residues(_integer_rows(numerators), mat_transpose(system.adj_cartan), n), n
 
 
 def _integer_rows(rows) -> np.ndarray:
@@ -333,10 +335,21 @@ def torus_orbit_sizes(group: WeylGroup, keys: np.ndarray, n: int) -> np.ndarray:
     Takes the points' residue keys ``keys, n`` (:func:`torus_keys` or
     :func:`scaled_torus_keys`).  ``w`` maps a key ``k`` to ``W^{-T} k``,
     so the orbit size is the group order over the number of elements
-    with ``W^T k = k mod n``.
+    with ``W^T k = k mod n``.  They are counted one element at a time,
+    so the working memory is O(N n) for N points, whatever the group.
     """
-    images = _residues(keys, [w.weight_matrix for w in group], n)
-    return group.order // (images == keys).all(axis=2).sum(axis=0)
+    return group.order // _count_fixed(keys, [w.weight_matrix for w in group], n, keys)
+
+
+def _count_fixed(rows, matrices, mods, keys: np.ndarray) -> np.ndarray:
+    """Per row, the number of ``matrices`` with ``rows @ m % mods`` equal to ``keys`` (int64).
+
+    One image is held at a time.
+    """
+    fixed = np.zeros(len(keys), dtype=np.int64)
+    for m in matrices:
+        fixed += (_residues(rows, m, mods) == keys).all(axis=1)
+    return fixed
 
 
 def _weight_moduli(system: SemisimpleSystem, ms) -> list[int]:
@@ -351,16 +364,17 @@ def weight_keys(system: SemisimpleSystem, weights, ms) -> np.ndarray:
     A row is ``A^T a`` reduced mod ``|det C| M_f`` on factor f's block;
     ``ms`` holds one modulus per factor.
     """
-    return _residues(weights, [system.adj_cartan], _weight_moduli(system, ms))[0]
+    return _residues(weights, system.adj_cartan, _weight_moduli(system, ms))
 
 
 def weight_stabs_mod_mq(group: WeylGroup, weights, ms) -> np.ndarray:
     """Order of the stabilizer modulo ``M * root lattice`` of every weight (int64).
 
-    Counts the elements ``w`` whose key ``A^T (W a)`` equals that of ``a``.
+    Counts the elements ``w`` whose key ``A^T (W a)`` equals that of
+    ``a``, one element at a time: the working memory is O(N n) for N
+    weights, whatever the group.
     """
     adj, mods = group.system.adj_cartan, _weight_moduli(group.system, ms)
-    images = _residues(weights, [mat_mul(mat_transpose(w.weight_matrix), adj) for w in group], mods)
-    keys = weight_keys(group.system, weights, ms)
-    return (images == keys).all(axis=2).sum(axis=0)
+    matrices = [mat_mul(mat_transpose(w.weight_matrix), adj) for w in group]
+    return _count_fixed(weights, matrices, mods, weight_keys(group.system, weights, ms))
 

@@ -1,5 +1,6 @@
 import contextlib
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,25 @@ def no_grid_items():
         patch.setattr(grids, "GridPoint", refuse)
         patch.setattr(grids, "SpectralPoint", refuse)
         yield
+
+
+def traced_peak(fn):
+    """``fn()`` and the peak bytes tracemalloc saw above where the call started.
+
+    tracemalloc is left as it was found: stopped, or running with its
+    peak reset.
+    """
+    running = tracemalloc.is_tracing()
+    if not running:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not running:
+            tracemalloc.stop()
 
 
 #: (system, kind, moduli) cases used by the orthogonality/round-trip suites

@@ -10,7 +10,7 @@ from eweyl import grids
 from eweyl.grids import PointGrid, WeightGrid, _gluing_reflection, _require_distinct, domain_blocks
 from eweyl.transform import quadrature_cells
 from eweyl.weyl import even_subgroup, simple_reflection, torus_keys
-from conftest import SELECTORS
+from conftest import SELECTORS, traced_peak
 from reference import (
     canonical_torus_point,
     oracle_point_grid,
@@ -239,6 +239,21 @@ def test_grid_records_are_read_only_arrays_of_their_tuples():
             assert weights.weights.tolist() == [list(sp.weight) for sp in spectral]
             assert weights.labels.tolist() == [list(sp.label) for sp in spectral]
             assert weights.h.tolist() == [sp.h for sp in spectral]
+
+
+def _kept_bytes(record):
+    return sum(getattr(record, f.name).nbytes for f in dataclasses.fields(record)
+               if isinstance(getattr(record, f.name), np.ndarray))
+
+
+def test_grid_building_peaks_within_twice_its_record():
+    # |G| = 12 and N = 18 576: a stack of the 12 (N, 3) images would need 7x the record
+    system = E.system_from_selector("a1xg2")
+    even_subgroup(system, "e")  # fill the group cache
+    points, peak = traced_peak(lambda: grids.point_grid_arrays(system, "e", 48))
+    assert len(points) >= 10**4 and peak <= 2 * _kept_bytes(points)
+    weights, peak = traced_peak(lambda: grids._weight_grid_cached.__wrapped__(system, "e", (48,)))
+    assert len(weights) >= 10**4 and peak <= 2 * _kept_bytes(weights)
 
 
 def test_in_even_domain_refuses_malformed_points():

@@ -11,11 +11,12 @@ import pytest
 
 import eweyl as E
 from eweyl import efunc, transform
-from eweyl.efunc import orbit_sums, scaled_orbit_sums
+from eweyl.efunc import _orbit_sum_kernel, orbit_sums, scaled_orbit_sums
 from eweyl.grids import MAX_GRID_CELLS, domain_blocks
 from eweyl.lie_data import UsageError, coweight_gram, domain_volume, mat_det
 from eweyl.transform import modulus_power, quadrature_cells
 from eweyl.weyl import weight_keys
+from conftest import traced_peak
 from reference import spectrum_differences
 
 RESOLUTIONS = range(1, 7)
@@ -132,18 +133,41 @@ def test_alias_check_agrees_with_the_quadratic_definition():
                     assert not aliased.any(), (sel, kind, bound, resolution)
 
 
-def test_orbit_sum_blocks_stay_within_2_20_entries(monkeypatch):
-    # 729 weights: the cells go in blocks of 2**20 // 729 = 1438, not 2**14
+def test_orbit_sum_blocks_stay_within_2_16_entries(monkeypatch):
+    # 729 weights: the cells go in blocks of 2**16 // 729 = 89
     system, kind = E.system_from_selector("a1xa1xa1"), "ee"
     calls = []
 
-    def recorded(system, kind, spectrum, numerators, denominator):
-        calls.append(len(spectrum) * len(numerators))
-        return scaled_orbit_sums(system, kind, spectrum, numerators, denominator)
+    def recorded(system, kind, spectrum, n):
+        sums = _orbit_sum_kernel(system, kind, spectrum, n)
 
-    monkeypatch.setattr(transform, "scaled_orbit_sums", recorded)
+        def block(keys):
+            calls.append(len(spectrum) * len(keys))
+            return sums(keys)
+
+        return block
+
+    monkeypatch.setattr(transform, "_orbit_sum_kernel", recorded)
     mu = (1, -3, 4)
     cc = E.continuous_coefficients(lambda p: E.xi(system, kind, mu, p), system, kind,
                                    weight_bound=4, resolution=6)
-    assert len(cc.weights) == 729 and len(calls) == 2 and max(calls) <= 2**20
+    cells = len(quadrature_cells(system, kind, 6))
+    assert len(cc.weights) == 729 and max(calls) <= 2**16
+    assert len(calls) == -(-cells // (2**16 // 729)) > 2
+    assert max(abs(v - (w == mu)) for w, v in zip(cc.weights, cc.values)) <= 1e-12
+
+
+#: the continuous workload of the benchmark: (selector, kind, resolution, bound)
+BENCHMARK_CASES = [("a1xa2", "e", 32, 1), ("a1xc2", "ee", 32, 1), ("a1xa1xa1", "e", 24, 2)]
+
+
+@pytest.mark.parametrize("sel, kind, resolution, bound", BENCHMARK_CASES)
+def test_continuous_working_memory_stays_within_8_mib(sel, kind, resolution, bound):
+    system = E.system_from_selector(sel)
+    mu = E.enumerate_dominant(system, kind, bound)[-1]
+    E.even_subgroup(system, kind)  # fill the group cache
+    cc, peak = traced_peak(lambda: E.continuous_coefficients(
+        lambda p: E.xi_closed(system, kind, mu, p), system, kind,
+        weight_bound=bound, resolution=resolution))
+    assert peak <= 8 * 2**20
     assert max(abs(v - (w == mu)) for w, v in zip(cc.weights, cc.values)) <= 1e-12

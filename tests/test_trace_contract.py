@@ -6,9 +6,9 @@ appears; a target that is gone is printed as ``absent:``.  The
 ``efunc.xi_*`` metrics come from the ``xi`` calls that ``interpolate``
 makes, and the continuous metrics from one ``quadrature_cells`` and one
 ``enumerate_dominant`` call under each ``continuous_coefficients``.
-Every per-layer metric of the CLI and the discrete library workloads
-must aggregate to a value from the spans their set-up and first
-operation leave.  These tests load the benchmark's files, without
+Every per-layer metric of the CLI and the library workloads must
+aggregate to a value from the spans their set-up and first operation
+leave.  These tests load the benchmark's files, without
 writing anything under ``perfbench/``, and undo every attribute the
 tracer patches.
 """
@@ -61,18 +61,25 @@ def _eweyl_modules():
 
 
 @contextlib.contextmanager
-def _instrumented(tracing):
-    """A tracer wrapped around the library, unwrapped again on exit."""
+def _restored():
+    """Undo, on exit, every attribute patched in the loaded eweyl modules."""
     saved = [(m, dict(vars(m))) for m in _eweyl_modules()]
-    tracer = tracing.Tracer("contract/0")
     try:
-        assert tracing.instrument(tracer, E) == []
-        yield tracer
+        yield
     finally:
         for module, before in saved:
             for key, value in before.items():
                 if vars(module).get(key) is not value:
                     setattr(module, key, value)
+
+
+@contextlib.contextmanager
+def _instrumented(tracing):
+    """A tracer wrapped around the library, unwrapped again on exit."""
+    with _restored():
+        tracer = tracing.Tracer("contract/0")
+        assert tracing.instrument(tracer, E) == []
+        yield tracer
 
 
 def test_interpolate_traces_one_xi_span_per_weight():
@@ -128,9 +135,29 @@ def test_cli_and_discrete_workloads_give_every_per_layer_metric():
         assert E.cli.run(["tables"]) == 0
     spans["cli-cold"] = tracer.finish()
 
-    missing = [
+    assert _missing_metrics(tracing, child, spans) == []
+
+
+def test_continuous_workload_gives_every_per_layer_metric():
+    # the tracer goes to the workload, as in a traced run: the integrand's
+    # ``continuous.f`` spans and the ``bench.continuous`` parents exist only then
+    tracing, child = _load("tracing"), _load("child")
+    tally = child.C.Tally()
+    with _restored():
+        tracer = tracing.Tracer("contract/0")
+        workload, _, absent = child._setup("continuous", 1, time.monotonic(), tally, tracer)
+        assert absent == []
+        workload.op(0)
+    assert tally.failed == 0, tally.misses
+    spans = {"continuous": tracer.finish()}
+    assert _missing_metrics(tracing, child, spans) == []
+    assert any(m["source"] == "continuous" for m in child.C.per_layer_catalogue())
+
+
+def _missing_metrics(tracing, child, spans):
+    """The per-layer metrics of the sources in ``spans`` that aggregate to no value."""
+    return [
         m["name"] for m in child.C.per_layer_catalogue()
         if m["source"] in spans
         and tracing.aggregate(spans[m["source"]], m["span"], m["case"], m["agg"]) is None
     ]
-    assert missing == []
