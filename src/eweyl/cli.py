@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import itertools
 import json
 import math
 import random
@@ -30,7 +29,7 @@ from .lie_data import (
     coweight_gram,
     system_from_selector,
 )
-from .weyl import check_moduli, even_subgroup
+from .weyl import check_moduli, even_subgroup, int_dtype
 from .grids import (
     MAX_GRID_CELLS,
     build_point_grid,
@@ -360,11 +359,14 @@ def _cmd_contour(args):
         )
     # probe k of an axis is (2k + 1) / 2n - 1, all points as integers over ``den``
     den = 2 * n_samples * (1 if pin is None else pin[1].denominator)
-    ticks = [(2 * k + 1 - 2 * n_samples) * (den // (2 * n_samples)) for k in range(2 * n_samples)]
-    probes = np.zeros(((2 * n_samples) ** len(free), sysm.n), dtype=object)
-    probes[:, free] = list(itertools.product(ticks, repeat=len(free)))
+    pinned = 0 if pin is None else pin[1].numerator * (den // pin[1].denominator)
+    # every entry is below den or the pinned one; exact Python ints past int64
+    dtype = int_dtype(max(den, abs(pinned)))
+    k = np.indices((2 * n_samples,) * len(free)).reshape(len(free), -1).T.astype(dtype)
+    probes = np.zeros((len(k), sysm.n), dtype=dtype)
+    probes[:, free] = (2 * k + 1 - 2 * n_samples) * (den // (2 * n_samples))
     if pin is not None:
-        probes[:, pin[0]] = pin[1].numerator * (den // pin[1].denominator)
+        probes[:, pin[0]] = pinned
     kept = probes[domain_mask(sysm, args.kind, probes, den)]
     gram = coweight_gram(sysm)
     sub = np.array(

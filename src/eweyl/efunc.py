@@ -92,7 +92,8 @@ def orbit_sums(system: SemisimpleSystem, kind: str, weights, points) -> np.ndarr
     """
     if any(len(v) != system.n for v in points):
         raise length_error(system)
-    return _orbit_sums(system, kind, weights, *torus_keys(system, points))
+    keys, n = torus_keys(system, points)
+    return _orbit_sum_kernel(system, kind, weights, n)(keys)
 
 
 def scaled_orbit_sums(system: SemisimpleSystem, kind: str, weights, numerators, lcm: int):
@@ -105,7 +106,8 @@ def scaled_orbit_sums(system: SemisimpleSystem, kind: str, weights, numerators, 
     """
     if np.ndim(numerators) != 2 or np.shape(numerators)[1] != system.n:
         raise length_error(system)
-    return _orbit_sums(system, kind, weights, *scaled_torus_keys(system, numerators, lcm))
+    keys, n = scaled_torus_keys(system, numerators, lcm)
+    return _orbit_sum_kernel(system, kind, weights, n)(keys)
 
 
 #: largest key modulus whose phasors are tabulated for every residue
@@ -120,13 +122,8 @@ def _phasor_table(n: int) -> np.ndarray:
     return table
 
 
-def _orbit_sums(system: SemisimpleSystem, kind: str, weights, keys: np.ndarray, n: int):
-    """Orbit sums of ``weights`` at the torus keys ``(keys, n)``; see :func:`orbit_sums`."""
-    return _orbit_sum_kernel(system, kind, weights, n)(keys)
-
-
 def _orbit_sum_kernel(system: SemisimpleSystem, kind: str, weights, n: int):
-    """:func:`_orbit_sums` of ``weights`` as a function of keys modulo ``n``.
+    """:func:`orbit_sums` of ``weights`` as a function of torus keys modulo ``n``.
 
     The set-up, the ``|group|`` weight-image matrices ``W lam`` and
     their dtype bound, is done once here; each call of the result does

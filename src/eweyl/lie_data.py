@@ -10,8 +10,8 @@ Coordinate conventions used throughout the package:
   a point ``s`` is the exact rational ``a . C^{-1} s``.
 
 Every system also carries the integral ``A = |det C| C^{-1}``
-(``adj_cartan``): pairings and lattice congruences become integer
-residues of ``A`` (see :mod:`eweyl.weyl`).
+(``adj_cartan``): pairings become integer residues of ``A``, and
+lattice congruences one integer index (see :mod:`eweyl.weyl`).
 
 Long roots are normalised to squared length 2.  That choice fixes every
 Gram matrix and fundamental-domain volume computed here.  All lattice

@@ -39,14 +39,13 @@ weighted sum of ``f * conj(Xi_lam)`` is divided by ``|det C| * d_lam``.
 That is the forward discrete transform on that grid, with the
 stabiliser order ``d_lam`` in place of ``h`` in ``N(lam)``.  By discrete
 orthogonality this cubature is exact for every product of two orbit
-sums of the spectrum unless their weights alias modulo ``M`` times the
-root lattice, which :func:`continuous_coefficients` refuses.  The
-integrand ``f`` receives ``Fraction`` tuples, built block by block from
-a table of the few distinct numerators.  A block holds at most
-2**16 orbit-sum entries (1 MiB), and the orbit sums read the cells'
-residue keys, so the working memory stays bounded however large the
-spectrum or the grid.  The spectrum of the
-continuous transform is the finite truncation produced by
+sums of the spectrum unless two distinct points of their orbits share
+their index in ``P / MQ`` (:func:`eweyl.weyl.lattice_indices`), which
+:func:`continuous_coefficients` refuses.  The integrand ``f`` receives
+``Fraction`` tuples, built block by block from a table of the few
+distinct numerators.  A block holds at most 2**16 orbit-sum entries
+(1 MiB), so the working memory stays bounded however large the
+spectrum or the grid.  The spectrum is the finite truncation of
 :func:`eweyl.grids.enumerate_dominant`.  Both transforms take their
 orbit sums from the exact integer kernel of :mod:`eweyl.efunc` on the
 point record's residue keys, so every phase is exact.
@@ -69,15 +68,15 @@ from .lie_data import (
     Weight,
     assemble_system,
 )
-from .efunc import _orbit_sum_kernel, _orbit_sums, xi
+from .efunc import _orbit_sum_kernel, xi
 from .weyl import (
     PRODUCT_EVEN,
     _integer_weight,
     check_kind,
     check_moduli,
     even_subgroup,
+    lattice_indices,
     stab_order,
-    weight_keys,
 )
 from .grids import (
     PointGrid,
@@ -178,7 +177,8 @@ def phase_matrix(system: SemisimpleSystem, kind: str, ms: tuple[int, ...]) -> np
             f"a grid of {len(grid)} points is too large for the dense phase matrix; "
             f"the limit is {MAX_PHASE_MATRIX_N}"
         )
-    out = _orbit_sums(system, kind, build_weight_grid(system, kind, ms).weights, grid.keys, grid.n)
+    weights = build_weight_grid(system, kind, ms).weights
+    out = _orbit_sum_kernel(system, kind, weights, grid.n)(grid.keys)
     out.setflags(write=False)
     return out
 
@@ -304,17 +304,18 @@ def _check_alias_free(system, group, spectrum, per_factor) -> None:
     exactly unless some nonzero ``mu - w lam`` is congruent to 0 modulo
     ``M_f`` times the root lattice of each factor ``f``.  That lattice
     is invariant under the group, so this happens iff two distinct
-    points of the orbits ``{w lam}`` share a residue key: one sort of
-    the ``|group| * len(spectrum)`` images finds them.
+    points of the orbits ``{w lam}`` share their index in ``P / MQ``
+    (:func:`eweyl.weyl.lattice_indices`): one sort of the
+    ``|group| * len(spectrum)`` image indices finds them, and of a run of
+    equal indices two neighbours differ unless all its images are equal.
     """
     lams = np.array(spectrum, dtype=np.int64).reshape(len(spectrum), system.n)
-    images = np.concatenate([lams @ np.array(w.weight_matrix, dtype=np.int64).T for w in group])
-    # distinct images by sorted rows, not np.unique(axis=0), which imports numpy.ma
-    images = images[np.lexsort(images.T)]
-    images = images[np.r_[True, (images[1:] != images[:-1]).any(axis=1)]]
-    keys = weight_keys(system, images, per_factor)
-    order = np.lexsort(keys.T)
-    clash = np.flatnonzero((keys[order[1:]] == keys[order[:-1]]).all(axis=1))
+    matrices = [w.weight_matrix for w in group]
+    images = np.concatenate([lams @ np.array(m, dtype=np.int64).T for m in matrices])
+    index = np.concatenate(list(lattice_indices(system, lams, per_factor, True, matrices)))
+    order = np.argsort(index, kind="stable")
+    same = index[order[1:]] == index[order[:-1]]
+    clash = np.flatnonzero(same & (images[order[1:]] != images[order[:-1]]).any(axis=1))
     if len(clash):
         k = clash[0]
         nu = tuple((images[order[k + 1]] - images[order[k]]).tolist())

@@ -17,16 +17,17 @@ Two subgroup selections are supported, addressed by a ``kind`` string:
   elements whose every factor block has determinant +1;
 * ``"w"``  -- the full Weyl group (mostly for internal use).
 
-Congruences are decided on integer residue keys, built from the
-integral ``A = |det C| C^{-1}``: points are congruent modulo the coroot
-lattice iff their keys ``A (L x) mod L |det C|`` are equal (``L`` a
-common denominator), weights modulo ``M_f`` times the root lattice of
-each factor ``f`` iff their keys ``A^T a mod |det C| M_f`` are equal.
-Orbit sizes and stabilisers are counted on the keys of many points or
-weights at once.  ``torus_keys`` keys a batch of points with one numpy
-product; ``_point_key`` keys a single point (all that ``efunc.xi``
-needs) in plain Python ints, sharing the scaling step.  Coordinates
-enter as Python ints either way, so numpy integers cannot wrap around.
+Congruences are decided on one integer index.  Per factor, the group
+``T = (1/M) P^v / Q^v`` of points and its dual ``P / MQ`` of weights are
+``Z^rank`` modulo ``M C`` and ``M C^T``, whose Smith normal forms
+(``_SMITH``) map each point or weight to one integer in ``[0, |T|)``
+(:func:`lattice_indices`); orbit sizes and stabilisers count the group
+elements that fix it (:func:`fixing_counts`).  Pairings read residue
+keys ``A (L x) mod L |det C|``, ``A = |det C| C^{-1}``, of any point
+``x`` with common denominator ``L``: ``torus_keys`` keys a batch with
+one numpy product, ``_point_key`` one point (all that ``efunc.xi``
+needs) in plain Python ints.  Coordinates enter as Python ints either
+way, so numpy integers cannot wrap around.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .lie_data import (
     TorusPoint,
     UsageError,
     Weight,
+    block_diagonal,
     identity_matrix,
     mat_det,
     mat_mul,
@@ -246,17 +248,16 @@ def int_dtype(bound: int):
     return np.int64 if bound < 2**63 else object
 
 
-def _residues(rows, matrix, mods) -> np.ndarray:
-    """``rows @ matrix % mods`` for one integer matrix, int64 when a bound proves it fits."""
+def _residues(rows, matrix, n: int) -> np.ndarray:
+    """``rows @ matrix % n`` for one integer matrix, int64 when a bound proves it fits."""
     mat = np.array(matrix, dtype=object)
     if not isinstance(rows, np.ndarray) or rows.dtype != np.int64:
         rows = np.array(rows, dtype=object)
     rows = rows.reshape(len(rows), mat.shape[0])
-    mods = np.array(mods, dtype=object)
     bound = rows.shape[1] * np.abs(mat).max(initial=0) * int(np.abs(rows).max(initial=0))
-    dtype = int_dtype(max(bound, mods.max()))
+    dtype = int_dtype(max(bound, n))
     image = rows.astype(dtype, copy=False) @ mat.astype(dtype)
-    image %= mods.astype(dtype)
+    image %= n
     return image
 
 
@@ -329,52 +330,51 @@ def _integer_rows(rows) -> np.ndarray:
     raise UsageError(f"point numerators must be integers, got an array of dtype {rows.dtype}")
 
 
-def torus_orbit_sizes(group: WeylGroup, keys: np.ndarray, n: int) -> np.ndarray:
-    """Number of distinct images modulo the coroot lattice of every point (int64).
+#: per simple factor ``(U, V^T, d)``: unimodular ``U, V`` with ``U C V = diag(d)``
+_SMITH = {
+    "a1": (((1,),), ((1,),), (2,)),
+    "a2": (((0, -1), (1, 2)), ((1, 0), (2, 1)), (1, 3)),
+    "c2": (((1, 0), (-2, -1)), ((0, -1), (-1, -2)), (1, 2)),
+    "g2": (((0, -1), (1, 2)), ((1, 0), (2, 1)), (1, 1)),
+}
 
-    Takes the points' residue keys ``keys, n`` (:func:`torus_keys` or
-    :func:`scaled_torus_keys`).  ``w`` maps a key ``k`` to ``W^{-T} k``,
-    so the orbit size is the group order over the number of elements
-    with ``W^T k = k mod n``.  They are counted one element at a time,
-    so the working memory is O(N n) for N points, whatever the group.
+
+def lattice_indices(system: SemisimpleSystem, rows, ms, dual: bool, matrices):
+    """Yield, per matrix ``m``, the index in ``[0, |T|)`` of every row's image ``m s``.
+
+    Row ``s`` is the point with factor ``f`` at ``s_f / M_f`` of ``T``
+    or, if ``dual``, the weight ``s`` of ``P / MQ``.  ``U_f s_f mod M_f d``
+    (``V_f^T s_f`` if dual) maps them onto ``prod Z / M_f d_i``, and the
+    index is its mixed radix.  ``U_f m_f`` is folded into one matrix, so
+    only arrays of one entry per row are live; int64 when a bound proves
+    it fits, else exact Python ints.
     """
-    return group.order // _count_fixed(keys, [w.weight_matrix for w in group], n, keys)
-
-
-def _count_fixed(rows, matrices, mods, keys: np.ndarray) -> np.ndarray:
-    """Per row, the number of ``matrices`` with ``rows @ m % mods`` equal to ``keys`` (int64).
-
-    One image is held at a time.
-    """
-    fixed = np.zeros(len(keys), dtype=np.int64)
-    for m in matrices:
-        fixed += (_residues(rows, m, mods) == keys).all(axis=1)
-    return fixed
-
-
-def _weight_moduli(system: SemisimpleSystem, ms) -> list[int]:
     _, per_factor = check_moduli(system, PRODUCT_EVEN, ms)
-    det = abs(system.det_cartan)
-    return [det * m for f, m in zip(system.factors, per_factor) for _ in range(f.rank)]
+    smith = block_diagonal([_SMITH[f.kind][1 if dual else 0] for f in system.factors])
+    mods = [m * d for f, m in zip(system.factors, per_factor) for d in _SMITH[f.kind][2]]
+    if not isinstance(rows, np.ndarray) or rows.dtype != np.int64:
+        rows = np.array(rows, dtype=object)
+    rows = rows.reshape(len(rows), system.n)
+    folded = [np.array(mat_mul(smith, m), dtype=object) for m in matrices]
+    big = max(np.abs(b).max() for b in folded) * int(np.abs(rows).max(initial=0))
+    dtype = int_dtype(max(system.n * big, math.prod(mods)))
+    rows = rows.astype(dtype, copy=False)
+    for b in folded:
+        index = np.zeros(len(rows), dtype=dtype)
+        for col, mod in zip(b.astype(dtype), mods):
+            index *= mod
+            index += rows @ col % mod
+        yield index
 
 
-def weight_keys(system: SemisimpleSystem, weights, ms) -> np.ndarray:
-    """Residue keys of weights modulo ``M_f * (root lattice of factor f)``.
+def fixing_counts(group: WeylGroup, rows, ms, dual: bool = False):
+    """The index of every row, and how many group elements fix it (int64).
 
-    A row is ``A^T a`` reduced mod ``|det C| M_f`` on factor f's block;
-    ``ms`` holds one modulus per factor.
+    That is the stabiliser order in ``T`` of a point (its orbit size is
+    ``|group|`` over it) or, if ``dual``, of a weight modulo ``MQ``.
     """
-    return _residues(weights, system.adj_cartan, _weight_moduli(system, ms))
-
-
-def weight_stabs_mod_mq(group: WeylGroup, weights, ms) -> np.ndarray:
-    """Order of the stabilizer modulo ``M * root lattice`` of every weight (int64).
-
-    Counts the elements ``w`` whose key ``A^T (W a)`` equals that of
-    ``a``, one element at a time: the working memory is O(N n) for N
-    weights, whatever the group.
-    """
-    adj, mods = group.system.adj_cartan, _weight_moduli(group.system, ms)
-    matrices = [mat_mul(mat_transpose(w.weight_matrix), adj) for w in group]
-    return _count_fixed(weights, matrices, mods, weight_keys(group.system, weights, ms))
-
+    matrices = [identity_matrix(group.system.n)]
+    matrices += [w.weight_matrix if dual else w.coweight_matrix for w in group]
+    images = lattice_indices(group.system, rows, ms, dual, matrices)
+    index = next(images)
+    return index, sum((image == index for image in images), np.zeros(len(index), dtype=np.int64))

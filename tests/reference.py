@@ -8,8 +8,8 @@ import numpy as np
 
 import eweyl as E
 from eweyl.grids import in_even_domain
-from eweyl.lie_data import exp_phase, mat_inverse, mat_transpose, mat_vec
-from eweyl.weyl import check_moduli, torus_keys, weight_keys
+from eweyl.lie_data import block_diagonal, exp_phase, mat_inverse, mat_transpose, mat_vec
+from eweyl.weyl import check_moduli, torus_keys
 
 
 def fraction_xi(system, kind, lam, x):
@@ -36,6 +36,24 @@ def torus_congruent(system, x, y) -> bool:
     """``x = y`` modulo the coroot lattice: ``C^{-1}(x - y)`` is integral."""
     diff = tuple(a - b for a, b in zip(x, y))
     return all(Q(z).denominator == 1 for z in mat_vec(system.inv_cartan, diff))
+
+
+def root_coordinates(system, weights):
+    """Each weight in the basis of simple roots, blockwise ``C_f^{-T} a_f``, exactly.
+
+    Returns integer numerators (one object-array row per weight) and one
+    denominator per coordinate: the ``Fraction`` inverse ``C_f^{-T}``
+    times the common denominator of its entries, and that denominator.
+    """
+    scaled, dens = [], []
+    for f in system.factors:
+        inv = mat_transpose(mat_inverse(f.cartan))
+        den = math.lcm(*(v.denominator for row in inv for v in row))
+        scaled.append([[int(v * den) for v in row] for row in inv])
+        dens += [den] * f.rank
+    matrix = np.array(block_diagonal(scaled), dtype=object)
+    weights = np.array(weights, dtype=object).reshape(len(weights), system.n)
+    return weights @ matrix.T, np.array(dens, dtype=object)
 
 
 def weight_congruent_mod_mq(system, a, b, ms) -> bool:
@@ -110,8 +128,9 @@ def spectrum_differences(system, group, spectrum) -> np.ndarray:
 
     The grid of modulus ``M`` integrates the spectrum exactly iff none
     of them is congruent to 0 modulo ``M_f`` times the root lattice of
-    each factor (``weight_keys`` all zero): the quadratic definition
-    that ``transform._check_alias_free`` decides by sorting.
+    each factor (:func:`root_coordinates` integers divisible by ``M_f``): the
+    quadratic definition that ``transform._check_alias_free`` decides by
+    sorting indices.
     """
     lams = np.array(spectrum, dtype=np.int64).reshape(len(spectrum), system.n)
     images = np.stack([lams @ np.array(w.weight_matrix, dtype=np.int64).T for w in group])

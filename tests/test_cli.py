@@ -1,7 +1,11 @@
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import eweyl as E
 from eweyl.cli import run
@@ -379,6 +383,19 @@ def test_contour_rank3_needs_pin(capsys):
     assert len(lines) > 1
 
 
+def test_contour_pin_past_int64_stays_exact(capsys):
+    # the probes hold Python ints once the pinned numerator passes int64
+    system, lam, n, pin = E.system_from_selector("a1xa2"), (1, 2, 1), 3, Q(5, 2**64 + 13)
+    assert run(["contour", "--group", "a1xa2", "--kind", "e", "--lambda", *map(str, lam),
+                "--samples-per-axis", str(n), "--pin", f"0={pin}"]) == 0
+    got = [line.split(",")[2:] for line in capsys.readouterr().out.strip().splitlines()[1:]]
+    axis = [Q(2 * k + 1, 2 * n) - 1 for k in range(2 * n)]
+    points = [(pin, y, z) for y in axis for z in axis]
+    want = [E.xi(system, "e", lam, x) for x in points if in_even_domain(system, "e", x)]
+    assert len(got) == len(want) > 0
+    assert [[float(v) for v in row] for row in got] == [[w.real, w.imag] for w in want]
+
+
 def test_dump_group(capsys):
     assert run(["dump-group", "--group", "a1xg2", "--kind", "ee"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -463,3 +480,26 @@ def test_cli_forward_inverse_never_build_the_grid_tuples(tmp_path, capsys):
     spectrum = E.build_weight_grid(system, "ee", ms)
     assert len(listed.out.splitlines()) == len(grid) + 1 + len(spectrum) + 1
     assert listed.err == ""
+
+
+#: a cold session: the commands run through the CLI, then one continuous transform
+_COLD_SESSION = """
+import contextlib, io, sys
+import eweyl as E
+from eweyl.cli import run
+with contextlib.redirect_stdout(io.StringIO()):
+    assert run(["verify", "--group", "a1xc2", "--kind", "ee", "--M", "3", "3", "--seed", "1"]) == 0
+    assert run(["tables"]) == 0
+system = E.system_from_selector("a1xa2")
+E.continuous_coefficients(lambda p: 1.0, system, "e", weight_bound=1, resolution=8)
+print(sorted(m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma.")))
+"""
+
+
+def test_cold_commands_never_import_numpy_ma():
+    # numpy.ma costs ~15 ms of import; np.unique(axis=0) and friends pull it in
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", _COLD_SESSION], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    assert out.splitlines()[-1] == "[]"

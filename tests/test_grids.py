@@ -9,7 +9,7 @@ import eweyl as E
 from eweyl import grids
 from eweyl.grids import PointGrid, WeightGrid, _gluing_reflection, _require_distinct, domain_blocks
 from eweyl.transform import quadrature_cells
-from eweyl.weyl import even_subgroup, simple_reflection, torus_keys
+from eweyl.weyl import even_subgroup, fixing_counts, simple_reflection, torus_keys
 from conftest import SELECTORS, traced_peak
 from reference import (
     canonical_torus_point,
@@ -206,10 +206,12 @@ def test_reflected_branch_coordinates():
 
 
 def test_duplicate_keys_are_caught():
-    keys = np.array([[1, 2, 0], [0, 1, 2], [2, 0, 1], [0, 1, 2]], dtype=np.int64)
+    # at M = 2 an A1 point s / 2 is s mod 4: (5, 2) / 2 is congruent to (1, 2) / 2
+    group = even_subgroup(E.system_from_selector("a1xa1"), "ee")
+    index, _ = fixing_counts(group, [(1, 2), (0, 1), (5, 2)], (2, 2))
     with pytest.raises(AssertionError, match="duplicate"):
-        _require_distinct(keys, "point")
-    _require_distinct(keys[:3], "point")
+        _require_distinct(index, "point")
+    _require_distinct(index[:2], "point")
 
 
 def test_grid_records_are_read_only_arrays_of_their_tuples():

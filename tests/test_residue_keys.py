@@ -1,5 +1,6 @@
-"""The integer residue keys of ``eweyl.weyl`` against the Fraction congruences."""
+"""The lattice index and residue keys of ``eweyl.weyl`` against the Fraction congruences."""
 
+import math
 from fractions import Fraction as Q
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import eweyl as E
-from eweyl.weyl import _point_key, torus_keys, torus_orbit_sizes, weight_stabs_mod_mq
+from eweyl.lie_data import mat_transpose
+from eweyl.weyl import _SMITH, _point_key, fixing_counts, lattice_indices, torus_keys
 from reference import canonical_torus_point, torus_congruent, weight_congruent_mod_mq
 
 CASES = [(sel, kind) for sel in E.SUPPORTED_SELECTORS for kind in ("e", "ee")]
@@ -53,7 +55,11 @@ def test_torus_orbit_sizes_match_congruence(sel, kind, data):
         group.order // sum(torus_congruent(system, w.apply_point(x), x) for w in group)
         for x in points
     ]
-    assert list(torus_orbit_sizes(group, *torus_keys(system, points))) == want
+    # integer rows over the lcm of all denominators, the same on every factor
+    lcm = math.lcm(*(Q(v).denominator for x in points for v in x))
+    rows = [[int(Q(v) * lcm) for v in x] for x in points]
+    _, fixed = fixing_counts(group, rows, (lcm,) * len(system.factors))
+    assert list(group.order // fixed) == want
 
 
 @pytest.mark.parametrize("sel", E.SUPPORTED_SELECTORS)
@@ -78,7 +84,7 @@ def test_weight_stabs_match_congruence(sel, kind, data):
         sum(weight_congruent_mod_mq(system, w.apply_weight(lam), lam, ms) for w in group)
         for lam in weights
     ]
-    assert list(weight_stabs_mod_mq(group, weights, ms)) == want
+    assert list(fixing_counts(group, weights, ms, dual=True)[1]) == want
 
 
 @pytest.mark.parametrize("sel", E.SUPPORTED_SELECTORS)
@@ -92,3 +98,80 @@ def test_canonical_torus_point(sel, data):
     canon = canonical_torus_point(system, x)
     assert torus_congruent(system, canon, x)
     assert canonical_torus_point(system, shifted) == canon
+
+
+@pytest.mark.parametrize("kind", ["a1", "a2", "c2", "g2"])
+def test_smith_forms_match_sympy(kind):
+    from sympy import Matrix, diag
+    from sympy.matrices.normalforms import smith_normal_decomp
+
+    u, vt, d = (Matrix(a) for a in _SMITH[kind])
+    cartan = Matrix(E.assemble_system((kind,)).factors[0].cartan)
+    assert u * cartan * vt.T == diag(*d)
+    assert abs(u.det()) == abs(vt.det()) == 1
+    assert diag(*d) == smith_normal_decomp(cartan)[0]
+
+
+def _moduli(system, kind):
+    k = len(system.factors)
+    return st.integers(1, 4).map(lambda m: (m,) * k) if kind == "e" else st.tuples(
+        *[st.integers(1, 4)] * k)
+
+
+def _shifted(system, rows, ms, zs, dual):
+    """Each row moved by ``M_f C_f z_f`` (``M_f C_f^T z_f`` if ``dual``): the same class."""
+    out = []
+    for row, z in zip(rows, zs):
+        row = list(row)
+        for (lo, hi), f, m in zip(system.factor_slices(), system.factors, ms):
+            c = mat_transpose(f.cartan) if dual else f.cartan
+            for i in range(lo, hi):
+                row[i] += m * sum(c[i - lo][j] * z[lo + j] for j in range(hi - lo))
+        out.append(tuple(row))
+    return out
+
+
+@pytest.mark.parametrize("sel,kind", CASES)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_index_classes_match_the_fraction_congruences(sel, kind, data):
+    system = E.system_from_selector(sel)
+    ms = data.draw(_moduli(system, kind))
+    size = abs(system.det_cartan) * math.prod(
+        m**f.rank for f, m in zip(system.factors, ms))
+    rows = data.draw(st.lists(st.tuples(*[st.integers(-12, 12)] * system.n),
+                              min_size=1, max_size=5))
+    zs = data.draw(st.lists(st.tuples(*[st.integers(-2, 2)] * system.n),
+                            min_size=len(rows), max_size=len(rows)))
+    scale = [m for f, m in zip(system.factors, ms) for _ in range(f.rank)]
+    for dual in (False, True):
+        batch = rows + _shifted(system, rows, ms, zs, dual)
+        index = fixing_counts(E.even_subgroup(system, kind), batch, ms, dual)[0].tolist()
+        assert all(0 <= k < size for k in index)
+        for a, ka in zip(batch, index):
+            for b, kb in zip(batch, index):
+                if dual:
+                    want = weight_congruent_mod_mq(system, a, b, ms)
+                else:
+                    want = torus_congruent(system, *[tuple(Q(v, m) for v, m in zip(p, scale))
+                                                     for p in (a, b)])
+                assert (ka == kb) == want
+
+
+@pytest.mark.parametrize("sel,kind", CASES)
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_grid_images_cover_the_torus_group_once(sel, kind, data):
+    system = E.system_from_selector(sel)
+    ms = data.draw(_moduli(system, kind))
+    group = E.even_subgroup(system, kind)
+    grid = E.build_point_grid(system, kind, ms if kind == "ee" else ms[:1])
+    # the label parameters: factor f's numerators over M_f instead of the denominator
+    scale = [grid.denominator // m for f, m in zip(system.factors, ms) for _ in range(f.rank)]
+    params = grid.numerators // np.array(scale)
+    images = np.stack(list(lattice_indices(system, params, ms, False,
+                                           [w.coweight_matrix for w in group])))
+    size = abs(system.det_cartan) * math.prod(m**f.rank for f, m in zip(system.factors, ms))
+    assert set(images.ravel().tolist()) == set(range(size))
+    # each point's orbit is its eps distinct images
+    assert [len(set(col)) for col in images.T.tolist()] == grid.eps.tolist()

@@ -5,7 +5,7 @@ import pytest
 
 import eweyl as E
 from eweyl.lie_data import identity_matrix
-from eweyl.weyl import simple_reflection, torus_keys, torus_orbit_sizes, weight_stabs_mod_mq
+from eweyl.weyl import fixing_counts, simple_reflection
 from conftest import SELECTORS, rational_point
 from reference import canonical_torus_point, torus_congruent, weight_congruent_mod_mq
 
@@ -130,13 +130,15 @@ def test_torus_orbit_size_examples():
     group = E.even_subgroup(a1a2, "e")
     m = 5
     # label [s0,s1,s0',s2,0], all displayed entries nonzero
-    x = (Q(1, m), Q(2, m), Q(0))
-    assert torus_orbit_sizes(group, *torus_keys(a1a2, [x, (Q(0), Q(0), Q(0))])).tolist() == [6, 1]
+    # the points (1/m, 2/m, 0) and 0, as integer rows over m per factor
+    _, fixed = fixing_counts(group, [(1, 2, 0), (0, 0, 0)], (m, m))
+    assert (group.order // fixed).tolist() == [6, 1]
 
     aa = E.system_from_selector("a1xa1")
     # label [s0,0,s0',0] is the origin cell; a generic point has the full even orbit
-    points = [(Q(0), Q(0)), (Q(1, 5), Q(2, 5))]
-    assert torus_orbit_sizes(E.even_subgroup(aa, "e"), *torus_keys(aa, points)).tolist() == [1, 2]
+    group = E.even_subgroup(aa, "e")
+    _, fixed = fixing_counts(group, [(0, 0), (1, 2)], (5, 5))
+    assert (group.order // fixed).tolist() == [1, 2]
 
 
 def test_weight_stab_mod_mq_examples():
@@ -147,16 +149,16 @@ def test_weight_stab_mod_mq_examples():
     lam = (0, 0, m // 2)
     # then a generic interior label, and the zero weight, fixed by everything
     weights = [lam, (1, 2, 1), (0, 0, 0)]
-    assert weight_stabs_mod_mq(group, weights, (m, m)).tolist() == [4, 1, group.order]
+    assert fixing_counts(group, weights, (m, m), dual=True)[1].tolist() == [4, 1, group.order]
 
 
 def test_weight_stab_errors():
     a1c2 = E.system_from_selector("a1xc2")
     group = E.even_subgroup(a1c2, "e")
     with pytest.raises(E.UsageError):
-        weight_stabs_mod_mq(group, [(0, 0, 0)], (5,))
+        fixing_counts(group, [(0, 0, 0)], (5,), dual=True)
     with pytest.raises(E.UsageError):
-        weight_stabs_mod_mq(group, [(0, 0, 0)], (5, 0))
+        fixing_counts(group, [(0, 0, 0)], (5, 0), dual=True)
 
 
 def test_torus_congruence():
