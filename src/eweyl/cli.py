@@ -91,9 +91,10 @@ def _output(args):
 
 
 def _write_csv(args, header, rows):
-    """Comma-joined ``header`` and ``rows`` (lists of strings) to :func:`_output`."""
+    """Comma-joined ``header`` and ``rows`` (iterables of strings) to :func:`_output`, in turn."""
     with _output(args) as out:
-        for row in [header, *rows]:
+        print(",".join(header), file=out)
+        for row in rows:
             print(",".join(row), file=out)
 
 
@@ -362,22 +363,21 @@ def _cmd_contour(args):
     pinned = 0 if pin is None else pin[1].numerator * (den // pin[1].denominator)
     # every entry is below den or the pinned one; exact Python ints past int64
     dtype = int_dtype(max(den, abs(pinned)))
-    k = np.indices((2 * n_samples,) * len(free)).reshape(len(free), -1).T.astype(dtype)
-    probes = np.zeros((len(k), sysm.n), dtype=dtype)
-    probes[:, free] = (2 * k + 1 - 2 * n_samples) * (den // (2 * n_samples))
+    odd = np.indices((2 * n_samples,) * len(free)).reshape(len(free), -1).T * 2 + 1 - 2 * n_samples
+    probes = np.zeros((len(odd), sysm.n), dtype=dtype)
+    probes[:, free] = odd.astype(dtype) * (den // (2 * n_samples))
     if pin is not None:
         probes[:, pin[0]] = pinned
-    kept = probes[domain_mask(sysm, args.kind, probes, den)]
+    inside = domain_mask(sysm, args.kind, probes, den)
     gram = coweight_gram(sysm)
     sub = np.array(
         [[float(gram[i][j]) for j in free] for i in free], dtype=float
     )
     embed = np.linalg.cholesky(sub).T
-    values = scaled_orbit_sums(sysm, args.kind, [lam], kept, den)[0]
-    rows = []
-    for uv, value in zip(kept[:, free].tolist(), values):
-        cart = embed @ np.array([v / den for v in uv])
-        rows.append([_fmt17(v) for v in (cart[0], cart[1], value.real, value.imag)])
+    values = scaled_orbit_sums(sysm, args.kind, [lam], probes[inside], den)[0]
+    # odd / 2n is the free coordinate v / den, rounded once from small exact ints
+    table = np.column_stack([odd[inside] / (2 * n_samples) @ embed.T, values.real, values.imag])
+    rows = (map(_fmt17, row) for row in map(np.ndarray.tolist, table))
     _write_csv(args, ["x", "y", "re", "im"], rows)
     return 0
 

@@ -3,14 +3,16 @@
 ``xi`` is the normalised orbit sum over all elements of the selected
 even group: the stabiliser order times the sum over the distinct orbit
 members.  ``xi`` pairs on the point's integer residue key, computed for
-its one point in plain Python ints (the batch callers use
-:func:`eweyl.weyl.torus_keys`), and turns each residue into a phasor
+its one point in plain Python ints, and turns each residue into a phasor
 with :func:`eweyl.lie_data.residue_phasor`; the ``Fraction`` sum of
 ``exp_phase`` terms it replaces lives on in the tests as the reference
-that ``xi`` and ``orbit_sums`` match bit for bit.  ``orbit_sums``
-evaluates ``xi`` for many weights and points at once on the same keys;
-``scaled_orbit_sums`` does the same for points given as integer
-numerators over one denominator.
+that ``xi`` and ``orbit_sums`` match bit for bit.  ``scaled_orbit_sums``
+evaluates ``xi`` for many weights at many points, given as integer
+numerators over one denominator, and ``orbit_sums`` scales its
+``Fraction`` points once and does the same.  Both call the orbit-sum
+kernel, which keys the numerator rows it is given
+(:func:`eweyl.weyl.scaled_torus_keys`); it is the only batch reader of
+residue keys, so grids and transforms pass it numerators.
 
 ``xi_closed`` evaluates the closed form tabulated for each supported
 group and kind, transcribed verbatim; two of those closed forms (both
@@ -33,12 +35,12 @@ from .lie_data import SemisimpleSystem, TorusPoint, Weight, residue_phasor
 from .weyl import (
     _integer_weight,
     _point_key,
+    _scaled,
     check_kind,
     even_subgroup,
     int_dtype,
     length_error,
     scaled_torus_keys,
-    torus_keys,
 )
 
 
@@ -55,7 +57,7 @@ def _flat_weight_matrices(system: SemisimpleSystem, kind: str) -> tuple[tuple[in
 def xi(system: SemisimpleSystem, kind: str, lam: Weight, x: TorusPoint) -> complex:
     """Sum of ``exp(2 pi i <w lam, x>)`` over the whole even group.
 
-    The point's residue key ``K, n`` (:func:`eweyl.weyl.torus_keys`,
+    The point's residue key ``K, n`` (:func:`eweyl.weyl.scaled_torus_keys`,
     here computed for the one point in plain Python ints) turns each
     pairing into the integer ``k = (w lam) . K``, and each term is
     ``residue_phasor(k, n)``.  Terms are accumulated in the canonical
@@ -84,30 +86,32 @@ def orbit_sums(system: SemisimpleSystem, kind: str, weights, points) -> np.ndarr
     ``weights`` is a sequence of integer weights and ``points`` a
     sequence of points with ``int`` or ``Fraction`` coordinates.
 
-    With ``K, n = torus_keys(system, points)`` each pairing is the exact
-    residue ``k = (W lam) . K mod n``.  A term is
-    ``residue_phasor(k, n)``, the phasor ``xi`` adds, and the terms
-    are summed in canonical group order.  The residues are int64 when a
-    bound on ``|k|`` proves they fit and exact Python ints otherwise.
+    The points are scaled once to integer numerators over the lcm ``L``
+    of their denominators, and :func:`scaled_orbit_sums` pairs those.
     """
     if any(len(v) != system.n for v in points):
         raise length_error(system)
-    keys, n = torus_keys(system, points)
-    return _orbit_sum_kernel(system, kind, weights, n)(keys)
+    numerators, lcm = _scaled([v for p in points for v in p])
+    numerators = np.array(numerators, dtype=object).reshape(len(points), system.n)
+    return scaled_orbit_sums(system, kind, weights, numerators, lcm)
 
 
 def scaled_orbit_sums(system: SemisimpleSystem, kind: str, weights, numerators, lcm: int):
     """:func:`orbit_sums` at the points ``numerators / lcm``, with no ``Fraction``.
 
-    ``numerators`` is an integer array of shape ``(N, n)``; a float or
-    other non-integer entry is a :class:`UsageError`.  The result
-    equals ``orbit_sums`` of the same points bit for bit, because a term
-    depends only on the value ``k / n``.
+    ``numerators`` holds integer rows of length ``n``, an array or
+    nested sequences of ints; a float or other non-integer entry is a
+    :class:`UsageError`.  With ``K, n`` the residue keys of the points
+    (:func:`eweyl.weyl.scaled_torus_keys`) each pairing is the exact
+    residue ``k = (W lam) . K mod n``.  A term is
+    ``residue_phasor(k, n)``, the phasor ``xi`` adds, and the terms are
+    summed in canonical group order, so the result is ``xi``'s bit for
+    bit.  The residues are int64 when a bound on ``|k|`` proves they fit
+    and exact Python ints otherwise.
     """
     if np.ndim(numerators) != 2 or np.shape(numerators)[1] != system.n:
         raise length_error(system)
-    keys, n = scaled_torus_keys(system, numerators, lcm)
-    return _orbit_sum_kernel(system, kind, weights, n)(keys)
+    return _orbit_sum_kernel(system, kind, weights, lcm)(numerators)
 
 
 #: largest key modulus whose phasors are tabulated for every residue
@@ -122,15 +126,17 @@ def _phasor_table(n: int) -> np.ndarray:
     return table
 
 
-def _orbit_sum_kernel(system: SemisimpleSystem, kind: str, weights, n: int):
-    """:func:`orbit_sums` of ``weights`` as a function of torus keys modulo ``n``.
+def _orbit_sum_kernel(system: SemisimpleSystem, kind: str, weights, lcm: int):
+    """:func:`orbit_sums` of ``weights`` as a function of numerator rows over ``lcm``.
 
     The set-up, the ``|group|`` weight-image matrices ``W lam`` and
-    their dtype bound, is done once here; each call of the result does
-    only the per-key work, so blocks of keys can share it.
+    their dtype bound, is done once here; each call of the result keys
+    only the rows it is given and does the per-row work, so blocks of
+    rows can share the set-up and no key outlives its block.
     """
     group = even_subgroup(system, check_kind(kind))
     dim = system.n
+    n = operator.index(lcm) * abs(system.det_cartan)
     weights = [_integer_weight(system, v) for v in weights]
     lam = np.array(weights, dtype=object).reshape(len(weights), dim)
     rows = [lam @ np.array(w.weight_matrix, dtype=object).T for w in group]
@@ -138,7 +144,8 @@ def _orbit_sum_kernel(system: SemisimpleSystem, kind: str, weights, n: int):
     rows = [r.astype(dtype) for r in rows]
     phasor = lru_cache(maxsize=None)(lambda k: residue_phasor(k, n))
 
-    def sums(keys: np.ndarray) -> np.ndarray:
+    def sums(numerators) -> np.ndarray:
+        keys, _ = scaled_torus_keys(system, numerators, lcm)
         cols = keys.T.astype(dtype)
         total = np.zeros((len(weights), len(keys)), dtype=complex)
         if dtype is np.int64 and n <= min(total.size, _TABLE_MAX):

@@ -9,7 +9,10 @@ only that factor's cells are reflected before the product is taken.
 The point grid is the only discretisation of the domain.  Each grid is
 one cached record per side (:func:`build_point_grid`,
 :func:`build_weight_grid`) of the read-only integer arrays it is built
-from, and nothing else.  As a sequence it reads as ``GridPoint``/
+from, and nothing else: a point is its integer numerators over the
+grid's one denominator, and the orbit-sum kernel of :mod:`eweyl.efunc`
+derives the residue keys of its pairings from them block by block, so
+no key is stored.  As a sequence it reads as ``GridPoint``/
 ``SpectralPoint`` items, built from the arrays each time one is read
 and never kept.  The quadrature cells of the continuous transform read
 :func:`point_grid_arrays`, the same record uncached.
@@ -50,13 +53,14 @@ from .lie_data import (
 )
 from .weyl import (
     FULL_EVEN,
+    _magnitude,
     _scaled,
     check_even_kind,
     check_moduli,
     even_subgroup,
     fixing_counts,
+    int_dtype,
     length_error,
-    scaled_torus_keys,
     simple_reflection,
 )
 
@@ -298,16 +302,14 @@ class _GridRecord:
 class PointGrid(_GridRecord):
     """A point grid as read-only int64 arrays, one row per point in canonical order.
 
-    Point ``k`` is ``numerators[k] / denominator`` with label ``labels[k]``,
-    orbit size ``eps[k]`` and residue key ``keys[k]`` over ``n``.
+    Point ``k`` is ``numerators[k] / denominator`` with label ``labels[k]``
+    and orbit size ``eps[k]``.
     """
 
     numerators: np.ndarray
     denominator: int
     labels: np.ndarray
     eps: np.ndarray
-    keys: np.ndarray
-    n: int
 
     def _items(self, rows: slice) -> list[GridPoint]:
         coords = fraction_rows(self.numerators[rows], self.denominator)
@@ -346,10 +348,9 @@ def point_grid_arrays(system: SemisimpleSystem, kind: str, ms) -> PointGrid:
     _require_distinct(index, "point mod coroot lattice")
     eps = group.order // fixed
     numerators = params * np.array(scale, dtype=np.int64)
-    keys, n = scaled_torus_keys(system, numerators, denominator)
-    for a in (numerators, labels, eps, keys):
+    for a in (numerators, labels, eps):
         a.setflags(write=False)
-    return PointGrid(numerators, denominator, labels, eps, keys, n)
+    return PointGrid(numerators, denominator, labels, eps)
 
 
 # bounded caches: a ``tables`` run at one modulus fills 12 entries of each
@@ -404,16 +405,23 @@ def domain_mask(system: SemisimpleSystem, kind: str, numerators, lcm: int) -> np
     Per block of :func:`domain_blocks`: closed, or reflected into the
     interior.  On the integer numerators ``c`` a factor's simplex is
     ``c >= 0, sum(m c) <= lcm``, and the reflection moves the reflected
-    factor's coordinates only; all arithmetic is on Python ints.
+    factor's coordinates only.  The arithmetic is int64 when a bound on
+    ``sum(m r)`` proves it fits, else on Python ints.
     """
-    x = np.array(numerators, dtype=object).reshape(-1, system.n)
+    if not isinstance(numerators, np.ndarray) or numerators.dtype != np.int64:
+        numerators = np.array(numerators, dtype=object)
+    x = numerators.reshape(-1, system.n)
+    # |sum(m r)| <= sum(m) * sum|R| * max|c| for the reflection R of any factor
+    scale = max(sum(f.marks) * int(np.abs(_gluing_reflection(f.kind, False)).sum())
+                for f in system.factors)
+    x = x.astype(int_dtype(max(scale * _magnitude(x), lcm)), copy=False)
     inside = np.ones(len(x), dtype=bool)
     for block in domain_blocks(system, kind):
         closed = interior = True
         for i in block.factors:
             f = system.factors[i]
             c, marks = x[:, slice(*system.factor_slices()[i])], list(f.marks)
-            r = c @ _gluing_reflection(f.kind, False).T.astype(object) if i == block.reflected else c
+            r = c @ _gluing_reflection(f.kind, False).T if i == block.reflected else c
             closed &= (c >= 0).all(axis=1) & (c @ marks <= lcm)
             interior &= (r > 0).all(axis=1) & (r @ marks < lcm)
         inside &= closed | interior

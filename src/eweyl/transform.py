@@ -9,10 +9,10 @@ orders, the forward coefficients are
     N(lam) = detC * |group| * prod_f M_f^rank_f * h[lam],
 
 and the inverse is plain series evaluation on the grid.  The phase
-matrix ``P`` (spectrum rows by grid columns) pairs the residue keys of
-the cached point record (:func:`eweyl.grids.build_point_grid`) with
-the weights of the weight record; the records also hold ``eps`` and
-``N(lam)``.  ``P`` is applied without a copy: the forward transform
+matrix ``P`` (spectrum rows by grid columns) pairs the integer
+numerators of the cached point record (:func:`eweyl.grids.build_point_grid`)
+with the weights of the weight record; the records also hold ``eps``
+and ``N(lam)``.  ``P`` is applied without a copy: the forward transform
 conjugates the vector, ``conj(P @ conj(eps * f)) / N``, not the
 matrix, and the inverse is ``P.T @ c``.  A sample or coefficient set
 holds one read-only complex128 array of values and the cached record
@@ -47,8 +47,9 @@ distinct numerators.  A block holds at most 2**16 orbit-sum entries
 (1 MiB), so the working memory stays bounded however large the
 spectrum or the grid.  The spectrum is the finite truncation of
 :func:`eweyl.grids.enumerate_dominant`.  Both transforms take their
-orbit sums from the exact integer kernel of :mod:`eweyl.efunc` on the
-point record's residue keys, so every phase is exact.
+orbit sums from the exact integer kernel of :mod:`eweyl.efunc`, given
+the point record's numerators over its one denominator, so every phase
+is exact.
 
 ``TOL_ORTHOGONALITY`` (1e-9) bounds the Gram residual and the round-trip
 error that ``eweyl verify`` accepts.
@@ -178,7 +179,7 @@ def phase_matrix(system: SemisimpleSystem, kind: str, ms: tuple[int, ...]) -> np
             f"the limit is {MAX_PHASE_MATRIX_N}"
         )
     weights = build_weight_grid(system, kind, ms).weights
-    out = _orbit_sum_kernel(system, kind, weights, grid.n)(grid.keys)
+    out = _orbit_sum_kernel(system, kind, weights, grid.denominator)(grid.numerators)
     out.setflags(write=False)
     return out
 
@@ -263,17 +264,14 @@ _BLOCK_ENTRIES = 2**16
 class QuadratureCells(_GridRecord):
     """Cells of :func:`quadrature_cells` as integer numerators over one denominator.
 
-    Cell ``k`` is the point ``numerators[k] / denominator`` with weight
-    ``weights[k]`` and residue key ``keys[k]`` over ``n``, those of the
-    point record.  As a sequence it reads as ``(point, weight)`` pairs
+    Cell ``k`` is the point ``numerators[k] / denominator`` of the point
+    record with weight ``weights[k]``.  As a sequence it reads as ``(point, weight)`` pairs
     with ``Fraction`` coordinates and a float weight, built when read.
     """
 
     numerators: np.ndarray
     denominator: int
     weights: np.ndarray
-    keys: np.ndarray
-    n: int
 
     def __len__(self) -> int:
         return len(self.numerators)
@@ -294,7 +292,7 @@ def quadrature_cells(system: SemisimpleSystem, kind: str, resolution: int) -> Qu
     grid = point_grid_arrays(system, kind, ms)
     weights = grid.eps / (even_subgroup(system, kind).order * modulus_power(system, kind, ms))
     weights.setflags(write=False)
-    return QuadratureCells(grid.numerators, grid.denominator, weights, grid.keys, grid.n)
+    return QuadratureCells(grid.numerators, grid.denominator, weights)
 
 
 def _check_alias_free(system, group, spectrum, per_factor) -> None:
@@ -369,14 +367,14 @@ def continuous_coefficients(
     cells = quadrature_cells(system, kind, resolution)
     _check_alias_free(system, group, spectrum, (resolution,) * len(system.factors))
     integrals = np.zeros(len(spectrum), dtype=complex)
-    orbit_sums = _orbit_sum_kernel(system, kind, spectrum, cells.n)
+    orbit_sums = _orbit_sum_kernel(system, kind, spectrum, cells.denominator)
     block = max(1, _BLOCK_ENTRIES // len(spectrum))
     for start in range(0, len(cells), block):
         rows = slice(start, start + block)
         values = np.array(
             [complex(f(p)) for p in fraction_rows(cells.numerators[rows], cells.denominator)]
         )
-        integrals += np.conj(orbit_sums(cells.keys[rows])) @ (cells.weights[rows] * values)
+        integrals += np.conj(orbit_sums(cells.numerators[rows])) @ (cells.weights[rows] * values)
     stabilizers = tuple(stab_order(group, lam) for lam in spectrum)
     norm = abs(system.det_cartan)
     return ContinuousCoefficients(

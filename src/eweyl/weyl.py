@@ -23,11 +23,13 @@ Congruences are decided on one integer index.  Per factor, the group
 (``_SMITH``) map each point or weight to one integer in ``[0, |T|)``
 (:func:`lattice_indices`); orbit sizes and stabilisers count the group
 elements that fix it (:func:`fixing_counts`).  Pairings read residue
-keys ``A (L x) mod L |det C|``, ``A = |det C| C^{-1}``, of any point
-``x`` with common denominator ``L``: ``torus_keys`` keys a batch with
-one numpy product, ``_point_key`` one point (all that ``efunc.xi``
-needs) in plain Python ints.  Coordinates enter as Python ints either
-way, so numpy integers cannot wrap around.
+keys ``A (L x) mod L |det C|``, ``A = |det C| C^{-1}``, of points ``x``
+given as integer numerators over a common denominator ``L``:
+:func:`scaled_torus_keys` keys a batch with one numpy product,
+``_point_key`` one point (all that ``efunc.xi`` needs) in plain Python
+ints.  Keys are a detail of the orbit-sum kernel of :mod:`eweyl.efunc`,
+its only reader; grids and transforms hold numerators.  Coordinates
+enter as Python ints either way, so numpy integers cannot wrap around.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ from .lie_data import (
     identity_matrix,
     mat_det,
     mat_mul,
-    mat_transpose,
     mat_vec,
 )
 
@@ -248,17 +249,9 @@ def int_dtype(bound: int):
     return np.int64 if bound < 2**63 else object
 
 
-def _residues(rows, matrix, n: int) -> np.ndarray:
-    """``rows @ matrix % n`` for one integer matrix, int64 when a bound proves it fits."""
-    mat = np.array(matrix, dtype=object)
-    if not isinstance(rows, np.ndarray) or rows.dtype != np.int64:
-        rows = np.array(rows, dtype=object)
-    rows = rows.reshape(len(rows), mat.shape[0])
-    bound = rows.shape[1] * np.abs(mat).max(initial=0) * int(np.abs(rows).max(initial=0))
-    dtype = int_dtype(max(bound, n))
-    image = rows.astype(dtype, copy=False) @ mat.astype(dtype)
-    image %= n
-    return image
+def _magnitude(a: np.ndarray) -> int:
+    """``max |a|`` as a Python int; ``np.abs`` would wrap the int64 minimum to itself."""
+    return max(int(a.max(initial=0)), -int(a.min(initial=0)))
 
 
 def _rational(v) -> tuple[int, int]:
@@ -284,7 +277,7 @@ def _scaled(coords) -> tuple[list[int], int]:
 
 
 def _point_key(system: SemisimpleSystem, x) -> tuple[list[int], int]:
-    """:func:`torus_keys` of the one point ``x``, in plain Python ints.
+    """:func:`scaled_torus_keys` of the one point ``x``, in plain Python ints.
 
     ``K_i = sum_j A_ij (L x_j) mod n`` with no numpy: for three
     numbers the batch product costs more than the arithmetic.
@@ -294,40 +287,30 @@ def _point_key(system: SemisimpleSystem, x) -> tuple[list[int], int]:
     return [sum(map(operator.mul, row, scaled)) % n for row in system.adj_cartan], n
 
 
-def torus_keys(system: SemisimpleSystem, points) -> tuple[np.ndarray, int]:
-    """Residue keys ``K`` (one row per point) and their modulus ``n``.
-
-    With ``L`` the lcm of the point denominators, ``K = A (L x) mod n``
-    and ``n = L |det C|``.  ``K / n`` are the coroot coordinates of ``x``
-    reduced into [0, 1).  This is the batch product, an int64 or object
-    array; one point is keyed in plain ints by ``_point_key``.
-    """
-    scaled, lcm = _scaled([v for p in points for v in p])
-    scaled = np.array(scaled, dtype=object).reshape(len(points), system.n)
-    return scaled_torus_keys(system, scaled, lcm)
-
-
 def scaled_torus_keys(system: SemisimpleSystem, numerators, lcm: int) -> tuple[np.ndarray, int]:
-    """:func:`torus_keys` of the points ``numerators / lcm``.
+    """Residue keys ``K`` (one row per point) of the points ``numerators / lcm``, and ``n``.
 
-    ``numerators`` holds integer rows of length ``n`` (an integer array
-    or nested sequences of ints); ``lcm`` need not be the least
-    denominator, and ``K / n`` comes out the same.  A float, complex or
-    other non-integer numerator is a :class:`UsageError`, never
-    truncated.
+    ``K = A numerators mod n`` and ``n = lcm |det C|``, so ``K / n`` are
+    the coroot coordinates of the points reduced into [0, 1), whatever
+    common denominator ``lcm`` is.  ``numerators`` holds integer rows of
+    length ``n``, an integer array or nested sequences of ints, which
+    become an object array (numpy would guess float64 past int64).  A
+    float or other non-integer entry is a :class:`UsageError`, never
+    truncated.  ``K`` is int64 when a bound proves it fits, else objects.
     """
-    n = operator.index(lcm) * abs(system.det_cartan)
-    return _residues(_integer_rows(numerators), mat_transpose(system.adj_cartan), n), n
-
-
-def _integer_rows(rows) -> np.ndarray:
-    """``rows`` as an array of integers; a float or any other entry is a :class:`UsageError`."""
-    rows = np.asarray(rows)
-    if rows.dtype.kind in "iu" or (
+    rows = numerators if isinstance(numerators, np.ndarray) else np.array(numerators, dtype=object)
+    if rows.dtype.kind not in "iu" and not (
         rows.dtype == object and all(isinstance(v, numbers.Integral) for v in rows.flat)
     ):
-        return rows
-    raise UsageError(f"point numerators must be integers, got an array of dtype {rows.dtype}")
+        raise UsageError(f"point numerators must be integers, got an array of dtype {rows.dtype}")
+    rows = rows.reshape(len(rows), system.n).astype(
+        np.int64 if rows.dtype == np.int64 else object, copy=False)
+    n = operator.index(lcm) * abs(system.det_cartan)
+    adj = np.array(system.adj_cartan, dtype=object).T
+    dtype = int_dtype(max(system.n * np.abs(adj).max() * _magnitude(rows), n))
+    keys = rows.astype(dtype, copy=False) @ adj.astype(dtype)
+    keys %= n
+    return keys, n
 
 
 #: per simple factor ``(U, V^T, d)``: unimodular ``U, V`` with ``U C V = diag(d)``
@@ -356,7 +339,7 @@ def lattice_indices(system: SemisimpleSystem, rows, ms, dual: bool, matrices):
         rows = np.array(rows, dtype=object)
     rows = rows.reshape(len(rows), system.n)
     folded = [np.array(mat_mul(smith, m), dtype=object) for m in matrices]
-    big = max(np.abs(b).max() for b in folded) * int(np.abs(rows).max(initial=0))
+    big = max(np.abs(b).max() for b in folded) * _magnitude(rows)
     dtype = int_dtype(max(system.n * big, math.prod(mods)))
     rows = rows.astype(dtype, copy=False)
     for b in folded:

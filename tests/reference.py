@@ -9,7 +9,7 @@ import numpy as np
 import eweyl as E
 from eweyl.grids import in_even_domain
 from eweyl.lie_data import block_diagonal, exp_phase, mat_inverse, mat_transpose, mat_vec
-from eweyl.weyl import check_moduli, torus_keys
+from eweyl.weyl import _point_key, check_moduli
 
 
 def fraction_xi(system, kind, lam, x):
@@ -75,8 +75,8 @@ def canonical_torus_point(system, x):
 
     Two points are congruent iff their canonical forms are equal.
     """
-    keys, n = torus_keys(system, [x])
-    return mat_vec(system.cartan, [Q(int(k), n) for k in keys[0]])
+    key, n = _point_key(system, x)
+    return mat_vec(system.cartan, [Q(k, n) for k in key])
 
 
 def _torus_classes(system, per_factor_ms):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import eweyl as E
-from eweyl import weyl
+from eweyl import efunc
 from eweyl.efunc import TRUSTED_CLOSED_FORMS, scaled_orbit_sums
 from eweyl.weyl import even_subgroup, stab_order
 from conftest import SELECTORS, int_weight, rational_point
@@ -207,7 +207,7 @@ def test_xi_and_interpolate_key_one_point_without_the_batch_product(monkeypatch)
     def batch_product(*args):
         raise AssertionError("a single point went through the batch product")
 
-    monkeypatch.setattr(weyl, "_residues", batch_product)
+    monkeypatch.setattr(efunc, "scaled_torus_keys", batch_product)
     for sel in SELECTORS:
         s = E.system_from_selector(sel)
         x = (Q(1, 7),) * s.n

@@ -9,7 +9,7 @@ import eweyl as E
 from eweyl import grids
 from eweyl.grids import PointGrid, WeightGrid, _gluing_reflection, _require_distinct, domain_blocks
 from eweyl.transform import quadrature_cells
-from eweyl.weyl import even_subgroup, fixing_counts, simple_reflection, torus_keys
+from eweyl.weyl import even_subgroup, fixing_counts, simple_reflection
 from conftest import SELECTORS, traced_peak
 from reference import (
     canonical_torus_point,
@@ -225,9 +225,11 @@ def test_grid_records_are_read_only_arrays_of_their_tuples():
             assert weights is E.build_weight_grid(system, kind, list(ms))
             items, spectral = tuple(points), tuple(weights)
             assert points[0] == items[0] and points[0] is not points[0]
-            assert [*vars(points)] == [f.name for f in dataclasses.fields(points)]
+            # a point is stored once, as numerators over one denominator; no keys
+            assert [*vars(points)] == [f.name for f in dataclasses.fields(points)] == [
+                "numerators", "denominator", "labels", "eps"]
             assert [*vars(weights)] == [f.name for f in dataclasses.fields(weights)]
-            for a in (points.numerators, points.labels, points.eps, points.keys,
+            for a in (points.numerators, points.labels, points.eps,
                       weights.weights, weights.labels, weights.h, weights.norms):
                 assert not a.flags.writeable
                 with pytest.raises(ValueError):
@@ -236,8 +238,6 @@ def test_grid_records_are_read_only_arrays_of_their_tuples():
             assert points.eps.tolist() == [gp.epsilon for gp in items]
             assert [tuple(Q(v, points.denominator) for v in row)
                     for row in points.numerators.tolist()] == [gp.point for gp in items]
-            keys, n = torus_keys(system, [gp.point for gp in items])
-            assert (points.keys.tolist(), points.n) == (keys.tolist(), n)
             assert weights.weights.tolist() == [list(sp.weight) for sp in spectral]
             assert weights.labels.tolist() == [list(sp.label) for sp in spectral]
             assert weights.h.tolist() == [sp.h for sp in spectral]
@@ -270,6 +270,19 @@ def test_in_even_domain_refuses_malformed_points():
             E.in_even_domain(a1xa2, "e", x)
     assert E.in_even_domain(a1xa2, "e", (0, 0, 0))
     assert E.in_even_domain(a1xa2, "e", (Q(1, 4), np.int64(0), Q(1, 3)))
+
+
+def test_domain_mask_of_int64_rows_equals_fractions():
+    # np.abs(-2**63) is -2**63, which must not pass for a small bound
+    edges = (-(2**63), -1, 0, 1, 3, 2**63 - 1)
+    for sel in SELECTORS:
+        system = E.system_from_selector(sel)
+        rows = list(itertools.product(edges, repeat=system.n))
+        for kind in ("e", "ee"):
+            for lcm in (4, 2**64):
+                want = [E.in_even_domain(system, kind, [Q(v, lcm) for v in row]) for row in rows]
+                got = grids.domain_mask(system, kind, np.array(rows, dtype=np.int64), lcm)
+                assert got.tolist() == want, (sel, kind, lcm)
 
 
 def test_one_modulus_power():

@@ -126,6 +126,33 @@ def test_orbit_sums_reject_non_integer_weights():
     assert want.tobytes() == got.tobytes()
 
 
+@pytest.mark.parametrize("sel,kind", CASES)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_scaled_orbit_sums_take_nested_ints_past_int64(sel, kind, data):
+    # numpy guessed float64 for [[-1, 2**63]] and the call was refused
+    system = E.system_from_selector(sel)
+    entry = st.one_of(st.integers(2**63, 2**64 - 1), st.integers(-(2**64), -1))
+    rows = data.draw(st.lists(st.lists(entry, min_size=system.n, max_size=system.n),
+                              min_size=1, max_size=3))
+    weights = data.draw(st.lists(st.tuples(*[st.integers(-20, 20)] * system.n),
+                                 min_size=1, max_size=3))
+    lcm = data.draw(st.sampled_from((1, 6, 2**64 + 13)))
+    want = np.array([[fraction_xi(system, kind, lam, [Q(v, lcm) for v in row]) for row in rows]
+                     for lam in weights])
+    assert want.tobytes() == scaled_orbit_sums(system, kind, weights, rows, lcm).tobytes()
+    assert want.tobytes() == orbit_sums(system, kind, weights,
+                                        [[Q(v, lcm) for v in row] for row in rows]).tobytes()
+
+
+def test_int64_minimum_numerator_is_exact():
+    # np.abs(-2**63) is -2**63, which once let the keys be computed in int64
+    system = E.system_from_selector("a1xa2")
+    row = (-(2**63), 1, 5)
+    want = fraction_xi(system, "e", (1, 1, 1), [Q(v, 7) for v in row])
+    assert scaled_orbit_sums(system, "e", [(1, 1, 1)], np.array([row]), 7)[0, 0] == want
+
+
 def test_scaled_orbit_sums_refuse_non_integer_numerators():
     # a float numerator used to be truncated: this gave -1+0j, the value at
     # (0, 1/3), instead of xi at (1/6, 1/3) = -1.732...
@@ -138,6 +165,7 @@ def test_scaled_orbit_sums_refuse_non_integer_numerators():
         np.array([[Q(1, 2), 1]], dtype=object),
         np.array([[None, 1]], dtype=object),
         [[0.5, 1]],
+        [[-1, 2.0**63]],
     ):
         with pytest.raises(E.UsageError):
             scaled_orbit_sums(a1xa1, "e", [(1, 2)], numerators, 6)
@@ -148,6 +176,7 @@ def test_scaled_orbit_sums_refuse_non_integer_numerators():
         np.array([[1, 2]], dtype=np.uint8),
         np.array([[1, 2]], dtype=object),
         [[1, 2]],
+        [(np.int64(1), 2)],
     ):
         assert scaled_orbit_sums(a1xa1, "e", [(1, 2)], numerators, 6)[0, 0] == want
     big = 2**70

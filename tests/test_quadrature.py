@@ -140,12 +140,14 @@ def test_orbit_sum_blocks_stay_within_2_16_entries(monkeypatch):
     system, kind = E.system_from_selector("a1xa1xa1"), "ee"
     calls = []
 
-    def recorded(system, kind, spectrum, n):
-        sums = _orbit_sum_kernel(system, kind, spectrum, n)
+    def recorded(system, kind, spectrum, lcm):
+        sums = _orbit_sum_kernel(system, kind, spectrum, lcm)
 
-        def block(keys):
-            calls.append(len(spectrum) * len(keys))
-            return sums(keys)
+        def block(numerators):
+            # the kernel gets one block of numerator rows and keys only those
+            assert numerators.shape == (len(numerators), system.n)
+            calls.append(len(numerators))
+            return sums(numerators)
 
         return block
 
@@ -154,7 +156,7 @@ def test_orbit_sum_blocks_stay_within_2_16_entries(monkeypatch):
     cc = E.continuous_coefficients(lambda p: E.xi(system, kind, mu, p), system, kind,
                                    weight_bound=4, resolution=6)
     cells = len(quadrature_cells(system, kind, 6))
-    assert len(cc.weights) == 729 and max(calls) <= 2**16
+    assert len(cc.weights) == 729 and max(calls) == 2**16 // 729 and sum(calls) == cells
     assert len(calls) == -(-cells // (2**16 // 729)) > 2
     assert max(abs(v - (w == mu)) for w, v in zip(cc.weights, cc.values)) <= 1e-12
 

@@ -1,6 +1,8 @@
 """The lattice index and residue keys of ``eweyl.weyl`` against the Fraction congruences."""
 
+import ast
 import math
+import pathlib
 from fractions import Fraction as Q
 
 import numpy as np
@@ -9,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import eweyl as E
 from eweyl.lie_data import mat_transpose
-from eweyl.weyl import _SMITH, _point_key, fixing_counts, lattice_indices, torus_keys
+from eweyl.weyl import _SMITH, _point_key, fixing_counts, lattice_indices, scaled_torus_keys
 from reference import canonical_torus_point, torus_congruent, weight_congruent_mod_mq
 
 CASES = [(sel, kind) for sel in E.SUPPORTED_SELECTORS for kind in ("e", "ee")]
@@ -68,7 +70,10 @@ def test_torus_orbit_sizes_match_congruence(sel, kind, data):
 def test_point_key_equals_batch_key(sel, data):
     system = E.system_from_selector(sel)
     x = data.draw(st.tuples(*[_coordinate()] * system.n))
-    keys, n = torus_keys(system, [x])
+    # the batch product of the numerators over the lcm, as nested Python ints
+    pairs = [(int(v.numerator), int(v.denominator)) for v in x]
+    lcm = math.lcm(*(d for _, d in pairs))
+    keys, n = scaled_torus_keys(system, [[a * (lcm // d) for a, d in pairs]], lcm)
     assert _point_key(system, x) == (keys[0].tolist(), n)
 
 
@@ -175,3 +180,40 @@ def test_grid_images_cover_the_torus_group_once(sel, kind, data):
     assert set(images.ravel().tolist()) == set(range(size))
     # each point's orbit is its eps distinct images
     assert [len(set(col)) for col in images.T.tolist()] == grid.eps.tolist()
+
+
+def test_int64_minimum_row_is_indexed_exactly():
+    # np.abs(-2**63) is -2**63, which once let the index be computed in int64
+    system = E.system_from_selector("a1xa2")
+    group = E.even_subgroup(system, "e")
+    rows = [(-(2**63), 0, 0), (0, -(2**63), 1)]
+    want = fixing_counts(group, rows, (3, 3))  # nested Python ints: exact
+    got = fixing_counts(group, np.array(rows, dtype=np.int64), (3, 3))
+    assert [a.tolist() for a in got] == [a.tolist() for a in want]
+
+
+#: the only modules that may name a residue-key function
+KEY_MODULES = {"weyl.py", "efunc.py"}
+
+
+def _names(tree):
+    """Every identifier a module uses: names, attributes and imported names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_residue_keys_stay_inside_weyl_and_efunc():
+    # grids and transforms hold numerators; only the orbit-sum kernel keys them
+    package = pathlib.Path(E.__file__).parent
+    sources = sorted(package.glob("*.py"))
+    assert {p.name for p in sources} >= KEY_MODULES | {"grids.py", "transform.py"}
+    for path in sources:
+        used = set(_names(ast.parse(path.read_text(encoding="utf-8"))))
+        if path.name not in KEY_MODULES:
+            assert not used & {"scaled_torus_keys", "_point_key"}, path.name
+        assert "torus_keys" not in used, path.name
