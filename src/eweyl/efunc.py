@@ -2,17 +2,15 @@
 
 ``xi`` is the normalised orbit sum over all elements of the selected
 even group: the stabiliser order times the sum over the distinct orbit
-members.  ``xi`` pairs on the point's integer residue key, computed for
-its one point in plain Python ints, and turns each residue into a phasor
-with :func:`eweyl.lie_data.residue_phasor`; the ``Fraction`` sum of
+members.  ``xi`` pairs on the point's Smith key (:mod:`eweyl.weyl`) in
+plain Python ints and turns each residue into a phasor with
+:func:`eweyl.lie_data.residue_phasor`; the ``Fraction`` sum of
 ``exp_phase`` terms it replaces lives on in the tests as the reference
 that ``xi`` and ``orbit_sums`` match bit for bit.  ``scaled_orbit_sums``
 evaluates ``xi`` for many weights at many points, given as integer
 numerators over one denominator, and ``orbit_sums`` scales its
 ``Fraction`` points once and does the same.  Both call the orbit-sum
-kernel, which keys the numerator rows it is given
-(:func:`eweyl.weyl.scaled_torus_keys`); it is the only batch reader of
-residue keys, so grids and transforms pass it numerators.
+kernel, the only batch reader of keys (:func:`eweyl.weyl.smith_keys`).
 
 ``xi_closed`` evaluates the closed form tabulated for each supported
 group and kind, transcribed verbatim; two of those closed forms (both
@@ -25,22 +23,22 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import operator
 from functools import lru_cache
-from itertools import chain
 
 import numpy as np
 
-from .lie_data import SemisimpleSystem, TorusPoint, Weight, residue_phasor
+from .lie_data import SemisimpleSystem, TorusPoint, UsageError, Weight, residue_phasor
 from .weyl import (
     _integer_weight,
-    _point_key,
     _scaled,
+    _smith_key,
     check_kind,
-    even_subgroup,
     int_dtype,
     length_error,
-    scaled_torus_keys,
+    smith_form,
+    smith_keys,
 )
 
 
@@ -48,19 +46,13 @@ class UnsupportedFormulaError(ValueError):
     """No closed form is available for the requested system and kind."""
 
 
-@lru_cache(maxsize=None)
-def _flat_weight_matrices(system: SemisimpleSystem, kind: str) -> tuple[tuple[int, ...], ...]:
-    """The group's weight matrices, each flattened row by row, in canonical order."""
-    return tuple(tuple(chain.from_iterable(w.weight_matrix)) for w in even_subgroup(system, kind))
-
-
 def xi(system: SemisimpleSystem, kind: str, lam: Weight, x: TorusPoint) -> complex:
     """Sum of ``exp(2 pi i <w lam, x>)`` over the whole even group.
 
-    The point's residue key ``K, n`` (:func:`eweyl.weyl.scaled_torus_keys`,
-    here computed for the one point in plain Python ints) turns each
-    pairing into the integer ``k = (w lam) . K``, and each term is
-    ``residue_phasor(k, n)``.  Terms are accumulated in the canonical
+    The point's key ``K`` (:func:`eweyl.weyl.smith_keys`, here computed
+    for the one point in plain Python ints) and ``n = L D`` turn each pairing
+    into the integer ``k = (diag(D / d) V^T w lam) . K``, and each term
+    is ``residue_phasor(k, n)``.  Terms are accumulated in the canonical
     group-element order, so the result is bitwise reproducible and
     equal to the ``Fraction`` sum of ``exp_phase`` terms, which the
     tests keep as the reference.  Coordinates are ints or fractions;
@@ -70,12 +62,12 @@ def xi(system: SemisimpleSystem, kind: str, lam: Weight, x: TorusPoint) -> compl
     x = tuple(x)
     if len(x) != system.n:
         raise length_error(system)
-    matrices = _flat_weight_matrices(system, check_kind(kind))
-    key, n = _point_key(system, x)
-    # (w lam) . K = sum_ij W_ij K_i lam_j, one flat product per element
+    form = smith_form(system, check_kind(kind), False)
+    key, n = _smith_key(form, x)
+    # (P lam) . K = sum_ij P_ij K_i lam_j, one flat product per element
     outer = [a * b for a in key for b in lam]
     total = 0j
-    for flat in matrices:
+    for flat in form.pairing:
         total += residue_phasor(sum(map(operator.mul, flat, outer)), n)
     return total
 
@@ -100,18 +92,19 @@ def scaled_orbit_sums(system: SemisimpleSystem, kind: str, weights, numerators, 
     """:func:`orbit_sums` at the points ``numerators / lcm``, with no ``Fraction``.
 
     ``numerators`` holds integer rows of length ``n``, an array or
-    nested sequences of ints; a float or other non-integer entry is a
-    :class:`UsageError`.  With ``K, n`` the residue keys of the points
-    (:func:`eweyl.weyl.scaled_torus_keys`) each pairing is the exact
-    residue ``k = (W lam) . K mod n``.  A term is
-    ``residue_phasor(k, n)``, the phasor ``xi`` adds, and the terms are
-    summed in canonical group order, so the result is ``xi``'s bit for
-    bit.  The residues are int64 when a bound on ``|k|`` proves they fit
-    and exact Python ints otherwise.
+    nested sequences of ints; ragged rows, or a float or other
+    non-integer entry, are a :class:`UsageError`.  Each pairing is the
+    exact residue ``k`` of :func:`xi`, keyed per batch by
+    :func:`eweyl.weyl.smith_keys`, so the result is ``xi``'s bit for bit.
     """
-    if np.ndim(numerators) != 2 or np.shape(numerators)[1] != system.n:
+    # objects: numpy would guess float64 past int64; ragged rows stay one-dimensional
+    rows = numerators if isinstance(numerators, np.ndarray) else np.array(numerators, dtype=object)
+    if rows.ndim != 2 or rows.shape[1] != system.n:
         raise length_error(system)
-    return _orbit_sum_kernel(system, kind, weights, lcm)(numerators)
+    if not (rows.dtype.kind in "iu" or rows.dtype == object
+            and all(isinstance(v, numbers.Integral) for v in rows.flat)):
+        raise UsageError(f"point numerators must be integers, got an array of dtype {rows.dtype}")
+    return _orbit_sum_kernel(system, kind, weights, lcm)(rows)
 
 
 #: largest key modulus whose phasors are tabulated for every residue
@@ -129,25 +122,25 @@ def _phasor_table(n: int) -> np.ndarray:
 def _orbit_sum_kernel(system: SemisimpleSystem, kind: str, weights, lcm: int):
     """:func:`orbit_sums` of ``weights`` as a function of numerator rows over ``lcm``.
 
-    The set-up, the ``|group|`` weight-image matrices ``W lam`` and
-    their dtype bound, is done once here; each call of the result keys
-    only the rows it is given and does the per-row work, so blocks of
-    rows can share the set-up and no key outlives its block.
+    The set-up, the ``|group|`` weight images ``diag(D / d) V^T W lam``
+    and their dtype bound, is done once here; each call of the result
+    keys only the rows it is given, so blocks of rows share the set-up
+    and no key outlives its block.  The residues are int64 when a bound
+    on ``|k|`` proves they fit and exact Python ints otherwise.
     """
-    group = even_subgroup(system, check_kind(kind))
+    form = smith_form(system, check_kind(kind), False)
     dim = system.n
-    n = operator.index(lcm) * abs(system.det_cartan)
+    n = operator.index(lcm) * form.lcm
     weights = [_integer_weight(system, v) for v in weights]
     lam = np.array(weights, dtype=object).reshape(len(weights), dim)
-    rows = [lam @ np.array(w.weight_matrix, dtype=object).T for w in group]
+    rows = [lam @ np.array(flat, dtype=object).reshape(dim, dim).T for flat in form.pairing]
     dtype = int_dtype(max(dim * max(abs(r).max(initial=0) for r in rows) * n, n))
     rows = [r.astype(dtype) for r in rows]
     phasor = lru_cache(maxsize=None)(lambda k: residue_phasor(k, n))
 
     def sums(numerators) -> np.ndarray:
-        keys, _ = scaled_torus_keys(system, numerators, lcm)
-        cols = keys.T.astype(dtype)
-        total = np.zeros((len(weights), len(keys)), dtype=complex)
+        cols = smith_keys(system, numerators, lcm).astype(dtype, copy=False)
+        total = np.zeros((len(weights), cols.shape[1]), dtype=complex)
         if dtype is np.int64 and n <= min(total.size, _TABLE_MAX):
             table = _phasor_table(n)
             for r in rows:

@@ -9,9 +9,9 @@ Coordinate conventions used throughout the package:
   of ``C`` in the coweight basis, and the pairing of a weight ``a`` with
   a point ``s`` is the exact rational ``a . C^{-1} s``.
 
-Every system also carries the integral ``A = |det C| C^{-1}``
-(``adj_cartan``): pairings become integer residues of ``A``, and
-lattice congruences one integer index (see :mod:`eweyl.weyl`).
+The Smith normal form ``U C V = diag(d)`` of each factor turns
+pairings into integer residues and lattice congruences into one integer
+index (see :mod:`eweyl.weyl`).
 
 Long roots are normalised to squared length 2.  That choice fixes every
 Gram matrix and fundamental-domain volume computed here.  All lattice
@@ -157,7 +157,6 @@ class SemisimpleSystem:
     n: int
     cartan: IntMatrix
     inv_cartan: RatMatrix
-    adj_cartan: IntMatrix  # |det C| C^{-1}, integral
     det_cartan: int
     offsets: tuple[int, ...]
 
@@ -195,7 +194,6 @@ def assemble_system(kinds: tuple[str, ...]) -> SemisimpleSystem:
         n=off,
         cartan=cartan,
         inv_cartan=inv,
-        adj_cartan=tuple(tuple(int(v * abs(det)) for v in row) for row in inv),
         det_cartan=det,
         offsets=tuple(offsets),
     )

@@ -17,19 +17,17 @@ Two subgroup selections are supported, addressed by a ``kind`` string:
   elements whose every factor block has determinant +1;
 * ``"w"``  -- the full Weyl group (mostly for internal use).
 
-Congruences are decided on one integer index.  Per factor, the group
-``T = (1/M) P^v / Q^v`` of points and its dual ``P / MQ`` of weights are
-``Z^rank`` modulo ``M C`` and ``M C^T``, whose Smith normal forms
-(``_SMITH``) map each point or weight to one integer in ``[0, |T|)``
-(:func:`lattice_indices`); orbit sizes and stabilisers count the group
-elements that fix it (:func:`fixing_counts`).  Pairings read residue
-keys ``A (L x) mod L |det C|``, ``A = |det C| C^{-1}``, of points ``x``
-given as integer numerators over a common denominator ``L``:
-:func:`scaled_torus_keys` keys a batch with one numpy product,
-``_point_key`` one point (all that ``efunc.xi`` needs) in plain Python
-ints.  Keys are a detail of the orbit-sum kernel of :mod:`eweyl.efunc`,
-its only reader; grids and transforms hold numerators.  Coordinates
-enter as Python ints either way, so numpy integers cannot wrap around.
+Congruences and pairings read one integer form, the Smith coordinates
+(:func:`smith_form`).  Per factor, ``T = (1/M) P^v / Q^v`` and its dual
+``P / MQ`` are ``Z^rank`` modulo ``M C`` and ``M C^T``, and the Smith
+form ``U C V = diag(d)`` maps a point ``s / M`` to ``(U s)_i mod M d_i``
+and a weight to ``(V^T lam)_i mod M d_i``.  Their mixed radix is one
+integer in ``[0, |T|)`` (:func:`lattice_indices`, :func:`fixing_counts`).
+At a common denominator ``M = L`` of rational points the same residues
+are keys (:func:`smith_keys`; ``_smith_key`` for one point in plain
+ints), and ``<lam, s / L> = sum_i (V^T lam)_i (U s)_i / (L d_i)`` is one
+integer modulo ``L lcm(d)``.  Only the orbit-sum kernel of
+:mod:`eweyl.efunc` reads keys; grids and transforms hold numerators.
 """
 
 from __future__ import annotations
@@ -39,6 +37,7 @@ import numbers
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -146,22 +145,14 @@ def simple_reflection(system: SemisimpleSystem, i: int) -> GroupElement:
     for j in range(n):
         wm[j][i] -= c[i][j]
         cm[j][i] -= c[j][i]
-    return GroupElement(
-        tuple(tuple(r) for r in wm), tuple(tuple(r) for r in cm), -1
-    )
-
-
-def _element_key(w: GroupElement):
-    return w.weight_matrix
+    return GroupElement(tuple(map(tuple, wm)), tuple(map(tuple, cm)), -1)
 
 
 @lru_cache(maxsize=None)
 def generate_weyl(system: SemisimpleSystem) -> WeylGroup:
     """Closure of the simple reflections, in canonical sorted order."""
     gens = [simple_reflection(system, i) for i in range(system.n)]
-    expected = 1
-    for f in system.factors:
-        expected *= f.weyl_order
+    expected = math.prod(f.weyl_order for f in system.factors)
     seen = {identity_matrix(system.n): GroupElement(
         identity_matrix(system.n), identity_matrix(system.n), 1)}
     frontier = list(seen.values())
@@ -177,19 +168,14 @@ def generate_weyl(system: SemisimpleSystem) -> WeylGroup:
         if len(seen) > expected:
             raise AssertionError("Weyl closure exceeded the known group order")
     if len(seen) != expected:
-        raise AssertionError(
-            f"Weyl closure has {len(seen)} elements, expected {expected}"
-        )
-    elements = tuple(sorted(seen.values(), key=_element_key))
+        raise AssertionError(f"Weyl closure has {len(seen)} elements, expected {expected}")
+    elements = tuple(sorted(seen.values(), key=lambda w: w.weight_matrix))
     return WeylGroup(system, FULL_WEYL, elements)
 
 
 def _factor_dets(system: SemisimpleSystem, w: GroupElement) -> tuple[int, ...]:
-    dets = []
-    for a, b in system.factor_slices():
-        block = tuple(row[a:b] for row in w.weight_matrix[a:b])
-        dets.append(mat_det(block))
-    return tuple(dets)
+    m = w.weight_matrix
+    return tuple(mat_det(tuple(row[a:b] for row in m[a:b])) for a, b in system.factor_slices())
 
 
 @lru_cache(maxsize=None)
@@ -202,9 +188,7 @@ def even_subgroup(system: SemisimpleSystem, kind: str) -> WeylGroup:
     if kind == FULL_EVEN:
         elements = tuple(w for w in full if w.det == 1)
     else:
-        elements = tuple(
-            w for w in full if all(d == 1 for d in _factor_dets(system, w))
-        )
+        elements = tuple(w for w in full if all(d == 1 for d in _factor_dets(system, w)))
     return WeylGroup(system, kind, elements)
 
 
@@ -241,7 +225,7 @@ def stab_order(group: WeylGroup, lam: Weight) -> int:
 
 
 # ---------------------------------------------------------------------------
-# integer residue keys
+# Smith coordinates: congruences and pairing keys
 # ---------------------------------------------------------------------------
 
 def int_dtype(bound: int):
@@ -276,43 +260,6 @@ def _scaled(coords) -> tuple[list[int], int]:
     return [a * (lcm // d) for a, d in pairs], lcm
 
 
-def _point_key(system: SemisimpleSystem, x) -> tuple[list[int], int]:
-    """:func:`scaled_torus_keys` of the one point ``x``, in plain Python ints.
-
-    ``K_i = sum_j A_ij (L x_j) mod n`` with no numpy: for three
-    numbers the batch product costs more than the arithmetic.
-    """
-    scaled, lcm = _scaled(x)
-    n = lcm * abs(system.det_cartan)
-    return [sum(map(operator.mul, row, scaled)) % n for row in system.adj_cartan], n
-
-
-def scaled_torus_keys(system: SemisimpleSystem, numerators, lcm: int) -> tuple[np.ndarray, int]:
-    """Residue keys ``K`` (one row per point) of the points ``numerators / lcm``, and ``n``.
-
-    ``K = A numerators mod n`` and ``n = lcm |det C|``, so ``K / n`` are
-    the coroot coordinates of the points reduced into [0, 1), whatever
-    common denominator ``lcm`` is.  ``numerators`` holds integer rows of
-    length ``n``, an integer array or nested sequences of ints, which
-    become an object array (numpy would guess float64 past int64).  A
-    float or other non-integer entry is a :class:`UsageError`, never
-    truncated.  ``K`` is int64 when a bound proves it fits, else objects.
-    """
-    rows = numerators if isinstance(numerators, np.ndarray) else np.array(numerators, dtype=object)
-    if rows.dtype.kind not in "iu" and not (
-        rows.dtype == object and all(isinstance(v, numbers.Integral) for v in rows.flat)
-    ):
-        raise UsageError(f"point numerators must be integers, got an array of dtype {rows.dtype}")
-    rows = rows.reshape(len(rows), system.n).astype(
-        np.int64 if rows.dtype == np.int64 else object, copy=False)
-    n = operator.index(lcm) * abs(system.det_cartan)
-    adj = np.array(system.adj_cartan, dtype=object).T
-    dtype = int_dtype(max(system.n * np.abs(adj).max() * _magnitude(rows), n))
-    keys = rows.astype(dtype, copy=False) @ adj.astype(dtype)
-    keys %= n
-    return keys, n
-
-
 #: per simple factor ``(U, V^T, d)``: unimodular ``U, V`` with ``U C V = diag(d)``
 _SMITH = {
     "a1": (((1,),), ((1,),), (2,)),
@@ -322,31 +269,87 @@ _SMITH = {
 }
 
 
-def lattice_indices(system: SemisimpleSystem, rows, ms, dual: bool, matrices):
-    """Yield, per matrix ``m``, the index in ``[0, |T|)`` of every row's image ``m s``.
+class SmithForm(NamedTuple):
+    """A group's matrices ``m`` in a system's Smith coordinates ``S s``.
 
-    Row ``s`` is the point with factor ``f`` at ``s_f / M_f`` of ``T``
-    or, if ``dual``, the weight ``s`` of ``P / MQ``.  ``U_f s_f mod M_f d``
-    (``V_f^T s_f`` if dual) maps them onto ``prod Z / M_f d_i``, and the
-    index is its mixed radix.  ``U_f m_f`` is folded into one matrix, so
-    only arrays of one entry per row are live; int64 when a bound proves
-    it fits, else exact Python ints.
+    ``pairing`` pairs with the keys of this side: a point key ``K`` and the ``P``
+    of a weight matrix ``w`` give ``<w lam, s / L> = K . P lam / (L D)`` mod 1.
+    """
+
+    rows: tuple  # (row i of S, d_i): S is the block-diagonal U_f, or V_f^T on the dual side
+    lcm: int  # D = lcm(d)
+    images: dict  # m -> S m, read-only int64, in canonical group order
+    bound: int  # the largest |entry| of the images
+    pairing: tuple  # the other side's diag(D / d) S m, flattened row by row, same order
+
+
+@lru_cache(maxsize=None)
+def smith_form(system: SemisimpleSystem, kind: str, dual: bool) -> SmithForm:
+    """The group of ``kind`` in Smith coordinates: weight matrices if ``dual``, else coweight."""
+    u, vt = (block_diagonal([_SMITH[f.kind][i] for f in system.factors]) for i in (0, 1))
+    basis, other = (vt, u) if dual else (u, vt)
+    diagonal = tuple(d for f in system.factors for d in _SMITH[f.kind][2])
+    lcm = math.lcm(*diagonal)
+    sides = [(w.weight_matrix, w.coweight_matrix) if dual else (w.coweight_matrix, w.weight_matrix)
+             for w in even_subgroup(system, kind)]
+    images = {m: np.array(basis) @ m for m, _ in sides}
+    for b in images.values():
+        b.setflags(write=False)
+    scale = np.array([[lcm // d] for d in diagonal]) * other
+    pairing = tuple(tuple((scale @ m).ravel().tolist()) for _, m in sides)
+    bound = max(map(_magnitude, images.values()))
+    return SmithForm(tuple(zip(basis, diagonal)), lcm, images, bound, pairing)
+
+
+def _smith_residues(system: SemisimpleSystem, rows, ms, dual: bool, matrices):
+    """The moduli ``M_f d_i`` and, per Weyl group matrix ``m``, the residues of ``S m s``.
+
+    Row ``s`` is the point ``s_f / M_f`` of ``T`` or, if ``dual``, the weight
+    ``s`` of ``P / MQ``.  The columns ``(S m s)_i mod M_f d_i`` come one at
+    a time, int64 when a bound proves they fit, else exact Python ints.
     """
     _, per_factor = check_moduli(system, PRODUCT_EVEN, ms)
-    smith = block_diagonal([_SMITH[f.kind][1 if dual else 0] for f in system.factors])
+    form = smith_form(system, FULL_WEYL, dual)
     mods = [m * d for f, m in zip(system.factors, per_factor) for d in _SMITH[f.kind][2]]
     if not isinstance(rows, np.ndarray) or rows.dtype != np.int64:
         rows = np.array(rows, dtype=object)
     rows = rows.reshape(len(rows), system.n)
-    folded = [np.array(mat_mul(smith, m), dtype=object) for m in matrices]
-    big = max(np.abs(b).max() for b in folded) * _magnitude(rows)
-    dtype = int_dtype(max(system.n * big, math.prod(mods)))
+    dtype = int_dtype(max(system.n * form.bound * _magnitude(rows), max(mods)))
     rows = rows.astype(dtype, copy=False)
-    for b in folded:
+    images = (form.images[m].astype(dtype, copy=False) for m in matrices)
+    return mods, ((rows @ col % mod for col, mod in zip(b, mods)) for b in images)
+
+
+def smith_keys(system: SemisimpleSystem, numerators, lcm: int) -> np.ndarray:
+    """The keys ``(U s)_i mod lcm d_i`` of the points ``s / lcm``, one column per point.
+
+    They are the residues of :func:`lattice_indices` at modulus ``lcm``.
+    """
+    _, images = _smith_residues(system, numerators, (lcm,) * len(system.factors), False,
+                                [identity_matrix(system.n)])
+    return np.stack(list(next(images)))
+
+
+def _smith_key(form: SmithForm, x) -> tuple[list[int], int]:
+    """The key of one point ``x`` in plain Python ints, and its modulus ``L D``."""
+    scaled, lcm = _scaled(x)
+    key = [sum(map(operator.mul, row, scaled)) % (lcm * d) for row, d in form.rows]
+    return key, lcm * form.lcm
+
+
+def lattice_indices(system: SemisimpleSystem, rows, ms, dual: bool, matrices):
+    """Yield, per Weyl group matrix ``m``, the index in ``[0, |T|)`` of every row's image ``m s``.
+
+    It is the mixed radix of :func:`_smith_residues`, int64 when ``|T|``
+    fits, else Python ints; only arrays of one entry per row are live.
+    """
+    mods, images = _smith_residues(system, rows, ms, dual, matrices)
+    dtype = int_dtype(math.prod(mods))
+    for columns in images:
         index = np.zeros(len(rows), dtype=dtype)
-        for col, mod in zip(b.astype(dtype), mods):
+        for col, mod in zip(columns, mods):
             index *= mod
-            index += rows @ col % mod
+            index += col.astype(dtype, copy=False)
         yield index
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import eweyl as E
 from eweyl.grids import in_even_domain
 from eweyl.lie_data import block_diagonal, exp_phase, mat_inverse, mat_transpose, mat_vec
-from eweyl.weyl import _point_key, check_moduli
+from eweyl.weyl import check_moduli
 
 
 def fraction_xi(system, kind, lam, x):
@@ -71,12 +71,11 @@ def weight_congruent_mod_mq(system, a, b, ms) -> bool:
 
 
 def canonical_torus_point(system, x):
-    """Representative of ``x`` modulo the coroot lattice: ``C K / n``.
+    """Representative of ``x`` modulo the coroot lattice: ``C frac(C^{-1} x)``.
 
     Two points are congruent iff their canonical forms are equal.
     """
-    key, n = _point_key(system, x)
-    return mat_vec(system.cartan, [Q(k, n) for k in key])
+    return mat_vec(system.cartan, [Q(z) % 1 for z in mat_vec(system.inv_cartan, x)])
 
 
 def _torus_classes(system, per_factor_ms):

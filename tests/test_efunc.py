@@ -207,7 +207,7 @@ def test_xi_and_interpolate_key_one_point_without_the_batch_product(monkeypatch)
     def batch_product(*args):
         raise AssertionError("a single point went through the batch product")
 
-    monkeypatch.setattr(efunc, "scaled_torus_keys", batch_product)
+    monkeypatch.setattr(efunc, "smith_keys", batch_product)
     for sel in SELECTORS:
         s = E.system_from_selector(sel)
         x = (Q(1, 7),) * s.n

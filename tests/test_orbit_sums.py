@@ -153,6 +153,14 @@ def test_int64_minimum_numerator_is_exact():
     assert scaled_orbit_sums(system, "e", [(1, 1, 1)], np.array([row]), 7)[0, 0] == want
 
 
+def test_scaled_orbit_sums_refuse_ragged_numerators():
+    # numpy's own "inhomogeneous shape" ValueError used to escape
+    a1xa1 = E.system_from_selector("a1xa1")
+    for numerators in ([[1, 2], [3]], [[1, 2], [3, 4, 5]], [[1, 2], 3], [1, 2]):
+        with pytest.raises(E.UsageError, match="need length 2"):
+            scaled_orbit_sums(a1xa1, "e", [(1, 1)], numerators, 5)
+
+
 def test_scaled_orbit_sums_refuse_non_integer_numerators():
     # a float numerator used to be truncated: this gave -1+0j, the value at
     # (0, 1/3), instead of xi at (1/6, 1/3) = -1.732...

@@ -1,4 +1,4 @@
-"""The lattice index and residue keys of ``eweyl.weyl`` against the Fraction congruences."""
+"""The lattice index and Smith keys of ``eweyl.weyl`` against the Fraction congruences."""
 
 import ast
 import math
@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import eweyl as E
-from eweyl.lie_data import mat_transpose
-from eweyl.weyl import _SMITH, _point_key, fixing_counts, lattice_indices, scaled_torus_keys
+from eweyl.lie_data import identity_matrix, mat_transpose
+from eweyl.weyl import (
+    _SMITH, _smith_key, fixing_counts, lattice_indices, smith_form, smith_keys)
 from reference import canonical_torus_point, torus_congruent, weight_congruent_mod_mq
 
 CASES = [(sel, kind) for sel in E.SUPPORTED_SELECTORS for kind in ("e", "ee")]
@@ -73,8 +74,31 @@ def test_point_key_equals_batch_key(sel, data):
     # the batch product of the numerators over the lcm, as nested Python ints
     pairs = [(int(v.numerator), int(v.denominator)) for v in x]
     lcm = math.lcm(*(d for _, d in pairs))
-    keys, n = scaled_torus_keys(system, [[a * (lcm // d) for a, d in pairs]], lcm)
-    assert _point_key(system, x) == (keys[0].tolist(), n)
+    keys = smith_keys(system, [[a * (lcm // d) for a, d in pairs]], lcm)
+    mods = [d for f in system.factors for d in _SMITH[f.kind][2]]
+    form = smith_form(system, "e", False)
+    assert _smith_key(form, x) == (keys[:, 0].tolist(), lcm * math.lcm(*mods))
+
+
+@pytest.mark.parametrize("sel", E.SUPPORTED_SELECTORS)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_keys_are_the_residues_of_the_lattice_index(sel, data):
+    # one integer form: the key of s / L is U s mod L d, whose mixed radix is s's index at L
+    system = E.system_from_selector(sel)
+    points = data.draw(_points(system.n))
+    lcm = math.lcm(*(Q(v).denominator for x in points for v in x))
+    rows = [[int(Q(v) * lcm) for v in x] for x in points]
+    keys = smith_keys(system, rows, lcm)
+    mods = [lcm * d for f in system.factors for d in _SMITH[f.kind][2]]
+    (index,) = lattice_indices(system, rows, (lcm,) * len(system.factors), False,
+                               [identity_matrix(system.n)])
+    for key, want in zip(keys.T.tolist(), index.tolist()):
+        assert all(0 <= k < m for k, m in zip(key, mods))
+        radix = 0
+        for k, m in zip(key, mods):
+            radix = radix * m + k
+        assert radix == want
 
 
 @pytest.mark.parametrize("sel,kind", CASES)
@@ -192,8 +216,9 @@ def test_int64_minimum_row_is_indexed_exactly():
     assert [a.tolist() for a in got] == [a.tolist() for a in want]
 
 
-#: the only modules that may name a residue-key function
+#: the only modules that may name a key or Smith helper
 KEY_MODULES = {"weyl.py", "efunc.py"}
+KEY_HELPERS = {"smith_form", "smith_keys", "_smith_key", "_smith_residues"}
 
 
 def _names(tree):
@@ -214,6 +239,9 @@ def test_residue_keys_stay_inside_weyl_and_efunc():
     assert {p.name for p in sources} >= KEY_MODULES | {"grids.py", "transform.py"}
     for path in sources:
         used = set(_names(ast.parse(path.read_text(encoding="utf-8"))))
+        # the residue keys of |det C| C^{-1} are gone: one integer form remains
+        assert not used & {"adj_cartan", "scaled_torus_keys", "torus_keys"}, path.name
+        if path.name != "weyl.py":
+            assert "_SMITH" not in used, path.name
         if path.name not in KEY_MODULES:
-            assert not used & {"scaled_torus_keys", "_point_key"}, path.name
-        assert "torus_keys" not in used, path.name
+            assert not used & KEY_HELPERS, path.name
