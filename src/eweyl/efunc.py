@@ -126,7 +126,8 @@ def _orbit_sum_kernel(system: SemisimpleSystem, kind: str, weights, lcm: int):
     and their dtype bound, is done once here; each call of the result
     keys only the rows it is given, so blocks of rows share the set-up
     and no key outlives its block.  The residues are int64 when a bound
-    on ``|k|`` proves they fit and exact Python ints otherwise.
+    on ``|k|`` proves they fit and exact Python ints otherwise; int64
+    residues and their phasors go to two buffers that every call reuses.
     """
     form = smith_form(system, check_kind(kind), False)
     dim = system.n
@@ -137,14 +138,22 @@ def _orbit_sum_kernel(system: SemisimpleSystem, kind: str, weights, lcm: int):
     dtype = int_dtype(max(dim * max(abs(r).max(initial=0) for r in rows) * n, n))
     rows = [r.astype(dtype) for r in rows]
     phasor = lru_cache(maxsize=None)(lambda k: residue_phasor(k, n))
+    # block-sized temporaries made anew cost more in page faults than the sums
+    scratch = []
 
     def sums(numerators) -> np.ndarray:
         cols = smith_keys(system, numerators, lcm).astype(dtype, copy=False)
         total = np.zeros((len(weights), cols.shape[1]), dtype=complex)
         if dtype is np.int64 and n <= min(total.size, _TABLE_MAX):
             table = _phasor_table(n)
+            if not scratch or scratch[0].size < total.size:
+                scratch[:] = np.empty(total.size, dtype=np.int64), np.empty(total.size, complex)
+            k, term = (a[:total.size].reshape(total.shape) for a in scratch)
             for r in rows:
-                total += table[r @ cols % n]
+                np.matmul(r, cols, out=k)
+                k %= n
+                # "wrap" is the identity on reduced residues and, unlike "raise", is unbuffered
+                total += table.take(k, out=term, mode="wrap")
             return total
         for r in rows:
             k = r @ cols % n

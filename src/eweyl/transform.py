@@ -29,7 +29,11 @@ factor at a time and never form the N x N matrix.  Below it, and for
 kind ``"e"``, they use the dense cached matrix, which is also what
 :func:`gram_matrix` and :func:`gram_residual` read as an independent
 check.  Every phase matrix, dense or per factor, is refused past
-``MAX_PHASE_MATRIX_N`` grid points so that it stays within 1 GiB.
+``MAX_PHASE_MATRIX_N`` grid points so that it stays within 1 GiB.  The
+dense path holds one N x N array: the matrix is filled in blocks of
+grid columns, and the Gram matrix ``conj(P) diag(eps) P^T`` is formed
+an eighth of its rows at a time, so :func:`gram_residual` never holds
+it whole and :func:`gram_matrix` holds only its own result.
 
 The continuous transform integrates against the orbit sums over the
 even fundamental domain on the same point grid, at modulus
@@ -43,13 +47,13 @@ sums of the spectrum unless two distinct points of their orbits share
 their index in ``P / MQ`` (:func:`eweyl.weyl.lattice_indices`), which
 :func:`continuous_coefficients` refuses.  The integrand ``f`` receives
 ``Fraction`` tuples, built block by block from a table of the few
-distinct numerators.  A block holds at most 2**16 orbit-sum entries
-(1 MiB), so the working memory stays bounded however large the
-spectrum or the grid.  The spectrum is the finite truncation of
-:func:`eweyl.grids.enumerate_dominant`.  Both transforms take their
-orbit sums from the exact integer kernel of :mod:`eweyl.efunc`, given
-the point record's numerators over its one denominator, so every phase
-is exact.
+distinct numerators.  A block of orbit sums, here as in the phase
+matrix, holds at most 2**16 entries (1 MiB), so the working memory
+stays bounded however large the spectrum or the grid.  The spectrum is
+the finite truncation of :func:`eweyl.grids.enumerate_dominant`.  Both
+transforms take their orbit sums from the exact integer kernel of
+:mod:`eweyl.efunc`, given the point record's numerators over its one
+denominator, so every phase is exact.
 
 ``TOL_ORTHOGONALITY`` (1e-9) bounds the Gram residual and the round-trip
 error that ``eweyl verify`` accepts.
@@ -168,10 +172,19 @@ def normalizers(system, kind, ms) -> np.ndarray:
 #: largest grid with a dense phase matrix: N^2 complex entries stay <= 1 GiB
 MAX_PHASE_MATRIX_N = 8192
 
+#: orbit-sum entries (spectrum by points) per block of a phase-matrix build
+#: or of the continuous transform
+_BLOCK_ENTRIES = 2**16
+
 
 @lru_cache(maxsize=8)
 def phase_matrix(system: SemisimpleSystem, kind: str, ms: tuple[int, ...]) -> np.ndarray:
-    """Matrix of orbit-sum values, spectrum rows by grid columns."""
+    """Matrix of orbit-sum values, spectrum rows by grid columns.
+
+    The matrix is allocated once and filled one block of grid columns at
+    a time, at most ``_BLOCK_ENTRIES`` entries per block; every entry is
+    the kernel's exact sum, whatever the block.
+    """
     grid = build_point_grid(system, kind, ms)
     if len(grid) > MAX_PHASE_MATRIX_N:
         raise UsageError(
@@ -179,7 +192,11 @@ def phase_matrix(system: SemisimpleSystem, kind: str, ms: tuple[int, ...]) -> np
             f"the limit is {MAX_PHASE_MATRIX_N}"
         )
     weights = build_weight_grid(system, kind, ms).weights
-    out = _orbit_sum_kernel(system, kind, weights, grid.denominator)(grid.numerators)
+    orbit_sums = _orbit_sum_kernel(system, kind, weights, grid.denominator)
+    out = np.empty((len(weights), len(grid)), dtype=complex)
+    block = max(1, _BLOCK_ENTRIES // len(weights))
+    for start in range(0, len(grid), block):
+        out[:, start:start + block] = orbit_sums(grid.numerators[start:start + block])
     out.setflags(write=False)
     return out
 
@@ -234,31 +251,57 @@ def interpolate(coeffs: CoefficientSet, x: TorusPoint) -> complex:
     return total
 
 
+#: fewest Gram rows per block: smaller blocks run BLAS kernels that round
+#: differently, and every block repacks ``P.T``
+_GRAM_MIN_ROWS = 64
+
+
+def _gram_blocks(system, kind, ms):
+    """Yield ``(start, g)``: the Gram rows from ``start`` on, an eighth of them at a time.
+
+    A block has at least ``_GRAM_MIN_ROWS`` rows.  Only the cached phase
+    matrix and one block's temporaries are live, if the caller drops
+    each block before it asks for the next.
+    """
+    p = phase_matrix(system, kind, ms)
+    eps = build_point_grid(system, kind, ms).eps
+    step = max(_GRAM_MIN_ROWS, -(-len(p) // 8))
+    for start in range(0, len(p), step):
+        t = np.conj(p[start:start + step])
+        t *= eps
+        g = t @ p.T
+        del t
+        yield start, np.conj(g, out=g)
+        del g
+
+
 def gram_matrix(system, kind, ms) -> np.ndarray:
     """``G[l, l'] = sum_x eps(x) Xi_l(x) conj(Xi_l'(x))`` over the grid."""
     ms, _ = check_moduli(system, kind, ms)
-    ee = phase_matrix(system, kind, ms)
-    t = np.conj(ee)
-    t *= build_point_grid(system, kind, ms).eps
-    g = t @ ee.T
-    return np.conj(g, out=g)
+    n = len(normalizers(system, kind, ms))
+    out = np.empty((n, n), dtype=complex)
+    for start, g in _gram_blocks(system, kind, ms):
+        out[start:start + len(g)] = g
+        del g
+    return out
 
 
 def gram_residual(system, kind, ms) -> float:
     """Max deviation of the discrete Gram matrix from its predicted diagonal."""
     ms, _ = check_moduli(system, kind, ms)
-    gram = gram_matrix(system, kind, ms)
-    gram[np.diag_indices_from(gram)] -= normalizers(system, kind, ms)
-    return float(np.abs(gram).max())
+    norms = normalizers(system, kind, ms)
+    worst = 0.0
+    for start, g in _gram_blocks(system, kind, ms):
+        k = np.arange(len(g))
+        g[k, start + k] -= norms[start:start + len(g)]
+        worst = np.maximum(worst, np.abs(g).max())  # a NaN stays NaN
+        del g
+    return float(worst)
 
 
 # ---------------------------------------------------------------------------
 # continuous transform
 # ---------------------------------------------------------------------------
-
-#: orbit-sum entries (spectrum by cells) per block of the continuous transform
-_BLOCK_ENTRIES = 2**16
-
 
 @dataclass(frozen=True, eq=False)
 class QuadratureCells(_GridRecord):
@@ -374,7 +417,9 @@ def continuous_coefficients(
         values = np.array(
             [complex(f(p)) for p in fraction_rows(cells.numerators[rows], cells.denominator)]
         )
-        integrals += np.conj(orbit_sums(cells.numerators[rows])) @ (cells.weights[rows] * values)
+        sums = orbit_sums(cells.numerators[rows])
+        integrals += np.conj(sums, out=sums) @ (cells.weights[rows] * values)
+        del sums  # before the next block's are made
     stabilizers = tuple(stab_order(group, lam) for lam in spectrum)
     norm = abs(system.det_cartan)
     return ContinuousCoefficients(

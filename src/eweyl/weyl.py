@@ -312,7 +312,8 @@ def _smith_residues(system: SemisimpleSystem, rows, ms, dual: bool, matrices):
     form = smith_form(system, FULL_WEYL, dual)
     mods = [m * d for f, m in zip(system.factors, per_factor) for d in _SMITH[f.kind][2]]
     if not isinstance(rows, np.ndarray) or rows.dtype != np.int64:
-        rows = np.array(rows, dtype=object)
+        # Python ints throughout: a numpy integer among them overflows past int64
+        rows = np.frompyfunc(operator.index, 1, 1)(np.array(rows, dtype=object))
     rows = rows.reshape(len(rows), system.n)
     dtype = int_dtype(max(system.n * form.bound * _magnitude(rows), max(mods)))
     rows = rows.astype(dtype, copy=False)

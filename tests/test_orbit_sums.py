@@ -190,3 +190,21 @@ def test_scaled_orbit_sums_refuse_non_integer_numerators():
     big = 2**70
     numerators = np.array([[big + 1, 2 * big + 2]], dtype=object)
     assert scaled_orbit_sums(a1xa1, "e", [(1, 2)], numerators, 6 * big + 6)[0, 0] == want
+
+
+@pytest.mark.parametrize("sel,kind", CASES)
+def test_numpy_integer_numerators_past_int64_stay_exact(sel, kind):
+    # np.int64 entries among objects were kept, and reducing their products
+    # modulo a denominator past int64 raised OverflowError
+    system = E.system_from_selector(sel)
+    lcm = 2**70 + 1
+    row = [np.int64(3), np.int32(-2), np.uint8(5)][:system.n]
+    weights = [tuple(range(1, system.n + 1)), (0,) * system.n]
+    want = np.array([[fraction_xi(system, kind, lam, [Q(int(v), lcm) for v in row])]
+                     for lam in weights])
+    for rows in ([row], np.array([row], dtype=object)):
+        assert want.tobytes() == scaled_orbit_sums(system, kind, weights, rows, lcm).tobytes()
+    a1xa1 = E.system_from_selector("a1xa1")
+    numerators = np.array([[np.int64(3), 2]], dtype=object)
+    want = fraction_xi(a1xa1, "e", (1, 2), (Q(3, lcm), Q(2, lcm)))
+    assert scaled_orbit_sums(a1xa1, "e", [(1, 2)], numerators, lcm)[0, 0] == want

@@ -161,6 +161,30 @@ def test_orbit_sum_blocks_stay_within_2_16_entries(monkeypatch):
     assert max(abs(v - (w == mu)) for w, v in zip(cc.weights, cc.values)) <= 1e-12
 
 
+def test_phase_matrix_blocks_stay_within_2_16_entries(monkeypatch):
+    # 1 788 weights: the grid goes in blocks of 2**16 // 1788 = 36 points
+    system, kind, ms = E.system_from_selector("a1xa2"), "e", (12,)
+    grid = E.build_point_grid(system, kind, ms)
+    calls = []
+
+    def recorded(system, kind, weights, lcm):
+        sums = _orbit_sum_kernel(system, kind, weights, lcm)
+
+        def block(numerators):
+            calls.append((len(weights), numerators))
+            return sums(numerators)
+
+        return block
+
+    monkeypatch.setattr(transform, "_orbit_sum_kernel", recorded)
+    p = transform.phase_matrix.__wrapped__(system, kind, ms)
+    assert p.shape == (1788, 1788) and {n for n, _ in calls} == {1788}
+    assert max(len(rows) for _, rows in calls) == 2**16 // 1788
+    assert len(calls) == -(-len(grid) // (2**16 // 1788)) > 2
+    # the blocks cover the grid once, in order
+    assert np.array_equal(np.concatenate([rows for _, rows in calls]), grid.numerators)
+
+
 #: the continuous workload of the benchmark: (selector, kind, resolution, bound)
 BENCHMARK_CASES = [("a1xa2", "e", 32, 1), ("a1xc2", "ee", 32, 1), ("a1xa1xa1", "e", 24, 2)]
 

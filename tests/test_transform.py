@@ -20,8 +20,8 @@ from eweyl.transform import (
     quadrature_cells,
 )
 from eweyl.weyl import even_subgroup
-from eweyl.efunc import xi, xi_closed
-from conftest import discrete_cases, int_weight, no_grid_items, rational_point
+from eweyl.efunc import _orbit_sum_kernel, xi, xi_closed
+from conftest import discrete_cases, int_weight, no_grid_items, rational_point, traced_peak
 
 
 def _random_values(rng, grid):
@@ -387,7 +387,52 @@ def test_gram_matrix_allocates_one_dense_temporary():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * n * n * 16
+    assert peak < 1.5 * n * n * 16
+
+
+#: the largest grid of the benchmark's ``verify`` and a dense one of many column blocks
+MEMORY_CASES = [("a1xa1xa1", "ee", (4, 4, 4)), ("a1xa2", "e", (12,))]
+
+
+@pytest.mark.parametrize("sel, kind, ms", MEMORY_CASES)
+def test_cold_phase_matrix_holds_one_matrix_and_one_block(sel, kind, ms):
+    system = E.system_from_selector(sel)
+    phase_matrix.__wrapped__(system, kind, ms)  # fill the grid and kernel caches
+    p, peak = traced_peak(lambda: phase_matrix.__wrapped__(system, kind, ms))
+    # per block entry: the sums, the residues and their phasors (40 B), and the set-up
+    assert peak <= p.nbytes + 2**16 * 48
+
+
+@pytest.mark.parametrize("sel, kind, ms", MEMORY_CASES)
+def test_gram_residual_streams_row_blocks(sel, kind, ms):
+    system = E.system_from_selector(sel)
+    n = len(phase_matrix(system, kind, ms))
+    normalizers(system, kind, ms)  # fill the caches
+    residual, peak = traced_peak(lambda: gram_residual(system, kind, ms))
+    assert residual < transform.TOL_ORTHOGONALITY
+    assert peak <= n * n * 16 / 2
+
+
+def _kernel_on_the_whole_grid(system, kind, ms):
+    grid = E.build_point_grid(system, kind, ms)
+    weights = E.build_weight_grid(system, kind, ms).weights
+    return _orbit_sum_kernel(system, kind, weights, grid.denominator)(grid.numerators)
+
+
+def test_blocked_phase_matrix_is_the_kernel_on_the_whole_grid(monkeypatch):
+    # 1 788 points: 50 blocks of 2**16 // 1788 = 36 columns
+    system, kind, ms = E.system_from_selector("a1xa2"), "e", (12,)
+    whole = _kernel_on_the_whole_grid(system, kind, ms)
+    assert phase_matrix(system, kind, ms).tobytes() == whole.tobytes()
+    for system, kind, ms in discrete_cases():
+        whole = _kernel_on_the_whole_grid(system, kind, ms)
+        assert phase_matrix(system, kind, ms).tobytes() == whole.tobytes(), (system, kind, ms)
+        # blocks of one column, of three, and a last block cut short
+        for entries in (1, 3 * len(whole), 7 * len(whole) + 1):
+            monkeypatch.setattr(transform, "_BLOCK_ENTRIES", entries)
+            blocked = phase_matrix.__wrapped__(system, kind, ms)
+            assert blocked.tobytes() == whole.tobytes() and not blocked.flags.writeable
+        monkeypatch.undo()
 
 
 def _ee_cases():
