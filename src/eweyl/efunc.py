@@ -6,10 +6,11 @@ members.  ``xi`` pairs on the point's Smith key (:mod:`eweyl.weyl`) in
 plain Python ints and turns each residue into a phasor with
 :func:`eweyl.lie_data.residue_phasor`; the ``Fraction`` sum of
 ``exp_phase`` terms it replaces lives on in the tests as the reference
-that ``xi`` and ``orbit_sums`` match bit for bit.  ``scaled_orbit_sums``
-evaluates ``xi`` for many weights at many points, given as integer
-numerators over one denominator, and ``orbit_sums`` scales its
-``Fraction`` points once and does the same.  Both call the orbit-sum
+that ``xi`` and ``orbit_sums`` match bit for bit.  ``xi`` keeps the last
+point's key, so ``interpolate`` keys its point once per series.
+``scaled_orbit_sums`` evaluates ``xi`` for many weights at many points,
+given as integer numerators over one denominator, and ``orbit_sums``
+scales its ``Fraction`` points once and does the same.  Both call the orbit-sum
 kernel, the only batch reader of keys (:func:`eweyl.weyl.smith_keys`).
 
 ``xi_closed`` evaluates the closed form tabulated for each supported
@@ -32,6 +33,7 @@ import numpy as np
 from .lie_data import SemisimpleSystem, TorusPoint, UsageError, Weight, residue_phasor
 from .weyl import (
     _integer_weight,
+    _magnitude,
     _scaled,
     _smith_key,
     check_kind,
@@ -46,6 +48,12 @@ class UnsupportedFormulaError(ValueError):
     """No closed form is available for the requested system and kind."""
 
 
+#: the point of the last ``xi`` call: ``(x, system, kind, form, key, n, rows)``.
+#: ``x`` is held, not its ``id``, so no later tuple can pass for it; the slot
+#: is replaced as one tuple, so a thread reads one point's fields together.
+_slot = None
+
+
 def xi(system: SemisimpleSystem, kind: str, lam: Weight, x: TorusPoint) -> complex:
     """Sum of ``exp(2 pi i <w lam, x>)`` over the whole even group.
 
@@ -57,13 +65,35 @@ def xi(system: SemisimpleSystem, kind: str, lam: Weight, x: TorusPoint) -> compl
     equal to the ``Fraction`` sum of ``exp_phase`` terms, which the
     tests keep as the reference.  Coordinates are ints or fractions;
     anything else is a :class:`UsageError`.
+
+    A series evaluated weight by weight at one point pays for the point
+    once: the last point's key is kept, and is reused when the next call
+    passes the very same tuple object ``x`` with the same ``system``
+    object and kind.  From the second such call on, ``K`` is folded into
+    one covector per group element, so each term is ``system.n``
+    products.  A call that raises leaves the kept point as it was.
     """
+    global _slot
     lam = _integer_weight(system, lam)
     x = tuple(x)
+    slot = _slot
+    if slot is not None and slot[0] is x and slot[1] is system and slot[2] == kind:
+        form, key, n, rows = slot[3:]
+        if rows is None:
+            # r[j] = sum_i P_ij K_i, so that (P lam) . K = r . lam
+            dim = system.n
+            rows = [[sum(map(operator.mul, key, flat[j::dim])) for j in range(dim)]
+                    for flat in form.pairing]
+            _slot = slot[:6] + (rows,)
+        total = 0j
+        for r in rows:
+            total += residue_phasor(sum(map(operator.mul, r, lam)), n)
+        return total
     if len(x) != system.n:
         raise length_error(system)
     form = smith_form(system, check_kind(kind), False)
     key, n = _smith_key(form, x)
+    _slot = (x, system, kind, form, key, n, None)
     # (P lam) . K = sum_ij P_ij K_i lam_j, one flat product per element
     outer = [a * b for a in key for b in lam]
     total = 0j
@@ -122,41 +152,51 @@ def _phasor_table(n: int) -> np.ndarray:
 def _orbit_sum_kernel(system: SemisimpleSystem, kind: str, weights, lcm: int):
     """:func:`orbit_sums` of ``weights`` as a function of numerator rows over ``lcm``.
 
-    The set-up, the ``|group|`` weight images ``diag(D / d) V^T W lam``
-    and their dtype bound, is done once here; each call of the result
-    keys only the rows it is given, so blocks of rows share the set-up
-    and no key outlives its block.  The residues are int64 when a bound
-    on ``|k|`` proves they fit and exact Python ints otherwise; int64
-    residues and their phasors go to two buffers that every call reuses.
+    The set-up, done once here, is the weights (an int64 array kept as it
+    is, any other sequence checked weight by weight), each element's
+    ``P^T`` for its pairing image ``P = diag(D / d) V^T w`` and a dtype
+    bound.  Each call of the result keys only the rows it is given, so
+    blocks of rows share the set-up and no key outlives its block, and
+    pairs ``k = lam . (P^T K)``.  The residues are int64 when the bound
+    proves they fit and exact Python ints otherwise; int64 residues and
+    their phasors go to two buffers that every call reuses.
     """
     form = smith_form(system, check_kind(kind), False)
     dim = system.n
     n = operator.index(lcm) * form.lcm
-    weights = [_integer_weight(system, v) for v in weights]
-    lam = np.array(weights, dtype=object).reshape(len(weights), dim)
-    rows = [lam @ np.array(flat, dtype=object).reshape(dim, dim).T for flat in form.pairing]
-    dtype = int_dtype(max(dim * max(abs(r).max(initial=0) for r in rows) * n, n))
-    rows = [r.astype(dtype) for r in rows]
+    if isinstance(weights, np.ndarray) and weights.dtype == np.int64 and weights.ndim == 2:
+        if weights.shape[1] != dim:
+            raise length_error(system)
+        lam = weights
+    else:
+        weights = [_integer_weight(system, v) for v in weights]
+        lam = np.array(weights, dtype=object).reshape(len(weights), dim)
+    pairs = [np.array(flat, dtype=object).reshape(dim, dim).T for flat in form.pairing]
+    # keys are residues below n: |(P^T K)_j| <= n sum_i |P_ij|, and |k| <= dim max|lam| that
+    spread = n * max(abs(p).sum(axis=1).max() for p in pairs)
+    dtype = int_dtype(max(dim * _magnitude(lam), 1) * spread)
+    lam = lam.astype(dtype, copy=False)
+    pairs = [p.astype(dtype) for p in pairs]
     phasor = lru_cache(maxsize=None)(lambda k: residue_phasor(k, n))
     # block-sized temporaries made anew cost more in page faults than the sums
     scratch = []
 
     def sums(numerators) -> np.ndarray:
         cols = smith_keys(system, numerators, lcm).astype(dtype, copy=False)
-        total = np.zeros((len(weights), cols.shape[1]), dtype=complex)
+        total = np.zeros((len(lam), cols.shape[1]), dtype=complex)
         if dtype is np.int64 and n <= min(total.size, _TABLE_MAX):
             table = _phasor_table(n)
             if not scratch or scratch[0].size < total.size:
                 scratch[:] = np.empty(total.size, dtype=np.int64), np.empty(total.size, complex)
             k, term = (a[:total.size].reshape(total.shape) for a in scratch)
-            for r in rows:
-                np.matmul(r, cols, out=k)
+            for p in pairs:
+                np.matmul(lam, p @ cols, out=k)
                 k %= n
                 # "wrap" is the identity on reduced residues and, unlike "raise", is unbuffered
                 total += table.take(k, out=term, mode="wrap")
             return total
-        for r in rows:
-            k = r @ cols % n
+        for p in pairs:
+            k = lam @ (p @ cols) % n
             seen = np.unique(k)
             table = np.array([phasor(v) for v in seen.tolist()], dtype=complex)
             total += table[np.searchsorted(seen, k)]

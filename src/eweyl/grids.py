@@ -231,10 +231,18 @@ def _branches(system: SemisimpleSystem, kind: str, per_factor, dual: bool):
 def fraction_rows(numerators: np.ndarray, denominator: int) -> list[TorusPoint]:
     """The rows of an integer array over ``denominator`` as ``Fraction`` tuples.
 
-    One ``Fraction`` is made per distinct numerator and shared.
+    Equal numerators share one ``Fraction``.  When the numerators span
+    no more values than there are entries, the table holds every value
+    from the least to the greatest and is indexed by offset; otherwise
+    it holds the distinct values only.
     """
-    values, index = np.unique(numerators, return_inverse=True)
-    table = np.array([Q(int(v), denominator) for v in values], dtype=object)
+    lo, hi = (int(numerators.min()), int(numerators.max())) if numerators.size else (0, -1)
+    if hi - lo <= numerators.size:
+        table = np.array([Q(v, denominator) for v in range(lo, hi + 1)], dtype=object)
+        index = (numerators - lo).astype(np.int64)
+    else:
+        values, index = np.unique(numerators, return_inverse=True)
+        table = np.array([Q(int(v), denominator) for v in values], dtype=object)
     return list(zip(*table[index.reshape(numerators.shape)].T.tolist()))
 
 

@@ -322,3 +322,39 @@ def test_grid_records_read_as_their_tuples():
         for k in (len(items), -len(items) - 1):
             with pytest.raises(IndexError):
                 grid[k]
+
+
+def _fraction_rows_by_entry(numerators, denominator):
+    return [tuple(Q(int(v), denominator) for v in row) for row in numerators]
+
+
+@pytest.mark.parametrize("numerators, unique", [
+    (np.array([[0, 3], [3, -2], [1, 0]]), False),  # a span of 5 values over 6 entries
+    (np.array([[0, 10**12], [5, 5]]), True),
+    (np.array([[2**70 + 1, 2**70], [2**70 + 3, 2**70]], dtype=object), False),
+    (np.array([[2**70, -(2**70)], [7, 2**70]], dtype=object), True),
+    (np.array([[-(2**63), -(2**63) + 2]]), False),
+    (np.zeros((0, 3), dtype=np.int64), False),
+])
+def test_fraction_rows_share_one_fraction_per_numerator(monkeypatch, numerators, unique):
+    calls, np_unique = [], np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(1) or np_unique(*a, **k))
+    rows = grids.fraction_rows(numerators, 6)
+    assert bool(calls) == unique
+    assert rows == _fraction_rows_by_entry(numerators, 6)
+    assert all(isinstance(v, Q) for row in rows for v in row)
+    entries = [(v, q) for row, qs in zip(numerators.tolist(), rows) for v, q in zip(row, qs)]
+    for (v, q), (w, r) in itertools.combinations(entries, 2):
+        assert (q is r) == (v == w)
+
+
+def test_fraction_rows_of_every_grid_are_its_points():
+    for sel in SELECTORS:
+        system = E.system_from_selector(sel)
+        for kind, ms in (("e", 3), ("ee", (2,) * len(system.factors))):
+            grid = E.build_point_grid(system, kind, ms)
+            rows = grids.fraction_rows(grid.numerators, grid.denominator)
+            assert rows == _fraction_rows_by_entry(grid.numerators, grid.denominator)
+    cells = quadrature_cells(E.system_from_selector("a1xa2"), "e", 8)
+    rows = grids.fraction_rows(cells.numerators, cells.denominator)
+    assert rows == _fraction_rows_by_entry(cells.numerators, cells.denominator)

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import eweyl as E
-from eweyl.efunc import orbit_sums, scaled_orbit_sums, xi
+from eweyl.efunc import _orbit_sum_kernel, orbit_sums, scaled_orbit_sums, xi
 from eweyl.lie_data import exp_phase, residue_phasor
 
+from conftest import traced_peak
 from reference import fraction_xi
 
 CASES = [(sel, kind) for sel in E.SUPPORTED_SELECTORS for kind in ("e", "ee")]
@@ -208,3 +209,29 @@ def test_numpy_integer_numerators_past_int64_stay_exact(sel, kind):
     numerators = np.array([[np.int64(3), 2]], dtype=object)
     want = fraction_xi(a1xa1, "e", (1, 2), (Q(3, lcm), Q(2, lcm)))
     assert scaled_orbit_sums(a1xa1, "e", [(1, 2)], numerators, lcm)[0, 0] == want
+
+
+def test_kernel_set_up_keeps_an_int64_weight_array_as_it_is():
+    # the set-up once made Python tuples and object images: 644 B per weight
+    system, kind, ms = E.system_from_selector("a1xa2"), "e", (12,)
+    weights = E.build_weight_grid(system, kind, ms).weights
+    grid = E.build_point_grid(system, kind, ms)
+    _orbit_sum_kernel(system, kind, weights, grid.denominator)  # the Smith form is cached
+    sums, peak = traced_peak(lambda: _orbit_sum_kernel(system, kind, weights, grid.denominator))
+    assert len(weights) == 1788 and peak <= 100 * len(weights)
+    rows = grid.numerators[::50]
+    from_tuples = _orbit_sum_kernel(system, kind, weights.tolist(), grid.denominator)(rows)
+    assert sums(rows).tobytes() == from_tuples.tobytes()
+
+
+@pytest.mark.parametrize("sel,kind", CASES)
+def test_int64_weight_arrays_past_the_bound_stay_exact(sel, kind):
+    system = E.system_from_selector(sel)
+    weights = np.array([[-(2**63), 2**62 + 1, 3][:system.n], [1, 0, -2][:system.n]])
+    assert weights.dtype == np.int64
+    rows, lcm = np.array([[1, -2, 5][:system.n], [7, 3, 0][:system.n]]), 97
+    want = np.array([[fraction_xi(system, kind, lam, [Q(v, lcm) for v in row])
+                      for row in rows.tolist()] for lam in weights.tolist()])
+    assert want.tobytes() == scaled_orbit_sums(system, kind, weights, rows, lcm).tobytes()
+    with pytest.raises(E.UsageError, match=f"need length {system.n}"):
+        scaled_orbit_sums(system, kind, weights[:, :1], rows, lcm)
