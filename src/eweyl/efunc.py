@@ -24,13 +24,12 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 import operator
 from functools import lru_cache
 
 import numpy as np
 
-from .lie_data import SemisimpleSystem, TorusPoint, UsageError, Weight, residue_phasor
+from .lie_data import SemisimpleSystem, TorusPoint, Weight, residue_phasor
 from .weyl import (
     _integer_weight,
     _magnitude,
@@ -38,6 +37,7 @@ from .weyl import (
     _smith_key,
     check_kind,
     int_dtype,
+    integer_rows,
     length_error,
     smith_form,
     smith_keys,
@@ -121,20 +121,11 @@ def orbit_sums(system: SemisimpleSystem, kind: str, weights, points) -> np.ndarr
 def scaled_orbit_sums(system: SemisimpleSystem, kind: str, weights, numerators, lcm: int):
     """:func:`orbit_sums` at the points ``numerators / lcm``, with no ``Fraction``.
 
-    ``numerators`` holds integer rows of length ``n``, an array or
-    nested sequences of ints; ragged rows, or a float or other
-    non-integer entry, are a :class:`UsageError`.  Each pairing is the
-    exact residue ``k`` of :func:`xi`, keyed per batch by
-    :func:`eweyl.weyl.smith_keys`, so the result is ``xi``'s bit for bit.
+    ``numerators`` holds integer rows (:func:`eweyl.weyl.integer_rows`).
+    Each pairing is the exact residue ``k`` of :func:`xi`, keyed per batch
+    by :func:`eweyl.weyl.smith_keys`, so the result is ``xi``'s bit for bit.
     """
-    # objects: numpy would guess float64 past int64; ragged rows stay one-dimensional
-    rows = numerators if isinstance(numerators, np.ndarray) else np.array(numerators, dtype=object)
-    if rows.ndim != 2 or rows.shape[1] != system.n:
-        raise length_error(system)
-    if not (rows.dtype.kind in "iu" or rows.dtype == object
-            and all(isinstance(v, numbers.Integral) for v in rows.flat)):
-        raise UsageError(f"point numerators must be integers, got an array of dtype {rows.dtype}")
-    return _orbit_sum_kernel(system, kind, weights, lcm)(rows)
+    return _orbit_sum_kernel(system, kind, weights, lcm)(integer_rows(system, numerators))
 
 
 #: largest key modulus whose phasors are tabulated for every residue

@@ -2,10 +2,11 @@
 
 Both even domains are described once, by :func:`domain_blocks`, as a
 product of gluing blocks ``F_B u r_B(F_B interior)``; :func:`glue`
-enumerates integer per-factor cells over that description, and every
-enumeration here (point and weight grids, dominant weights) consumes
-it.  A block names the one factor its gluing reflection moves, and
-only that factor's cells are reflected before the product is taken.
+sizes and enumerates integer per-factor cells over that description,
+and every enumeration here (point and weight grids, dominant weights)
+consumes it.  A block names the one factor its gluing reflection
+moves, and only that factor's cells are reflected before the product
+is taken; :func:`domain_mask` walks the blocks for membership.
 The point grid is the only discretisation of the domain.  Each grid is
 one cached record per side (:func:`build_point_grid`,
 :func:`build_weight_grid`) of the read-only integer arrays it is built
@@ -26,10 +27,10 @@ cells keep the positive label of the unreflected parameters while the
 coordinates carry the reflection.
 
 Moduli are normalised in one place, :func:`eweyl.weyl.check_moduli`;
-grids estimated past ``MAX_GRID_CELLS`` cells are refused before they
-are enumerated.  Orbit sizes, stabiliser orders and duplicate checks
-read one integer per cell, its index in the finite group ``T`` or its
-dual (:func:`eweyl.weyl.fixing_counts`), for all cells of a grid at once.
+:func:`glue` refuses grids estimated past ``MAX_GRID_CELLS`` cells
+before any cell is built.  Orbit sizes, stabiliser orders and duplicate
+checks read one integer per cell, its index in the finite group ``T``
+or its dual (:func:`eweyl.weyl.fixing_counts`), for all cells at once.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from .weyl import (
     even_subgroup,
     fixing_counts,
     int_dtype,
-    length_error,
+    integer_rows,
     simple_reflection,
 )
 
@@ -101,6 +102,14 @@ def _kac_labels(factor: SimpleFactor, marks, modulus: int, strict: bool):
                 if s0 >= lo:
                     out.append((s0, s1, s2))
     return out
+
+
+def _closed_labels_bound(factor: SimpleFactor, marks, modulus: int) -> int:
+    """Upper bound, within ~15% past small moduli, on the closed labels."""
+    if factor.rank == 1:
+        return modulus + 1
+    a, b = (modulus // k for k in marks)
+    return (a + 2) * (b + 2) // 2
 
 
 def label_names(system: SemisimpleSystem, prefix: str) -> list[str]:
@@ -176,7 +185,11 @@ def _array_product(parts):
     return acc
 
 
-def glue(system: SemisimpleSystem, kind: str, piece, dual: bool):
+#: the largest grid built; moduli past it are refused before enumerating
+MAX_GRID_CELLS = 10**6
+
+
+def glue(system: SemisimpleSystem, kind: str, piece, count, refusal: str, dual: bool):
     """Enumerate the even domain of ``kind`` from per-factor cells.
 
     ``piece(i, part)`` returns factor ``i``'s cells for ``part`` in
@@ -187,7 +200,19 @@ def glue(system: SemisimpleSystem, kind: str, piece, dual: bool):
     with the weight action, else the coweight action.  Returns the
     coordinates ``(N, n)`` and tags of every cell, both concatenated in
     factor order; only coordinates are reflected.
+
+    ``count(i, part)`` bounds the length of ``piece(i, part)``.  The
+    counts combine as the cells do, and a total past
+    :data:`MAX_GRID_CELLS` is refused before any piece is built, with
+    ``refusal`` (its ``{}`` is the total) and the limit.
     """
+    size = math.prod(
+        count(b.factors[0], "circle") if b.circle
+        else sum(math.prod(count(i, part) for i in b.factors) for part in ("closed", "interior"))
+        for b in domain_blocks(system, kind)
+    )
+    if size > MAX_GRID_CELLS:
+        raise UsageError(f"{refusal.format(size)}; the limit is {MAX_GRID_CELLS}")
     blocks = []
     for block in domain_blocks(system, kind):
         if block.circle:
@@ -206,7 +231,7 @@ def glue(system: SemisimpleSystem, kind: str, piece, dual: bool):
 # grid construction
 # ---------------------------------------------------------------------------
 
-def _branches(system: SemisimpleSystem, kind: str, per_factor, dual: bool):
+def _branches(system: SemisimpleSystem, kind: str, ms, per_factor, dual: bool):
     """Integer label parameters and labels of every grid cell, in canonical order.
 
     Returns int64 arrays: the parameters ``(N, n)``, reflected on the
@@ -214,18 +239,23 @@ def _branches(system: SemisimpleSystem, kind: str, per_factor, dual: bool):
     selects the weight-side conventions: dual marks and the weight
     action of the gluing reflections.
     """
+    marks = [f.dual_marks if dual else f.marks for f in system.factors]
 
     def piece(i, part):
         f, m = system.factors[i], per_factor[i]
         if part == "circle":
             labels = _circle_labels(m)
         else:
-            marks = f.dual_marks if dual else f.marks
-            labels = _kac_labels(f, marks, m, strict=part == "interior")
+            labels = _kac_labels(f, marks[i], m, strict=part == "interior")
         labels = np.array(labels, dtype=np.int64).reshape(len(labels), f.rank + 1)
         return labels[:, 1:], labels
 
-    return glue(system, kind, piece, dual)
+    def count(i, part):
+        m = per_factor[i]
+        return 2 * m if part == "circle" else _closed_labels_bound(system.factors[i], marks[i], m)
+
+    refusal = f"moduli {list(ms)} give a grid of about {{}} cells"
+    return glue(system, kind, piece, count, refusal, dual)
 
 
 def fraction_rows(numerators: np.ndarray, denominator: int) -> list[TorusPoint]:
@@ -244,41 +274,6 @@ def fraction_rows(numerators: np.ndarray, denominator: int) -> list[TorusPoint]:
         values, index = np.unique(numerators, return_inverse=True)
         table = np.array([Q(int(v), denominator) for v in values], dtype=object)
     return list(zip(*table[index.reshape(numerators.shape)].T.tolist()))
-
-
-#: the largest grid built; moduli past it are refused before enumerating
-MAX_GRID_CELLS = 10**6
-
-
-def _closed_labels_bound(factor: SimpleFactor, marks, modulus: int) -> int:
-    """Upper bound, within ~15% past small moduli, on the closed labels."""
-    if factor.rank == 1:
-        return modulus + 1
-    a, b = (modulus // k for k in marks)
-    return (a + 2) * (b + 2) // 2
-
-
-def _check_grid_size(system: SemisimpleSystem, kind: str, ms, dual: bool) -> None:
-    """Refuse moduli whose grid would exceed :data:`MAX_GRID_CELLS` cells.
-
-    The estimate per block is twice its closed label product (closed
-    plus reflected interior), or ``2M`` for a circle block.
-    """
-    _, per_factor = check_moduli(system, kind, ms)
-    size = 1
-    for block in domain_blocks(system, kind):
-        if block.circle:
-            size *= 2 * per_factor[block.factors[0]]
-            continue
-        for i in block.factors:
-            f = system.factors[i]
-            size *= _closed_labels_bound(f, f.dual_marks if dual else f.marks, per_factor[i])
-        size *= 2
-    if size > MAX_GRID_CELLS:
-        raise UsageError(
-            f"moduli {list(ms)} give a grid of about {size} cells; "
-            f"the limit is {MAX_GRID_CELLS}"
-        )
 
 
 def _require_distinct(index: np.ndarray, what: str):
@@ -347,8 +342,7 @@ class WeightGrid(_GridRecord):
 def point_grid_arrays(system: SemisimpleSystem, kind: str, ms) -> PointGrid:
     """The uncached :class:`PointGrid` of ``(system, kind, ms)``."""
     ms, per_factor = check_moduli(system, kind, ms)
-    _check_grid_size(system, kind, ms, dual=False)
-    params, labels = _branches(system, kind, per_factor, dual=False)
+    params, labels = _branches(system, kind, ms, per_factor, dual=False)
     denominator = math.lcm(*per_factor)
     scale = [denominator // m for f, m in zip(system.factors, per_factor) for _ in range(f.rank)]
     group = even_subgroup(system, kind)
@@ -384,9 +378,8 @@ def modulus_power(system: SemisimpleSystem, kind: str, ms) -> int:
 
 @lru_cache(maxsize=32)
 def _weight_grid_cached(system: SemisimpleSystem, kind: str, ms: tuple[int, ...]) -> WeightGrid:
-    _check_grid_size(system, kind, ms, dual=True)
     _, per_factor = check_moduli(system, kind, ms)
-    weights, labels = _branches(system, kind, per_factor, dual=True)
+    weights, labels = _branches(system, kind, ms, per_factor, dual=True)
     group = even_subgroup(system, kind)
     index, h = fixing_counts(group, weights, per_factor, dual=True)
     _require_distinct(index, "weight mod M*Q")
@@ -411,14 +404,13 @@ def domain_mask(system: SemisimpleSystem, kind: str, numerators, lcm: int) -> np
     """Exact membership of the points ``numerators / lcm`` in the even domain, one bool per row.
 
     Per block of :func:`domain_blocks`: closed, or reflected into the
-    interior.  On the integer numerators ``c`` a factor's simplex is
+    interior.  On the integer numerators ``c`` (rows as
+    :func:`eweyl.weyl.integer_rows` takes them) a factor's simplex is
     ``c >= 0, sum(m c) <= lcm``, and the reflection moves the reflected
     factor's coordinates only.  The arithmetic is int64 when a bound on
     ``sum(m r)`` proves it fits, else on Python ints.
     """
-    if not isinstance(numerators, np.ndarray) or numerators.dtype != np.int64:
-        numerators = np.array(numerators, dtype=object)
-    x = numerators.reshape(-1, system.n)
+    x = integer_rows(system, numerators)
     # |sum(m r)| <= sum(m) * sum|R| * max|c| for the reflection R of any factor
     scale = max(sum(f.marks) * int(np.abs(_gluing_reflection(f.kind, False)).sum())
                 for f in system.factors)
@@ -439,9 +431,7 @@ def domain_mask(system: SemisimpleSystem, kind: str, numerators, lcm: int) -> np
 def in_even_domain(system: SemisimpleSystem, kind: str, x: TorusPoint) -> bool:
     """Exact membership of one point of ``system.n`` ints or fractions in the even domain."""
     numerators, lcm = _scaled(x)
-    if len(numerators) != system.n:
-        raise length_error(system)
-    return bool(domain_mask(system, kind, numerators, lcm)[0])
+    return bool(domain_mask(system, kind, [numerators], lcm)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -453,11 +443,9 @@ def enumerate_dominant(system: SemisimpleSystem, kind: str, bound: int):
 
     Every generator integer runs through ``0..bound`` (``-bound..bound``
     along a circle block), the reflected part through ``1..bound``, in
-    the order of :func:`glue`.  The domain holds one representative per
-    even orbit, so no two weights share an orbit.  A bound giving more
-    than :data:`MAX_GRID_CELLS` weights is refused before enumerating:
-    each block counts ``(bound + 1)^rank + bound^rank`` weights over its
-    total rank (``2 bound + 1`` on a circle).
+    the order of :func:`glue`, which refuses more than
+    :data:`MAX_GRID_CELLS` weights before enumerating.  The domain holds
+    one representative per even orbit, so no two weights share an orbit.
     """
     try:
         bound = operator.index(bound)
@@ -465,18 +453,16 @@ def enumerate_dominant(system: SemisimpleSystem, kind: str, bound: int):
         raise UsageError(f"bound must be an integer, got {bound!r}") from None
     if bound < 0:
         raise UsageError("bound must be >= 0")
-    count = 1
-    for block in domain_blocks(system, kind):
-        rank = sum(system.factors[i].rank for i in block.factors)
-        count *= (bound + 1) ** rank + bound**rank
-    if count > MAX_GRID_CELLS:
-        raise UsageError(f"bound {bound} gives {count} weights; the limit is {MAX_GRID_CELLS}")
+    lows = {"closed": 0, "interior": 1, "circle": -bound}
 
     def piece(i, part):
-        lo = {"closed": 0, "interior": 1, "circle": -bound}[part]
         rank = system.factors[i].rank
-        coords = list(itertools.product(range(lo, bound + 1), repeat=rank))
+        coords = list(itertools.product(range(lows[part], bound + 1), repeat=rank))
         coords = np.array(coords, dtype=np.int64).reshape(-1, rank)
         return coords, np.empty((len(coords), 0), dtype=np.int64)
 
-    return list(map(tuple, glue(system, kind, piece, dual=True)[0].tolist()))
+    def count(i, part):
+        return (bound + 1 - lows[part]) ** system.factors[i].rank
+
+    refusal = f"bound {bound} gives {{}} weights"
+    return list(map(tuple, glue(system, kind, piece, count, refusal, dual=True)[0].tolist()))

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -401,6 +402,10 @@ def regenerate_table(table_id: str, m: int = 5) -> TableReport:
     """
     if table_id not in TABLE_IDS:
         raise UsageError(f"unknown table id {table_id!r}; known: {TABLE_IDS}")
+    try:
+        m = operator.index(m)
+    except TypeError:
+        raise UsageError(f"m must be an integer, got {m!r}") from None
     if m < 5:
         raise UsageError("discrete tables need m >= 5 to realise all patterns")
     groups, kind, coefficients = _TABLES[table_id]
@@ -445,8 +450,8 @@ KNOWN_ERRATA: dict[tuple[str, str, str, str], tuple[int, int]] = {
 }
 
 #: (selector, kind) pairs whose tabulated closed form deviates from the
-#: generic orbit sum
-CLOSED_FORM_ERRATA = (("a1xg2", "ee"), ("a1xg2", "e"))
+#: generic orbit sum: those outside ``efunc.TRUSTED_CLOSED_FORMS``
+CLOSED_FORM_ERRATA = tuple(k for k in efunc._CLOSED_FORMS if k not in efunc.TRUSTED_CLOSED_FORMS)
 
 #: the published generic full-even a1xg2 orbit listing mixes coordinates
 #: across the two factors in its sixth pair; the generated matrix group
@@ -481,6 +486,7 @@ def closed_form_deviation(selector: str, kind: str, trials: int = 40, seed: int 
 
 def errata_report(m: int = 5) -> list[ErrataNote]:
     """Structured notes for every reference entry the computation refutes."""
+    reports = [regenerate_table(table_id, m) for table_id in TABLE_IDS]
     notes = list(ORBIT_LISTING_ERRATA)
     for selector, kind in sorted(efunc._CLOSED_FORMS):
         dev = closed_form_deviation(selector, kind)
@@ -493,12 +499,11 @@ def errata_report(m: int = 5) -> list[ErrataNote]:
                     deviation=dev,
                 )
             )
-    for table_id in TABLE_IDS:
-        report = regenerate_table(table_id, m)
+    for report in reports:
         for row in report.mismatches:
             notes.append(
                 ErrataNote(
-                    location=f"{table_id} {row.coefficient} {row.group} {row.pattern}",
+                    location=f"{report.table_id} {row.coefficient} {row.group} {row.pattern}",
                     reference=row.reference,
                     computed=row.computed,
                     deviation=None,

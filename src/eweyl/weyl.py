@@ -32,6 +32,7 @@ integer modulo ``L lcm(d)``.  Only the orbit-sum kernel of
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
 import operator
@@ -201,6 +202,24 @@ def length_error(system: SemisimpleSystem) -> UsageError:
     return UsageError(f"weights and points need length {system.n} for {system.selector}")
 
 
+def integer_rows(system: SemisimpleSystem, numerators) -> np.ndarray:
+    """``numerators`` as a 2-D array of integer rows of length ``system.n``.
+
+    An integer array is kept; anything else becomes Python ints in an
+    object array (numpy would guess float64 past int64, and numpy
+    integers among objects wrap).  Else a :class:`UsageError`.
+    """
+    rows = numerators if isinstance(numerators, np.ndarray) else np.array(numerators, dtype=object)
+    if rows.ndim != 2 or rows.shape[1] != system.n:
+        raise length_error(system)
+    if rows.dtype.kind in "iu":
+        return rows
+    if rows.dtype == object:
+        with contextlib.suppress(TypeError):
+            return np.frompyfunc(operator.index, 1, 1)(rows)
+    raise UsageError(f"point numerators must be integers, got an array of dtype {rows.dtype}")
+
+
 def _integer_weight(system: SemisimpleSystem, lam) -> tuple[int, ...]:
     """``lam`` as a tuple of ``system.n`` ints; else a :class:`UsageError`."""
     try:
@@ -311,10 +330,7 @@ def _smith_residues(system: SemisimpleSystem, rows, ms, dual: bool, matrices):
     _, per_factor = check_moduli(system, PRODUCT_EVEN, ms)
     form = smith_form(system, FULL_WEYL, dual)
     mods = [m * d for f, m in zip(system.factors, per_factor) for d in _SMITH[f.kind][2]]
-    if not isinstance(rows, np.ndarray) or rows.dtype != np.int64:
-        # Python ints throughout: a numpy integer among them overflows past int64
-        rows = np.frompyfunc(operator.index, 1, 1)(np.array(rows, dtype=object))
-    rows = rows.reshape(len(rows), system.n)
+    rows = integer_rows(system, rows)
     dtype = int_dtype(max(system.n * form.bound * _magnitude(rows), max(mods)))
     rows = rows.astype(dtype, copy=False)
     images = (form.images[m].astype(dtype, copy=False) for m in matrices)

@@ -7,6 +7,7 @@ import pytest
 
 import eweyl as E
 from eweyl import grids
+from eweyl.efunc import scaled_orbit_sums
 from eweyl.grids import PointGrid, WeightGrid, _gluing_reflection, _require_distinct, domain_blocks
 from eweyl.transform import quadrature_cells
 from eweyl.weyl import even_subgroup, fixing_counts, simple_reflection
@@ -168,6 +169,21 @@ def test_enumerate_dominant_refusals():
     assert E.enumerate_dominant(a1xc2, "e", np.int64(1)) == E.enumerate_dominant(a1xc2, "e", 1)
 
 
+def test_size_refused_before_any_piece_is_built(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a piece was built")
+
+    monkeypatch.setattr(grids, "_kac_labels", refuse)
+    monkeypatch.setattr(grids, "_circle_labels", refuse)
+    a1xa2, a1xc2 = (E.system_from_selector(sel) for sel in ("a1xa2", "a1xc2"))
+    with pytest.raises(E.UsageError, match=r"moduli \[100000\] give a grid of about \d+ cells"):
+        E.build_point_grid(a1xa2, "e", 10**5)
+    with pytest.raises(E.UsageError, match=r"moduli \[10000, 10000\] give a grid"):
+        E.build_weight_grid(a1xc2, "ee", (10**4, 10**4))
+    with pytest.raises(E.UsageError, match=f"the limit is {grids.MAX_GRID_CELLS}"):
+        quadrature_cells(a1xa2, "e", 10**3)
+
+
 def test_gluing_reflection_moves_only_its_factor():
     for sel in SELECTORS:
         system = E.system_from_selector(sel)
@@ -283,6 +299,26 @@ def test_domain_mask_of_int64_rows_equals_fractions():
                 want = [E.in_even_domain(system, kind, [Q(v, lcm) for v in row]) for row in rows]
                 got = grids.domain_mask(system, kind, np.array(rows, dtype=np.int64), lcm)
                 assert got.tolist() == want, (sel, kind, lcm)
+
+
+def test_domain_mask_refuses_what_orbit_sums_refuse():
+    a1xg2 = E.system_from_selector("a1xg2")
+    for rows in ([[0.5, 0.25, 0]], np.array([[0.5, 0.25, 0]]), [[1, 2]], [[1, 2, 3], [4]]):
+        with pytest.raises(E.UsageError):
+            grids.domain_mask(a1xg2, "e", rows, 4)
+        with pytest.raises(E.UsageError):
+            scaled_orbit_sums(a1xg2, "e", [(1, 0, 0)], rows, 4)
+
+
+def test_domain_mask_of_object_rows_equals_int64():
+    # numpy integers among objects are read as Python ints: 2**63 - 1 + 1 must not wrap
+    a1xa2 = E.system_from_selector("a1xa2")
+    rows = [(0, 2**63 - 1, 1), (0, 1, 1), (1, 0, 3), (-1, 1, 1)]
+    want = grids.domain_mask(a1xa2, "e", np.array(rows, dtype=np.int64), 4)
+    assert want.tolist() == [False, True, True, False]
+    for form in (rows, np.array(rows, dtype=object),
+                 np.array([[np.int64(v) for v in row] for row in rows], dtype=object)):
+        assert grids.domain_mask(a1xa2, "e", form, 4).tolist() == want.tolist()
 
 
 def test_one_modulus_power():

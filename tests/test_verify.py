@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import eweyl as E
@@ -30,6 +31,21 @@ def test_regenerate_rejects_bad_input():
         regenerate_table("T9_bogus")
     with pytest.raises(ValueError):
         regenerate_table("T1_A1A1", 3)
+
+
+def test_table_modulus_must_be_an_integer():
+    for m in (5.5, "5"):
+        with pytest.raises(E.UsageError, match="m must be an integer"):
+            regenerate_table("T1_A1A1", m)
+        with pytest.raises(E.UsageError, match="m must be an integer"):
+            errata_report(m)
+    assert regenerate_table("T1_A1A1", np.int64(5)) == regenerate_table("T1_A1A1", 5)
+    assert errata_report(np.int64(5)) == errata_report(5)
+
+
+def test_closed_form_errata_are_the_untrusted_forms():
+    assert CLOSED_FORM_ERRATA == (("a1xg2", "ee"), ("a1xg2", "e"))
+    assert not set(CLOSED_FORM_ERRATA) & E.TRUSTED_CLOSED_FORMS
 
 
 def test_continuous_tables_match_exactly():
