@@ -56,6 +56,7 @@ from .transform import (
     interpolate,
     inverse_discrete,
     make_samples,
+    normalizers,
     product_to_sum,
 )
 from .verify import (

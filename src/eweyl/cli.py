@@ -278,6 +278,7 @@ def _cmd_interp(args):
 def _cmd_verify(args):
     sysm = _system(args)
     ms, _ = check_moduli(sysm, args.kind, args.M)
+    transform.check_dense_size(sysm, args.kind, ms)
     grid = build_point_grid(sysm, args.kind, ms)
     most = MAX_GRID_CELLS // len(grid)
     if not 1 <= args.trials <= most:

@@ -7,7 +7,9 @@ plain Python ints and turns each residue into a phasor with
 :func:`eweyl.lie_data.residue_phasor`; the ``Fraction`` sum of
 ``exp_phase`` terms it replaces lives on in the tests as the reference
 that ``xi`` and ``orbit_sums`` match bit for bit.  ``xi`` keeps the last
-point's key, so ``interpolate`` keys its point once per series.
+point's key, so ``interpolate`` keys its point once per series, and from
+the series' second weight on each term is one integer dot of three
+entries, with a covector reduced mod ``n``, plus the phasor.
 ``scaled_orbit_sums`` evaluates ``xi`` for many weights at many points,
 given as integer numerators over one denominator, and ``orbit_sums``
 scales its ``Fraction`` points once and does the same.  Both call the orbit-sum
@@ -25,6 +27,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -48,10 +51,17 @@ class UnsupportedFormulaError(ValueError):
     """No closed form is available for the requested system and kind."""
 
 
-#: the point of the last ``xi`` call: ``(x, system, kind, form, key, n, rows)``.
+#: the point of the last ``xi`` call: ``(x, system, kind, form, key, n, rows)``,
+#: ``rows`` its covectors once folded.
 #: ``x`` is held, not its ``id``, so no later tuple can pass for it; the slot
 #: is replaced as one tuple, so a thread reads one point's fields together.
 _slot = None
+
+#: zeros that pad a covector or weight of rank 1-3 to three entries
+_PAD = (None, (0, 0), (0,), ())
+
+#: the factor of :func:`eweyl.lie_data.residue_phasor`'s exponent
+_TAU = 2j * math.pi
 
 
 def xi(system: SemisimpleSystem, kind: str, lam: Weight, x: TorusPoint) -> complex:
@@ -70,25 +80,45 @@ def xi(system: SemisimpleSystem, kind: str, lam: Weight, x: TorusPoint) -> compl
     once: the last point's key is kept, and is reused when the next call
     passes the very same tuple object ``x`` with the same ``system``
     object and kind.  From the second such call on, ``K`` is folded into
-    one covector per group element, so each term is ``system.n``
-    products.  A call that raises leaves the kept point as it was.
+    one covector per group element, reduced mod ``n``.  For rank 1 to 3
+    the covectors and ``lam`` are padded with zeros to three entries, so
+    each term is one dot of three ints and ``residue_phasor``'s own
+    expression, written out; a larger rank pairs ``system.n`` products
+    through ``residue_phasor``.  A call that raises leaves the kept point
+    as it was.
     """
     global _slot
-    lam = _integer_weight(system, lam)
     x = tuple(x)
     slot = _slot
     if slot is not None and slot[0] is x and slot[1] is system and slot[2] == kind:
-        form, key, n, rows = slot[3:]
+        n, rows, dim = slot[5], slot[6], system.n
         if rows is None:
-            # r[j] = sum_i P_ij K_i, so that (P lam) . K = r . lam
-            dim = system.n
-            rows = [[sum(map(operator.mul, key, flat[j::dim])) for j in range(dim)]
+            # r[j] = sum_i P_ij K_i mod n, so that (P lam) . K = r . lam mod n
+            form, key = slot[3], slot[4]
+            rows = [[sum(map(operator.mul, key, flat[j::dim])) % n for j in range(dim)]
                     for flat in form.pairing]
+            if dim <= 3:
+                rows = [(*r, *_PAD[dim]) for r in rows]
             _slot = slot[:6] + (rows,)
         total = 0j
-        for r in rows:
-            total += residue_phasor(sum(map(operator.mul, r, lam)), n)
+        if dim > 3:
+            lam = _integer_weight(system, lam)
+            for r in rows:
+                total += residue_phasor(sum(map(operator.mul, r, lam)), n)
+            return total
+        try:
+            ints = map(operator.index, lam)
+            # padded like the rows, so a wrong length fails to unpack
+            a, b, c = ints if dim == 3 else (*ints, *_PAD[dim])
+        except (TypeError, ValueError):
+            _integer_weight(system, lam)
+            raise length_error(system) from None  # an iterator, part consumed above
+        # residue_phasor(r . lam, n), written out
+        exp, tau = cmath.exp, _TAU
+        for r0, r1, r2 in rows:
+            total += exp(tau * (((r0 * a + r1 * b + r2 * c) % n) / n))
         return total
+    lam = _integer_weight(system, lam)
     if len(x) != system.n:
         raise length_error(system)
     form = smith_form(system, check_kind(kind), False)
@@ -324,12 +354,26 @@ def xi_closed(system: SemisimpleSystem, kind: str, lam: Weight, x: TorusPoint) -
     """
     if len(lam) != system.n or len(x) != system.n:
         raise length_error(system)
-    key = (system.selector, check_kind(kind))
-    fn = _CLOSED_FORMS.get(key)
-    if fn is None:
+    try:
+        fn = _CLOSED_FORMS[system.selector, kind]
+    except (KeyError, TypeError):
+        check_kind(kind)
         raise UnsupportedFormulaError(
             f"no closed form for selector {system.selector!r}, kind {kind!r}"
-        )
-    args = [float(v) for v in lam] + [float(v) for v in x]
-    return complex(fn(*args))
+        ) from None
+    return complex(fn(*map(_float, lam), *map(_float, x)))
+
+
+def _float(v) -> float:
+    """``float(v)``; a ``Fraction`` of two ints skips ``numbers.Rational.__float__``.
+
+    That method is ``int(numerator) / int(denominator)``, so the division
+    here is the same correctly rounded double.  A ``Fraction`` of numpy
+    integers keeps ``float(v)``: numpy would divide two rounded doubles.
+    """
+    if type(v) is Fraction:
+        num, den = v.numerator, v.denominator
+        if type(num) is int and type(den) is int:
+            return num / den
+    return float(v)
 

@@ -29,7 +29,9 @@ factor at a time and never form the N x N matrix.  Below it, and for
 kind ``"e"``, they use the dense cached matrix, which is also what
 :func:`gram_matrix` and :func:`gram_residual` read as an independent
 check.  Every phase matrix, dense or per factor, is refused past
-``MAX_PHASE_MATRIX_N`` grid points so that it stays within 1 GiB.  The
+``MAX_PHASE_MATRIX_N`` grid points so that it stays within 1 GiB, and
+before its grid is built when the fewest points the grid can have
+(:func:`check_dense_size`) already pass it.  The
 dense path holds one N x N array: the matrix is filled in blocks of
 grid columns, and the Gram matrix ``conj(P) diag(eps) P^T`` is formed
 an eighth of its rows at a time, so :func:`gram_residual` never holds
@@ -177,6 +179,23 @@ MAX_PHASE_MATRIX_N = 8192
 _BLOCK_ENTRIES = 2**16
 
 
+def check_dense_size(system: SemisimpleSystem, kind: str, ms) -> None:
+    """Refuse a dense phase matrix from the fewest points its grid can have.
+
+    An orbit has at most ``|group|`` points, and the grid's orbits cover
+    the ``|T| = |det C| * prod_f M_f^rank_f`` points of the torus at
+    ``ms``, so ``N >= |T| / |group|``.  Past ``MAX_PHASE_MATRIX_N`` no
+    grid is built; below it :func:`phase_matrix` still checks the exact N.
+    """
+    torus = abs(system.det_cartan) * modulus_power(system, kind, ms)
+    least = -(-torus // even_subgroup(system, kind).order)
+    if least > MAX_PHASE_MATRIX_N:
+        raise UsageError(
+            f"a grid of at least {least} points is too large for the dense phase matrix; "
+            f"the limit is {MAX_PHASE_MATRIX_N}"
+        )
+
+
 @lru_cache(maxsize=8)
 def phase_matrix(system: SemisimpleSystem, kind: str, ms: tuple[int, ...]) -> np.ndarray:
     """Matrix of orbit-sum values, spectrum rows by grid columns.
@@ -185,6 +204,7 @@ def phase_matrix(system: SemisimpleSystem, kind: str, ms: tuple[int, ...]) -> np
     a time, at most ``_BLOCK_ENTRIES`` entries per block; every entry is
     the kernel's exact sum, whatever the block.
     """
+    check_dense_size(system, kind, ms)
     grid = build_point_grid(system, kind, ms)
     if len(grid) > MAX_PHASE_MATRIX_N:
         raise UsageError(
@@ -278,6 +298,7 @@ def _gram_blocks(system, kind, ms):
 def gram_matrix(system, kind, ms) -> np.ndarray:
     """``G[l, l'] = sum_x eps(x) Xi_l(x) conj(Xi_l'(x))`` over the grid."""
     ms, _ = check_moduli(system, kind, ms)
+    check_dense_size(system, kind, ms)
     n = len(normalizers(system, kind, ms))
     out = np.empty((n, n), dtype=complex)
     for start, g in _gram_blocks(system, kind, ms):
@@ -289,6 +310,7 @@ def gram_matrix(system, kind, ms) -> np.ndarray:
 def gram_residual(system, kind, ms) -> float:
     """Max deviation of the discrete Gram matrix from its predicted diagonal."""
     ms, _ = check_moduli(system, kind, ms)
+    check_dense_size(system, kind, ms)
     norms = normalizers(system, kind, ms)
     worst = 0.0
     for start, g in _gram_blocks(system, kind, ms):

@@ -276,6 +276,24 @@ def test_dense_phase_matrix_size_limit(capsys, monkeypatch):
     assert _one_error_line(capsys)
 
 
+def test_dense_limit_is_refused_before_any_grid(capsys, monkeypatch):
+    # 161 964 points; |T| / |group| = 161 717 already passes the limit
+    def refuse(*args, **kwargs):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(E.grids, "_branches", refuse)
+    assert run(["verify", "--group", "a1xg2", "--kind", "e", "--M", "99"]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert captured.out == "" and len(err) == 1 and "dense phase matrix" in err[0]
+    try:
+        E.gram_residual(E.system_from_selector("a1xg2"), "e", 99)
+    except E.UsageError as exc:
+        assert "dense phase matrix" in str(exc)
+    else:
+        raise AssertionError("gram_residual past the dense limit did not refuse")
+
+
 def _write_samples(path, system, kind, ms, values):
     rows = [",".join(label_names(system, "s") + ["re", "im"])]
     for gp, v in zip(E.build_point_grid(system, kind, ms), values):

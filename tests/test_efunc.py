@@ -146,6 +146,45 @@ def test_unsupported_closed_form():
         E.xi_closed(a1, "e", (1,), (Q(1, 2),))
 
 
+#: a Fraction of numpy integers past 2**53, where dividing the rounded parts is off by an ulp
+NUMPY_FRACTION = Q(np.int64(2**62 + 129), np.int64(3))
+
+#: coordinates that xi_closed converts: ints, big and numpy Fractions, floats, numpy ints
+CLOSED_FORM_COORDINATES = [0, -3, Q(10**30 + 7, 3 * 10**29 + 1), Q(-(10**30) - 1, 7),
+                           NUMPY_FRACTION, 0.3, np.int64(5), Q(1, 10**400)]
+
+
+def test_xi_closed_converts_like_float():
+    assert type(NUMPY_FRACTION.numerator) is np.int64
+    parts = NUMPY_FRACTION.numerator / NUMPY_FRACTION.denominator
+    assert float(NUMPY_FRACTION) != parts  # the case the exact conversion exists for
+    rng = random.Random(29)
+    for (sel, kind), fn in efunc._CLOSED_FORMS.items():
+        system = E.system_from_selector(sel)
+        for _ in range(8):
+            lam = tuple(rng.choice([rng.randrange(-5, 6), np.int64(rng.randrange(-5, 6))])
+                        for _ in range(system.n))
+            x = tuple(rng.choice(CLOSED_FORM_COORDINATES) for _ in range(system.n))
+            want = complex(fn(*map(float, (*lam, *x))))
+            assert np.array([E.xi_closed(system, kind, lam, x)]).tobytes() == \
+                np.array([want]).tobytes()
+        huge = (Q(10**400, 3),) + (0,) * (system.n - 1)
+        with pytest.raises(OverflowError) as got:
+            E.xi_closed(system, kind, (0,) * system.n, huge)
+        with pytest.raises(OverflowError) as want:
+            fn(*map(float, ((0,) * system.n + huge)))
+        assert str(got.value) == str(want.value)
+
+
+def test_xi_closed_kind_errors():
+    system = E.system_from_selector("a1xa2")
+    for kind in ("x", ["e"], None):
+        with pytest.raises(E.UsageError, match="unknown group kind"):
+            E.xi_closed(system, kind, (0, 0, 0), (0, 0, 0))
+    with pytest.raises(E.UnsupportedFormulaError):
+        E.xi_closed(system, "w", (0, 0, 0), (0, 0, 0))
+
+
 def test_a1xa1xa1_closed_form_identity():
     system = E.system_from_selector("a1xa1xa1")
     rng = random.Random(19)

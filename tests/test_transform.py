@@ -28,6 +28,10 @@ def _random_values(rng, grid):
     return [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in grid]
 
 
+def test_normalizers_are_exported():
+    assert E.normalizers is transform.normalizers
+
+
 def test_forward_of_constant():
     for sel in ("a1xa2", "a1xa1xa1"):
         system = E.system_from_selector(sel)

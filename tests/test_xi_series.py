@@ -81,6 +81,49 @@ def test_xi_along_drawn_call_sequences_equals_the_oracle(data):
             last = (system, kind, lam, x)
 
 
+#: assembled systems of rank 1, 2 and 4 beside the rank 2 and 3 selectors
+ASSEMBLED = [E.assemble_system(f) for f in (("a1",), ("g2",), ("a2", "a2"))]
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_xi_along_call_sequences_on_assembled_ranks_equals_the_oracle(data):
+    steps = data.draw(st.lists(st.tuples(
+        st.sampled_from(ASSEMBLED),
+        st.sampled_from(("e", "ee")),
+        st.lists(st.tuples(*[st.integers(-60, 60)] * 4), min_size=2, max_size=4),
+    ), min_size=1, max_size=8))
+    for system, kind, weights in steps:
+        x = data.draw(st.tuples(*[_rational()] * system.n))
+        for lam in weights:
+            lam = lam[:system.n]
+            assert xi(system, kind, lam, x) == fraction_xi(system, kind, lam, x)
+
+
+@pytest.mark.parametrize("system", [E.system_from_selector(s) for s in E.SUPPORTED_SELECTORS]
+                         + ASSEMBLED, ids=lambda s: s.selector)
+def test_bad_weights_on_a_kept_point_raise_and_keep_it(system, monkeypatch):
+    calls = []
+    smith_key = efunc._smith_key
+    monkeypatch.setattr(efunc, "_smith_key", lambda *args: calls.append(1) or smith_key(*args))
+    n = system.n
+    x = tuple(Q(k, 7 + k) for k in range(n))
+    lam = tuple(range(1, n + 1))
+    bad = [
+        ((0.5,) + lam[1:], "must be integers"),  # on the first hit, before the fold
+        (lam + (0,), "need length"),
+        (lam[:-1], "need length"),
+        (iter(lam + (1, 2)), "need length"),
+        ([Q(1, 2)] * n, "must be integers"),
+    ]
+    assert xi(system, "e", lam, x) == fraction_xi(system, "e", lam, x)
+    for weight, message in bad:
+        with pytest.raises(E.UsageError, match=message):
+            xi(system, "e", weight, x)
+        assert xi(system, "e", lam[::-1], x) == fraction_xi(system, "e", lam[::-1], x)
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("sel,kind", CASES)
 @settings(max_examples=5, deadline=None)
 @given(data=st.data())
