@@ -29,8 +29,8 @@ coordinates carry the reflection.
 Moduli are normalised in one place, :func:`eweyl.weyl.check_moduli`;
 :func:`glue` refuses grids estimated past ``MAX_GRID_CELLS`` cells
 before any cell is built.  Orbit sizes, stabiliser orders and duplicate
-checks read one integer per cell, its index in the finite group ``T``
-or its dual (:func:`eweyl.weyl.fixing_counts`), for all cells at once.
+checks read the index in the finite group ``T`` or its dual of every
+cell's images (:func:`eweyl.weyl.orbit_indices`), one element at a time.
 """
 
 from __future__ import annotations
@@ -59,9 +59,9 @@ from .weyl import (
     check_even_kind,
     check_moduli,
     even_subgroup,
-    fixing_counts,
     int_dtype,
     integer_rows,
+    orbit_indices,
     simple_reflection,
 )
 
@@ -276,10 +276,14 @@ def fraction_rows(numerators: np.ndarray, denominator: int) -> list[TorusPoint]:
     return list(zip(*table[index.reshape(numerators.shape)].T.tolist()))
 
 
-def _require_distinct(index: np.ndarray, what: str):
+def _stabiliser_orders(group, rows, per_factor, dual: bool, what: str) -> np.ndarray:
+    """How many elements of ``group`` fix each row in ``T`` or its dual; the rows must differ."""
+    images = orbit_indices(group, rows, per_factor, dual)
+    index = next(images)
     # a stable argsort: np.sort's SIMD quicksort maps ~0.3 MB more numpy code into RSS
     if (np.diff(index[np.argsort(index, kind="stable")]) == 0).any():
         raise AssertionError(f"duplicate {what} in a grid")
+    return sum((image == index for image in images), np.zeros(len(index), dtype=np.int64))
 
 
 class _GridRecord:
@@ -346,9 +350,8 @@ def point_grid_arrays(system: SemisimpleSystem, kind: str, ms) -> PointGrid:
     denominator = math.lcm(*per_factor)
     scale = [denominator // m for f, m in zip(system.factors, per_factor) for _ in range(f.rank)]
     group = even_subgroup(system, kind)
-    index, fixed = fixing_counts(group, params, per_factor)
-    _require_distinct(index, "point mod coroot lattice")
-    eps = group.order // fixed
+    eps = group.order // _stabiliser_orders(group, params, per_factor, False,
+                                            "point mod coroot lattice")
     numerators = params * np.array(scale, dtype=np.int64)
     for a in (numerators, labels, eps):
         a.setflags(write=False)
@@ -381,8 +384,7 @@ def _weight_grid_cached(system: SemisimpleSystem, kind: str, ms: tuple[int, ...]
     _, per_factor = check_moduli(system, kind, ms)
     weights, labels = _branches(system, kind, ms, per_factor, dual=True)
     group = even_subgroup(system, kind)
-    index, h = fixing_counts(group, weights, per_factor, dual=True)
-    _require_distinct(index, "weight mod M*Q")
+    h = _stabiliser_orders(group, weights, per_factor, True, "weight mod M*Q")
     power = modulus_power(system, kind, ms)
     norms = abs(system.det_cartan) * group.order * power * h.astype(float)
     for a in (weights, labels, h, norms):

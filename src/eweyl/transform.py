@@ -42,16 +42,16 @@ even fundamental domain on the same point grid, at modulus
 ``resolution`` on every gluing block: :func:`quadrature_cells` weights
 each point by ``eps(x) / (|group| * prod_f M_f^rank_f)``, and the
 weighted sum of ``f * conj(Xi_lam)`` is divided by ``|det C| * d_lam``.
-That is the forward discrete transform on that grid, with the
-stabiliser order ``d_lam`` in place of ``h`` in ``N(lam)``.  By discrete
+That is the forward discrete transform on that grid.  By discrete
 orthogonality this cubature is exact for every product of two orbit
 sums of the spectrum unless two distinct points of their orbits share
-their index in ``P / MQ`` (:func:`eweyl.weyl.lattice_indices`), which
-:func:`continuous_coefficients` refuses.  The integrand ``f`` receives
-``Fraction`` tuples, built block by block from a table of the few
-distinct numerators.  A block of orbit sums, here as in the phase
-matrix, holds at most 2**16 entries (1 MiB), so the working memory
-stays bounded however large the spectrum or the grid.  The spectrum is
+their index in ``P / MQ`` (:func:`eweyl.weyl.orbit_indices`), which
+:func:`continuous_coefficients` refuses; otherwise ``h`` in ``N(lam)``
+is ``d_lam``.  The integrand ``f`` receives ``Fraction`` tuples, built
+block by block from a table of the few distinct numerators.  A block of
+orbit sums, here as in the phase matrix, holds at most 2**16 entries
+(1 MiB), so the working memory stays bounded however large the
+spectrum or the grid.  The spectrum is
 the finite truncation of :func:`eweyl.grids.enumerate_dominant`.  Both
 transforms take their orbit sums from the exact integer kernel of
 :mod:`eweyl.efunc`, given the point record's numerators over its one
@@ -82,8 +82,7 @@ from .weyl import (
     check_kind,
     check_moduli,
     even_subgroup,
-    lattice_indices,
-    stab_order,
+    orbit_indices,
 )
 from .grids import (
     PointGrid,
@@ -360,7 +359,7 @@ def quadrature_cells(system: SemisimpleSystem, kind: str, resolution: int) -> Qu
     return QuadratureCells(grid.numerators, grid.denominator, weights)
 
 
-def _check_alias_free(system, group, spectrum, per_factor) -> None:
+def _check_alias_free(system, group, spectrum, per_factor) -> tuple[int, ...]:
     """Refuse moduli at which the grid cannot integrate ``spectrum`` exactly.
 
     The grid sums ``Xi_mu * conj(Xi_lam) = sum_w Xi_(mu - w lam)``
@@ -368,21 +367,29 @@ def _check_alias_free(system, group, spectrum, per_factor) -> None:
     ``M_f`` times the root lattice of each factor ``f``.  That lattice
     is invariant under the group, so this happens iff two distinct
     points of the orbits ``{w lam}`` share their index in ``P / MQ``
-    (:func:`eweyl.weyl.lattice_indices`): one sort of the
+    (:func:`eweyl.weyl.orbit_indices`): one sort of the
     ``|group| * len(spectrum)`` image indices finds them, and of a run of
     equal indices two neighbours differ unless all its images are equal.
+    Exact images are formed only for tied neighbours, a block at a time.
+    Once none differ, an image shares its weight's index only if it is
+    the weight: the count of those, ``d_lam``, is returned per weight.
     """
     lams = np.array(spectrum, dtype=np.int64).reshape(len(spectrum), system.n)
-    matrices = [w.weight_matrix for w in group]
-    images = np.concatenate([lams @ np.array(m, dtype=np.int64).T for m in matrices])
-    index = np.concatenate(list(lattice_indices(system, lams, per_factor, True, matrices)))
+    images = orbit_indices(group, lams, per_factor, dual=True)
+    own = next(images)
+    index = np.concatenate(list(images))  # element j // L at weight j % L
     order = np.argsort(index, kind="stable")
-    same = index[order[1:]] == index[order[:-1]]
-    clash = np.flatnonzero(same & (images[order[1:]] != images[order[:-1]]).any(axis=1))
-    if len(clash):
-        k = clash[0]
-        nu = tuple((images[order[k + 1]] - images[order[k]]).tolist())
-        raise UsageError(f"resolution {per_factor[0]} aliases the weight {nu} to 0; raise it")
+    ties = np.flatnonzero(np.diff(index[order]) == 0)
+    matrices = np.array([w.weight_matrix for w in group], dtype=np.int64)
+    block = _BLOCK_ENTRIES // system.n**2
+    for k in np.split(ties, range(block, len(ties), block)):
+        element, weight = np.divmod(order[np.stack([k, k + 1])], len(lams))
+        a, b = np.einsum("...ij,...j->...i", matrices[element], lams[weight])
+        clash = np.flatnonzero((a != b).any(axis=1))
+        if len(clash):
+            nu = tuple((b - a)[clash[0]].tolist())
+            raise UsageError(f"resolution {per_factor[0]} aliases the weight {nu} to 0; raise it")
+    return tuple((index.reshape(group.order, len(lams)) == own).sum(axis=0).tolist())
 
 
 @dataclass(frozen=True)
@@ -430,7 +437,7 @@ def continuous_coefficients(
     group = even_subgroup(system, check_kind(kind))
     spectrum = enumerate_dominant(system, kind, weight_bound)
     cells = quadrature_cells(system, kind, resolution)
-    _check_alias_free(system, group, spectrum, (resolution,) * len(system.factors))
+    stabilizers = _check_alias_free(system, group, spectrum, (resolution,) * len(system.factors))
     integrals = np.zeros(len(spectrum), dtype=complex)
     orbit_sums = _orbit_sum_kernel(system, kind, spectrum, cells.denominator)
     block = max(1, _BLOCK_ENTRIES // len(spectrum))
@@ -442,7 +449,6 @@ def continuous_coefficients(
         sums = orbit_sums(cells.numerators[rows])
         integrals += np.conj(sums, out=sums) @ (cells.weights[rows] * values)
         del sums  # before the next block's are made
-    stabilizers = tuple(stab_order(group, lam) for lam in spectrum)
     norm = abs(system.det_cartan)
     return ContinuousCoefficients(
         system,

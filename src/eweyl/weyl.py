@@ -22,7 +22,8 @@ Congruences and pairings read one integer form, the Smith coordinates
 ``P / MQ`` are ``Z^rank`` modulo ``M C`` and ``M C^T``, and the Smith
 form ``U C V = diag(d)`` maps a point ``s / M`` to ``(U s)_i mod M d_i``
 and a weight to ``(V^T lam)_i mod M d_i``.  Their mixed radix is one
-integer in ``[0, |T|)`` (:func:`lattice_indices`, :func:`fixing_counts`).
+integer in ``[0, |T|)``; :func:`orbit_indices`, the one walk of orbit
+images, yields it for rows and their images under a group.
 At a common denominator ``M = L`` of rational points the same residues
 are keys (:func:`smith_keys`; ``_smith_key`` for one point in plain
 ints), and ``<lam, s / L> = sum_i (V^T lam)_i (U s)_i / (L d_i)`` is one
@@ -340,7 +341,7 @@ def _smith_residues(system: SemisimpleSystem, rows, ms, dual: bool, matrices):
 def smith_keys(system: SemisimpleSystem, numerators, lcm: int) -> np.ndarray:
     """The keys ``(U s)_i mod lcm d_i`` of the points ``s / lcm``, one column per point.
 
-    They are the residues of :func:`lattice_indices` at modulus ``lcm``.
+    Their mixed radix is the first array of :func:`orbit_indices` at modulus ``lcm``.
     """
     _, images = _smith_residues(system, numerators, (lcm,) * len(system.factors), False,
                                 [identity_matrix(system.n)])
@@ -354,13 +355,17 @@ def _smith_key(form: SmithForm, x) -> tuple[list[int], int]:
     return key, lcm * form.lcm
 
 
-def lattice_indices(system: SemisimpleSystem, rows, ms, dual: bool, matrices):
-    """Yield, per Weyl group matrix ``m``, the index in ``[0, |T|)`` of every row's image ``m s``.
+def orbit_indices(group: WeylGroup, rows, ms, dual: bool = False):
+    """Yield the index in ``[0, |T|)`` of every row, then of its image under each element.
 
-    It is the mixed radix of :func:`_smith_residues`, int64 when ``|T|``
-    fits, else Python ints; only arrays of one entry per row are live.
+    Rows are points ``s_f / M_f`` of ``T``, or weights of ``P / MQ`` if
+    ``dual``; elements come in canonical order, the identity included.  It
+    is the mixed radix of :func:`_smith_residues`, int64 when ``|T|`` fits,
+    else Python ints; only arrays of one entry per row are live.
     """
-    mods, images = _smith_residues(system, rows, ms, dual, matrices)
+    matrices = [identity_matrix(group.system.n)]
+    matrices += [w.weight_matrix if dual else w.coweight_matrix for w in group]
+    mods, images = _smith_residues(group.system, rows, ms, dual, matrices)
     dtype = int_dtype(math.prod(mods))
     for columns in images:
         index = np.zeros(len(rows), dtype=dtype)
@@ -368,16 +373,3 @@ def lattice_indices(system: SemisimpleSystem, rows, ms, dual: bool, matrices):
             index *= mod
             index += col.astype(dtype, copy=False)
         yield index
-
-
-def fixing_counts(group: WeylGroup, rows, ms, dual: bool = False):
-    """The index of every row, and how many group elements fix it (int64).
-
-    That is the stabiliser order in ``T`` of a point (its orbit size is
-    ``|group|`` over it) or, if ``dual``, of a weight modulo ``MQ``.
-    """
-    matrices = [identity_matrix(group.system.n)]
-    matrices += [w.weight_matrix if dual else w.coweight_matrix for w in group]
-    images = lattice_indices(group.system, rows, ms, dual, matrices)
-    index = next(images)
-    return index, sum((image == index for image in images), np.zeros(len(index), dtype=np.int64))

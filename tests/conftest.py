@@ -7,6 +7,7 @@ import pytest
 
 import eweyl as E
 from eweyl import grids
+from eweyl.weyl import orbit_indices
 
 SELECTORS = E.SUPPORTED_SELECTORS
 
@@ -25,6 +26,12 @@ def no_grid_items():
         patch.setattr(grids, "GridPoint", refuse)
         patch.setattr(grids, "SpectralPoint", refuse)
         yield
+
+
+def fixed_counts(group, rows, ms, dual=False):
+    """How many elements of ``group`` fix each row: the image indices equal to the row's own."""
+    own, *images = orbit_indices(group, rows, ms, dual)
+    return sum(image == own for image in images)
 
 
 def traced_peak(fn):

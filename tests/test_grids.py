@@ -8,9 +8,9 @@ import pytest
 import eweyl as E
 from eweyl import grids
 from eweyl.efunc import scaled_orbit_sums
-from eweyl.grids import PointGrid, WeightGrid, _gluing_reflection, _require_distinct, domain_blocks
+from eweyl.grids import PointGrid, WeightGrid, _gluing_reflection, _stabiliser_orders, domain_blocks
 from eweyl.transform import quadrature_cells
-from eweyl.weyl import even_subgroup, fixing_counts, simple_reflection
+from eweyl.weyl import even_subgroup, simple_reflection
 from conftest import SELECTORS, traced_peak
 from reference import (
     canonical_torus_point,
@@ -224,10 +224,10 @@ def test_reflected_branch_coordinates():
 def test_duplicate_keys_are_caught():
     # at M = 2 an A1 point s / 2 is s mod 4: (5, 2) / 2 is congruent to (1, 2) / 2
     group = even_subgroup(E.system_from_selector("a1xa1"), "ee")
-    index, _ = fixing_counts(group, [(1, 2), (0, 1), (5, 2)], (2, 2))
+    rows = [(1, 2), (0, 1), (5, 2)]
     with pytest.raises(AssertionError, match="duplicate"):
-        _require_distinct(index, "point")
-    _require_distinct(index[:2], "point")
+        _stabiliser_orders(group, rows, (2, 2), False, "point")
+    _stabiliser_orders(group, rows[:2], (2, 2), False, "point")
 
 
 def test_grid_records_are_read_only_arrays_of_their_tuples():

@@ -1,6 +1,7 @@
 """The point grid as the cubature of the continuous transform."""
 
 import ast
+import hashlib
 import inspect
 import math
 import re
@@ -110,7 +111,12 @@ def test_default_resolution_is_alias_free_and_within_size():
         assert len(quadrature_cells(system, kind, resolution)) <= MAX_GRID_CELLS
 
 
+#: sha256 of the alias sweep's outcomes, "ok" or the refusal text, one a line
+ALIAS_SWEEP_DIGEST = "641d7ef1e914e113"
+
+
 def test_alias_check_agrees_with_the_quadratic_definition():
+    outcomes = []
     for sel, kind in PAIRS:
         system = E.system_from_selector(sel)
         group = E.even_subgroup(system, kind)
@@ -125,6 +131,7 @@ def test_alias_check_agrees_with_the_quadratic_definition():
                 try:
                     transform._check_alias_free(system, group, spectrum, per_factor)
                 except UsageError as e:
+                    outcomes.append(str(e))
                     nu = re.search(r"aliases the weight (\(.*\)) to 0", str(e)).group(1)
                     nu = ast.literal_eval(nu)
                     # the named weight is a nonzero difference congruent to 0
@@ -132,7 +139,50 @@ def test_alias_check_agrees_with_the_quadratic_definition():
                                                                per_factor)
                     assert aliased.any(), (sel, kind, bound, resolution)
                 else:
+                    outcomes.append("ok")
                     assert not aliased.any(), (sel, kind, bound, resolution)
+    # which weight a refusal names: the first tie, in canonical element order, of the sort
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert digest.startswith(ALIAS_SWEEP_DIGEST), digest
+
+
+def test_alias_check_holds_few_bytes_per_image():
+    # 797 526 images: exact ones are formed only for tied neighbours, block by block
+    system, kind = E.system_from_selector("a1xa2"), "e"
+    group = E.even_subgroup(system, kind)
+    spectrum = E.enumerate_dominant(system, kind, 40)
+    images = group.order * len(spectrum)
+
+    def outcome(resolution):
+        try:
+            transform._check_alias_free(system, group, spectrum, (resolution, resolution))
+        except UsageError as e:
+            return str(e)
+        return "ok"
+
+    for resolution, want in ((80, "resolution 80 aliases the weight (0, -160, 80) to 0; raise it"),
+                             (200, "ok")):
+        got, peak = traced_peak(lambda: outcome(resolution))
+        assert got == want
+        assert peak <= 48 * images, (resolution, peak / images)
+
+
+def test_continuous_stabilizers_are_the_exact_stabiliser_orders():
+    accepted = 0
+    for sel, kind in PAIRS:
+        system = E.system_from_selector(sel)
+        group = E.even_subgroup(system, kind)
+        for bound in range(4):
+            for resolution in (2, 3, 5, 8, 12):
+                try:
+                    cc = E.continuous_coefficients(lambda p: 1.0, system, kind,
+                                                   weight_bound=bound, resolution=resolution)
+                except UsageError:
+                    continue
+                accepted += 1
+                assert cc.stabilizers == tuple(E.stab_order(group, lam) for lam in cc.weights)
+                assert all(type(d) is int for d in cc.stabilizers)
+    assert accepted == 134
 
 
 def test_orbit_sum_blocks_stay_within_2_16_entries(monkeypatch):

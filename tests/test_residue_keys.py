@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import eweyl as E
-from eweyl.lie_data import identity_matrix, mat_transpose
-from eweyl.weyl import (
-    _SMITH, _smith_key, fixing_counts, lattice_indices, smith_form, smith_keys)
+from eweyl.lie_data import mat_transpose
+from eweyl.weyl import _SMITH, _smith_key, orbit_indices, smith_form, smith_keys
+from conftest import fixed_counts
 from reference import canonical_torus_point, torus_congruent, weight_congruent_mod_mq
 
 CASES = [(sel, kind) for sel in E.SUPPORTED_SELECTORS for kind in ("e", "ee")]
@@ -61,7 +61,7 @@ def test_torus_orbit_sizes_match_congruence(sel, kind, data):
     # integer rows over the lcm of all denominators, the same on every factor
     lcm = math.lcm(*(Q(v).denominator for x in points for v in x))
     rows = [[int(Q(v) * lcm) for v in x] for x in points]
-    _, fixed = fixing_counts(group, rows, (lcm,) * len(system.factors))
+    fixed = fixed_counts(group, rows, (lcm,) * len(system.factors))
     assert list(group.order // fixed) == want
 
 
@@ -91,8 +91,8 @@ def test_keys_are_the_residues_of_the_lattice_index(sel, data):
     rows = [[int(Q(v) * lcm) for v in x] for x in points]
     keys = smith_keys(system, rows, lcm)
     mods = [lcm * d for f in system.factors for d in _SMITH[f.kind][2]]
-    (index,) = lattice_indices(system, rows, (lcm,) * len(system.factors), False,
-                               [identity_matrix(system.n)])
+    # the first array of the walk is the rows' own index, whatever the group
+    index = next(orbit_indices(E.even_subgroup(system, "e"), rows, (lcm,) * len(system.factors)))
     for key, want in zip(keys.T.tolist(), index.tolist()):
         assert all(0 <= k < m for k, m in zip(key, mods))
         radix = 0
@@ -113,7 +113,7 @@ def test_weight_stabs_match_congruence(sel, kind, data):
         sum(weight_congruent_mod_mq(system, w.apply_weight(lam), lam, ms) for w in group)
         for lam in weights
     ]
-    assert list(fixing_counts(group, weights, ms, dual=True)[1]) == want
+    assert list(fixed_counts(group, weights, ms, dual=True)) == want
 
 
 @pytest.mark.parametrize("sel", E.SUPPORTED_SELECTORS)
@@ -175,7 +175,7 @@ def test_index_classes_match_the_fraction_congruences(sel, kind, data):
     scale = [m for f, m in zip(system.factors, ms) for _ in range(f.rank)]
     for dual in (False, True):
         batch = rows + _shifted(system, rows, ms, zs, dual)
-        index = fixing_counts(E.even_subgroup(system, kind), batch, ms, dual)[0].tolist()
+        index = next(orbit_indices(E.even_subgroup(system, kind), batch, ms, dual)).tolist()
         assert all(0 <= k < size for k in index)
         for a, ka in zip(batch, index):
             for b, kb in zip(batch, index):
@@ -198,8 +198,8 @@ def test_grid_images_cover_the_torus_group_once(sel, kind, data):
     # the label parameters: factor f's numerators over M_f instead of the denominator
     scale = [grid.denominator // m for f, m in zip(system.factors, ms) for _ in range(f.rank)]
     params = grid.numerators // np.array(scale)
-    images = np.stack(list(lattice_indices(system, params, ms, False,
-                                           [w.coweight_matrix for w in group])))
+    # the walk's arrays after the first: one per element, the identity included
+    images = np.stack(list(orbit_indices(group, params, ms))[1:])
     size = abs(system.det_cartan) * math.prod(m**f.rank for f, m in zip(system.factors, ms))
     assert set(images.ravel().tolist()) == set(range(size))
     # each point's orbit is its eps distinct images
@@ -211,8 +211,8 @@ def test_int64_minimum_row_is_indexed_exactly():
     system = E.system_from_selector("a1xa2")
     group = E.even_subgroup(system, "e")
     rows = [(-(2**63), 0, 0), (0, -(2**63), 1)]
-    want = fixing_counts(group, rows, (3, 3))  # nested Python ints: exact
-    got = fixing_counts(group, np.array(rows, dtype=np.int64), (3, 3))
+    want = orbit_indices(group, rows, (3, 3))  # nested Python ints: exact
+    got = orbit_indices(group, np.array(rows, dtype=np.int64), (3, 3))
     assert [a.tolist() for a in got] == [a.tolist() for a in want]
 
 
@@ -245,3 +245,23 @@ def test_residue_keys_stay_inside_weyl_and_efunc():
             assert "_SMITH" not in used, path.name
         if path.name not in KEY_MODULES:
             assert not used & KEY_HELPERS, path.name
+
+
+#: names of the orbit-image walks that :func:`eweyl.weyl.orbit_indices` replaced
+REMOVED_WALKS = {"fixing_counts", "lattice_indices"}
+
+
+def test_orbit_images_are_walked_only_in_weyl():
+    # one walker: the grids count eps and h, and the continuous transform checks
+    # aliasing and reads d, from the arrays of orbit_indices
+    package = pathlib.Path(E.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        used = set(_names(ast.parse(path.read_text(encoding="utf-8"))))
+        assert not used & REMOVED_WALKS, path.name
+        if path.name != "weyl.py":
+            assert "_smith_residues" not in used, path.name
+        if path.name == "transform.py":
+            assert "stab_order" not in used, path.name
+            assert "orbit_indices" in used, path.name
+        if path.name == "grids.py":
+            assert "orbit_indices" in used, path.name

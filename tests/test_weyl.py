@@ -5,8 +5,8 @@ import pytest
 
 import eweyl as E
 from eweyl.lie_data import identity_matrix
-from eweyl.weyl import fixing_counts, simple_reflection
-from conftest import SELECTORS, rational_point
+from eweyl.weyl import simple_reflection
+from conftest import SELECTORS, fixed_counts, rational_point
 from reference import canonical_torus_point, torus_congruent, weight_congruent_mod_mq
 
 
@@ -131,13 +131,13 @@ def test_torus_orbit_size_examples():
     m = 5
     # label [s0,s1,s0',s2,0], all displayed entries nonzero
     # the points (1/m, 2/m, 0) and 0, as integer rows over m per factor
-    _, fixed = fixing_counts(group, [(1, 2, 0), (0, 0, 0)], (m, m))
+    fixed = fixed_counts(group, [(1, 2, 0), (0, 0, 0)], (m, m))
     assert (group.order // fixed).tolist() == [6, 1]
 
     aa = E.system_from_selector("a1xa1")
     # label [s0,0,s0',0] is the origin cell; a generic point has the full even orbit
     group = E.even_subgroup(aa, "e")
-    _, fixed = fixing_counts(group, [(0, 0), (1, 2)], (5, 5))
+    fixed = fixed_counts(group, [(0, 0), (1, 2)], (5, 5))
     assert (group.order // fixed).tolist() == [1, 2]
 
 
@@ -149,16 +149,16 @@ def test_weight_stab_mod_mq_examples():
     lam = (0, 0, m // 2)
     # then a generic interior label, and the zero weight, fixed by everything
     weights = [lam, (1, 2, 1), (0, 0, 0)]
-    assert fixing_counts(group, weights, (m, m), dual=True)[1].tolist() == [4, 1, group.order]
+    assert fixed_counts(group, weights, (m, m), dual=True).tolist() == [4, 1, group.order]
 
 
 def test_weight_stab_errors():
     a1c2 = E.system_from_selector("a1xc2")
     group = E.even_subgroup(a1c2, "e")
     with pytest.raises(E.UsageError):
-        fixing_counts(group, [(0, 0, 0)], (5,), dual=True)
+        fixed_counts(group, [(0, 0, 0)], (5,), dual=True)
     with pytest.raises(E.UsageError):
-        fixing_counts(group, [(0, 0, 0)], (5, 0), dual=True)
+        fixed_counts(group, [(0, 0, 0)], (5, 0), dual=True)
 
 
 def test_torus_congruence():
