@@ -345,23 +345,37 @@ TRUSTED_CLOSED_FORMS = frozenset(
 )
 
 
+#: the weight of the last ``xi_closed`` call: ``(lam, system, kind, fn, floats)``,
+#: kept only for a tuple of ints, which no later call can change
+_closed_slot = None
+
+
 def xi_closed(system: SemisimpleSystem, kind: str, lam: Weight, x: TorusPoint) -> complex:
     """Evaluate the tabulated closed form for this system and kind.
 
     Raises :class:`UnsupportedFormulaError` when no closed form is
     tabulated.  The two a1xg2 forms reproduce their misprints; use
-    :func:`xi` for a value that is always correct.
+    :func:`xi` for a value that is always correct.  The weight is checked
+    as :func:`xi` checks it.  As in :func:`xi`, the last weight is kept:
+    a call that passes the very same tuple object ``lam``, the same
+    ``system`` object and an equal kind reuses its closed form and floats.
     """
-    if len(lam) != system.n or len(x) != system.n:
+    global _closed_slot
+    slot = _closed_slot
+    if slot is None or slot[0] is not lam or slot[1] is not system or slot[2] != kind:
+        try:
+            fn = _CLOSED_FORMS[system.selector, kind]
+        except (KeyError, TypeError):
+            check_kind(kind)
+            raise UnsupportedFormulaError(
+                f"no closed form for selector {system.selector!r}, kind {kind!r}"
+            ) from None
+        slot = (lam, system, kind, fn, tuple(map(float, _integer_weight(system, lam))))
+        if type(lam) is tuple and all(type(v) is int for v in lam):
+            _closed_slot = slot
+    if len(x) != system.n:
         raise length_error(system)
-    try:
-        fn = _CLOSED_FORMS[system.selector, kind]
-    except (KeyError, TypeError):
-        check_kind(kind)
-        raise UnsupportedFormulaError(
-            f"no closed form for selector {system.selector!r}, kind {kind!r}"
-        ) from None
-    return complex(fn(*map(_float, lam), *map(_float, x)))
+    return complex(slot[3](*slot[4], *map(_float, x)))
 
 
 def _float(v) -> float:

@@ -321,6 +321,17 @@ def smith_form(system: SemisimpleSystem, kind: str, dual: bool) -> SmithForm:
     return SmithForm(tuple(zip(basis, diagonal)), lcm, images, bound, pairing)
 
 
+def torus_shape(system: SemisimpleSystem, ms) -> tuple[int, ...]:
+    """The moduli ``M_f d_i`` of the Smith coordinates, one per coordinate.
+
+    ``T`` at the per-factor moduli ``ms``, and its dual ``P / MQ``, are the
+    box of this shape: :func:`orbit_indices` is its C-order flat index, and
+    its size is ``|T|``.
+    """
+    _, per_factor = check_moduli(system, PRODUCT_EVEN, ms)
+    return tuple(m * d for f, m in zip(system.factors, per_factor) for d in _SMITH[f.kind][2])
+
+
 def _smith_residues(system: SemisimpleSystem, rows, ms, dual: bool, matrices):
     """The moduli ``M_f d_i`` and, per Weyl group matrix ``m``, the residues of ``S m s``.
 
@@ -328,9 +339,8 @@ def _smith_residues(system: SemisimpleSystem, rows, ms, dual: bool, matrices):
     ``s`` of ``P / MQ``.  The columns ``(S m s)_i mod M_f d_i`` come one at
     a time, int64 when a bound proves they fit, else exact Python ints.
     """
-    _, per_factor = check_moduli(system, PRODUCT_EVEN, ms)
     form = smith_form(system, FULL_WEYL, dual)
-    mods = [m * d for f, m in zip(system.factors, per_factor) for d in _SMITH[f.kind][2]]
+    mods = torus_shape(system, ms)
     rows = integer_rows(system, rows)
     dtype = int_dtype(max(system.n * form.bound * _magnitude(rows), max(mods)))
     rows = rows.astype(dtype, copy=False)

@@ -326,6 +326,70 @@ def test_separable_transform_past_the_dense_limit(tmp_path, capsys):
     assert _one_error_line(capsys)
 
 
+def test_e_transform_past_the_dense_limit(tmp_path, capsys):
+    # 16 120 points: forward and inverse are one FFT over T each, while
+    # verify's Gram matrix is dense and refused
+    system, ms = E.system_from_selector("a1xa1xa1"), (20,)
+    grid = E.build_point_grid(system, "e", ms)
+    assert len(grid) > E.transform.MAX_PHASE_MATRIX_N
+    rng = random.Random(9)
+    values = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in grid]
+    samples, coeffs, back = tmp_path / "s.csv", tmp_path / "c.json", tmp_path / "b.csv"
+    _write_samples(samples, system, "e", ms, values)
+    moduli = ["--group", "a1xa1xa1", "--kind", "e", "--M", "20"]
+    assert run(["forward", *moduli, "--samples", str(samples), "--out", str(coeffs)]) == 0
+    assert run(["inverse", "--coeffs", str(coeffs), "--out", str(back)]) == 0
+    lines = back.read_text().strip().splitlines()[1:]
+    assert len(lines) == len(values)
+    worst = max(
+        abs(complex(float(c[-2]), float(c[-1])) - v)
+        for c, v in zip((line.split(",") for line in lines), values)
+    )
+    assert worst < 1e-9
+    capsys.readouterr()
+    assert run(["verify", *moduli]) == 2
+    assert _one_error_line(capsys)
+
+
+def _cli_env(**extra):
+    """The environment of a CLI subprocess that imports this checkout's ``src``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, **extra,
+            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
+def test_fft_transform_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # a1xa2 e 12 (1 788 points) is on the FFT path; numpy.fft does not call BLAS
+    system, ms = E.system_from_selector("a1xa2"), (12,)
+    grid = E.build_point_grid(system, "e", ms)
+    assert len(grid) >= E.transform.FFT_MIN_N
+    rng = random.Random(10)
+    samples = tmp_path / "s.csv"
+    _write_samples(samples, system, "e", ms,
+                   [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in grid])
+    printed = []
+    for threads in ("1", "2"):
+        env = _cli_env(OPENBLAS_NUM_THREADS=threads)
+        coeffs = tmp_path / f"c{threads}.json"
+        forward = subprocess.run(
+            [sys.executable, "-m", "eweyl.cli", "forward", "--group", "a1xa2", "--kind", "e",
+             "--M", "12", "--samples", str(samples)],
+            env=env, capture_output=True, check=True, timeout=120).stdout
+        coeffs.write_bytes(forward)
+        inverse = subprocess.run(
+            [sys.executable, "-m", "eweyl.cli", "inverse", "--coeffs", str(coeffs)],
+            env=env, capture_output=True, check=True, timeout=120).stdout
+        printed.append((forward, inverse))
+    assert printed[0] == printed[1]
+    assert len(printed[0][1].splitlines()) == len(grid) + 1
+
+
+def test_import_leaves_numpy_fft_unloaded():
+    # numpy.fft costs ~0.4 MB; only a transform on the FFT path imports it
+    code = "import eweyl.cli, sys; assert 'numpy.fft' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=_cli_env(), check=True, timeout=120)
+
+
 def test_separable_factor_size_limit(tmp_path, capsys):
     # the grid (16 388 points) fits MAX_GRID_CELLS, its first factor's
     # 8 194 points pass MAX_PHASE_MATRIX_N: refused before any matrix
@@ -516,8 +580,6 @@ print(sorted(m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma
 
 def test_cold_commands_never_import_numpy_ma():
     # numpy.ma costs ~15 ms of import; np.unique(axis=0) and friends pull it in
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run([sys.executable, "-c", _COLD_SESSION], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", _COLD_SESSION], env=_cli_env(), capture_output=True,
                          text=True, check=True, timeout=120).stdout
     assert out.splitlines()[-1] == "[]"

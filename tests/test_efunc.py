@@ -185,6 +185,48 @@ def test_xi_closed_kind_errors():
         E.xi_closed(system, "w", (0, 0, 0), (0, 0, 0))
 
 
+def test_xi_closed_checks_the_weight_as_xi_does():
+    system = E.system_from_selector("a1xa2")
+    for make, match in (
+        (lambda: (Q(1, 2), 0, 0), "weight entries must be integers"),
+        (lambda: iter((Q(1, 2), 0, 0)), "weight entries must be integers"),
+        (lambda: (0.5, 0, 0), "weight entries must be integers"),
+        (lambda: 5, "weight entries must be integers"),
+        (lambda: (1, 2), "need length 3"),
+        (lambda: iter((1, 2)), "need length 3"),
+    ):
+        for fn in (E.xi, E.xi_closed):
+            with pytest.raises(E.UsageError, match=match):
+                fn(system, "e", make(), (0, Q(1, 3), 0))  # a new point: xi keys it afresh
+    # an iterator of ints is a weight to both
+    x = (Q(1, 5), Q(1, 3), Q(2, 7))
+    assert E.xi_closed(system, "e", iter((1, 0, 2)), x) == E.xi_closed(system, "e", (1, 0, 2), x)
+    assert E.xi(system, "e", iter((1, 0, 2)), x) == E.xi(system, "e", (1, 0, 2), x)
+
+
+def test_xi_closed_keeps_only_a_weight_no_call_can_change():
+    a1xa2, a1xc2 = E.system_from_selector("a1xa2"), E.system_from_selector("a1xc2")
+    x = (Q(1, 5), Q(1, 3), Q(2, 7))
+
+    def want(system, kind, lam):
+        fn = efunc._CLOSED_FORMS[system.selector, kind]
+        return complex(fn(*map(float, (*lam, *x))))
+
+    lam = (1, 2, 0)
+    for system, kind in ((a1xa2, "e"), (a1xa2, "e"), (a1xa2, "ee"), (a1xc2, "ee"), (a1xc2, "e")):
+        assert E.xi_closed(system, kind, lam, x) == want(system, kind, lam)
+    # a list and a tuple holding a 0-d array change in place; the value follows them
+    listed = [1, 2, 0]
+    for _ in range(2):
+        assert E.xi_closed(a1xa2, "e", listed, x) == want(a1xa2, "e", listed)
+        listed[1] += 1
+    held = np.array(2)
+    boxed = (1, held, 0)
+    for _ in range(2):
+        assert E.xi_closed(a1xa2, "e", boxed, x) == want(a1xa2, "e", (1, int(held), 0))
+        held += 1
+
+
 def test_a1xa1xa1_closed_form_identity():
     system = E.system_from_selector("a1xa1xa1")
     rng = random.Random(19)

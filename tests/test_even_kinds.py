@@ -21,9 +21,10 @@ from hypothesis import given, settings, strategies as st
 import eweyl as E
 from eweyl.lie_data import mat_transpose
 
-#: largest modulus drawn per group: its ``e`` grid holds 394-1 072 points, on the
-#: dense path, and one case takes ~0.1 s
-MAX_MODULUS = {"a1xa1": 14, "a1xa2": 8, "a1xc2": 12, "a1xg2": 14, "a1xa1xa1": 8}
+#: largest modulus drawn per group: its ``e`` grid holds 12 474-16 120 points, past
+#: ``MAX_PHASE_MATRIX_N`` on the FFT path; a seventh to a fifth of the draws pass that
+#: limit, and one case takes at most ~0.2 s
+MAX_MODULUS = {"a1xa1": 80, "a1xa2": 24, "a1xc2": 30, "a1xg2": 42, "a1xa1xa1": 20}
 
 
 def _keys(system, rows, matrices, inverse, modulus):

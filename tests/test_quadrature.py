@@ -13,7 +13,7 @@ import pytest
 import eweyl as E
 from eweyl import efunc, transform
 from eweyl.efunc import _orbit_sum_kernel, orbit_sums, scaled_orbit_sums
-from eweyl.grids import MAX_GRID_CELLS, domain_blocks
+from eweyl.grids import MAX_GRID_CELLS, domain_blocks, fraction_rows
 from eweyl.lie_data import UsageError, coweight_gram, domain_volume, mat_det
 from eweyl.transform import modulus_power, quadrature_cells
 from conftest import traced_peak
@@ -185,29 +185,32 @@ def test_continuous_stabilizers_are_the_exact_stabiliser_orders():
     assert accepted == 134
 
 
-def test_orbit_sum_blocks_stay_within_2_16_entries(monkeypatch):
-    # 729 weights: the cells go in blocks of 2**16 // 729 = 89
-    system, kind = E.system_from_selector("a1xa1xa1"), "ee"
-    calls = []
+def test_integrand_is_sampled_in_blocks_of_2_12_cells(monkeypatch):
+    # 24**3 = 13 824 cells: f is sampled in blocks of 4 096, the last one cut short
+    system, kind, resolution = E.system_from_selector("a1xa1xa1"), "ee", 12
+    blocks, points = [], []
 
-    def recorded(system, kind, spectrum, lcm):
-        sums = _orbit_sum_kernel(system, kind, spectrum, lcm)
+    def recorded(numerators, denominator):
+        blocks.append(numerators)
+        return fraction_rows(numerators, denominator)
 
-        def block(numerators):
-            # the kernel gets one block of numerator rows and keys only those
-            assert numerators.shape == (len(numerators), system.n)
-            calls.append(len(numerators))
-            return sums(numerators)
+    def refuse(*args):
+        raise AssertionError("the continuous transform called the orbit-sum kernel")
 
-        return block
+    def f(p):
+        points.append(p)
+        return E.xi(system, kind, mu, p)
 
-    monkeypatch.setattr(transform, "_orbit_sum_kernel", recorded)
+    monkeypatch.setattr(transform, "fraction_rows", recorded)
+    monkeypatch.setattr(transform, "_orbit_sum_kernel", refuse)
     mu = (1, -3, 4)
-    cc = E.continuous_coefficients(lambda p: E.xi(system, kind, mu, p), system, kind,
-                                   weight_bound=4, resolution=6)
-    cells = len(quadrature_cells(system, kind, 6))
-    assert len(cc.weights) == 729 and max(calls) == 2**16 // 729 and sum(calls) == cells
-    assert len(calls) == -(-cells // (2**16 // 729)) > 2
+    cc = E.continuous_coefficients(f, system, kind, weight_bound=4, resolution=resolution)
+    cells = quadrature_cells(system, kind, resolution)
+    assert [len(b) for b in blocks] == [2**12] * 3 + [1536]
+    # the blocks cover the cells once, in order, and f sees the cells in that order
+    assert np.array_equal(np.concatenate(blocks), cells.numerators)
+    assert points == [p for p, _ in cells]
+    assert len(cc.weights) == 729
     assert max(abs(v - (w == mu)) for w, v in zip(cc.weights, cc.values)) <= 1e-12
 
 

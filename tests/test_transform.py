@@ -485,6 +485,63 @@ def test_separable_transform_past_the_dense_limit():
     assert max(abs(a - b) for a, b in zip(back.values, samples.values)) < 1e-9
 
 
+def _e_cases():
+    """The kind ``e`` cases of ``discrete_cases()`` and one larger grid per group (N <= 394)."""
+    extra = (("a1xa1", 14), ("a1xa2", 6), ("a1xc2", 7), ("a1xg2", 9), ("a1xa1xa1", 5))
+    return [c for c in discrete_cases() if c[1] == "e"] + [
+        (E.system_from_selector(sel), "e", (m,)) for sel, m in extra
+    ]
+
+
+def test_torus_fft_matches_the_dense_formulas(monkeypatch):
+    monkeypatch.setattr(transform, "FFT_MIN_N", 0)
+    rng = random.Random(20)
+    for system, kind, ms in _e_cases():
+        grid = E.build_point_grid(system, kind, ms)
+        p = phase_matrix(system, kind, ms)
+        f = np.array(_random_values(rng, grid), dtype=complex)
+        want = (p.conj() @ (grid.eps * f)) / normalizers(system, kind, ms)
+        coeffs = forward_discrete(make_samples(system, kind, ms, f))
+        assert np.abs(coeffs.values - want).max() <= 1e-12 * np.abs(want).max(), (system, ms)
+        back = inverse_discrete(E.CoefficientSet(system, kind, ms, coeffs.spectrum, want))
+        want_back = p.T @ want
+        assert np.abs(back.values - want_back).max() <= 1e-12 * np.abs(want_back).max()
+        for values in (coeffs.values, back.values):
+            assert values.dtype == complex and not values.flags.writeable
+
+
+#: an ``e`` grid past the dense limit: N = 16 120 points, |T| = 8 * 20**3
+PAST_THE_DENSE_LIMIT = ("a1xa1xa1", "e", (20,))
+
+
+def test_e_transform_past_the_dense_limit(monkeypatch):
+    sel, kind, ms = PAST_THE_DENSE_LIMIT
+    system = E.system_from_selector(sel)
+    grid = E.build_point_grid(system, kind, ms)
+    assert len(grid) == 16120 > transform.MAX_PHASE_MATRIX_N
+    samples = make_samples(system, kind, ms, _random_values(random.Random(21), grid))
+
+    def refuse(*args):
+        raise AssertionError("a phase matrix was built")
+
+    monkeypatch.setattr(transform, "phase_matrix", refuse)
+    back = inverse_discrete(forward_discrete(samples))
+    assert np.abs(back.values - samples.values).max() < 1e-9
+
+
+def test_torus_fft_holds_one_box_and_arrays_of_n_entries():
+    sel, kind, ms = PAST_THE_DENSE_LIMIT
+    system = E.system_from_selector(sel)
+    n = len(E.build_point_grid(system, kind, ms))
+    box = 16 * abs(system.det_cartan) * math.prod(ms) ** system.n
+    samples = make_samples(system, kind, ms, _random_values(random.Random(22), range(n)))
+    inverse_discrete(forward_discrete(samples))  # fill the caches
+    coeffs, forward_peak = traced_peak(lambda: forward_discrete(samples))
+    _, inverse_peak = traced_peak(lambda: inverse_discrete(coeffs))
+    # beside the box: an index, the residue columns, the values and the result
+    assert max(forward_peak, inverse_peak) <= box + 64 * n
+
+
 def test_transforms_never_build_the_grid_tuples():
     def f(x):
         return complex(sum(x), x[-1] ** 2)
