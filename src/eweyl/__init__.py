@@ -13,8 +13,6 @@ from .lie_data import (
     UsageError,
     assemble_system,
     coweight_gram,
-    domain_volume,
-    domain_volume as volume,
     exp_phase,
     make_system,
     pairing,
@@ -26,6 +24,8 @@ from .weyl import (
     PRODUCT_EVEN,
     GroupElement,
     WeylGroup,
+    domain_volume,
+    domain_volume as volume,
     even_subgroup,
     generate_weyl,
     orbit,

@@ -9,7 +9,7 @@ plain Python ints and turns each residue into a phasor with
 that ``xi`` and ``orbit_sums`` match bit for bit.  ``xi`` keeps the last
 point's key, so ``interpolate`` keys its point once per series, and from
 the series' second weight on each term is one integer dot of three
-entries, with a covector reduced mod ``n``, plus the phasor.
+entries, the largest rank, with a covector reduced mod ``n``, plus the phasor.
 ``scaled_orbit_sums`` evaluates ``xi`` for many weights at many points,
 given as integer numerators over one denominator, and ``orbit_sums``
 scales its ``Fraction`` points once and does the same.  Both call the orbit-sum
@@ -80,12 +80,11 @@ def xi(system: SemisimpleSystem, kind: str, lam: Weight, x: TorusPoint) -> compl
     once: the last point's key is kept, and is reused when the next call
     passes the very same tuple object ``x`` with the same ``system``
     object and kind.  From the second such call on, ``K`` is folded into
-    one covector per group element, reduced mod ``n``.  For rank 1 to 3
-    the covectors and ``lam`` are padded with zeros to three entries, so
-    each term is one dot of three ints and ``residue_phasor``'s own
-    expression, written out; a larger rank pairs ``system.n`` products
-    through ``residue_phasor``.  A call that raises leaves the kept point
-    as it was.
+    one covector per group element, reduced mod ``n``.  The covectors and
+    ``lam`` are padded with zeros to three entries, the largest rank
+    (:func:`eweyl.lie_data.assemble_system`), so each term is one dot of
+    three ints and ``residue_phasor``'s own expression, written out.  A
+    call that raises leaves the kept point as it was.
     """
     global _slot
     x = tuple(x)
@@ -95,17 +94,9 @@ def xi(system: SemisimpleSystem, kind: str, lam: Weight, x: TorusPoint) -> compl
         if rows is None:
             # r[j] = sum_i P_ij K_i mod n, so that (P lam) . K = r . lam mod n
             form, key = slot[3], slot[4]
-            rows = [[sum(map(operator.mul, key, flat[j::dim])) % n for j in range(dim)]
-                    for flat in form.pairing]
-            if dim <= 3:
-                rows = [(*r, *_PAD[dim]) for r in rows]
+            rows = [(*[sum(map(operator.mul, key, flat[j::dim])) % n for j in range(dim)],
+                     *_PAD[dim]) for flat in form.pairing]
             _slot = slot[:6] + (rows,)
-        total = 0j
-        if dim > 3:
-            lam = _integer_weight(system, lam)
-            for r in rows:
-                total += residue_phasor(sum(map(operator.mul, r, lam)), n)
-            return total
         try:
             ints = map(operator.index, lam)
             # padded like the rows, so a wrong length fails to unpack
@@ -114,7 +105,7 @@ def xi(system: SemisimpleSystem, kind: str, lam: Weight, x: TorusPoint) -> compl
             _integer_weight(system, lam)
             raise length_error(system) from None  # an iterator, part consumed above
         # residue_phasor(r . lam, n), written out
-        exp, tau = cmath.exp, _TAU
+        exp, tau, total = cmath.exp, _TAU, 0j
         for r0, r1, r2 in rows:
             total += exp(tau * (((r0 * a + r1 * b + r2 * c) % n) / n))
         return total
@@ -162,14 +153,6 @@ def scaled_orbit_sums(system: SemisimpleSystem, kind: str, weights, numerators, 
 _TABLE_MAX = 2**16
 
 
-@lru_cache(maxsize=4)
-def _phasor_table(n: int) -> np.ndarray:
-    """``residue_phasor(k, n)`` for every residue ``0 <= k < n``."""
-    table = np.array([residue_phasor(k, n) for k in range(n)], dtype=complex)
-    table.setflags(write=False)
-    return table
-
-
 def _orbit_sum_kernel(system: SemisimpleSystem, kind: str, weights, lcm: int):
     """:func:`orbit_sums` of ``weights`` as a function of numerator rows over ``lcm``.
 
@@ -180,7 +163,8 @@ def _orbit_sum_kernel(system: SemisimpleSystem, kind: str, weights, lcm: int):
     blocks of rows share the set-up and no key outlives its block, and
     pairs ``k = lam . (P^T K)``.  The residues are int64 when the bound
     proves they fit and exact Python ints otherwise; int64 residues and
-    their phasors go to two buffers that every call reuses.
+    their phasors go to two buffers that every call reuses, the phasors
+    read from a table of every residue mod ``n``, built on first use.
     """
     form = smith_form(system, check_kind(kind), False)
     dim = system.n
@@ -201,12 +185,15 @@ def _orbit_sum_kernel(system: SemisimpleSystem, kind: str, weights, lcm: int):
     phasor = lru_cache(maxsize=None)(lambda k: residue_phasor(k, n))
     # block-sized temporaries made anew cost more in page faults than the sums
     scratch = []
+    table = None
 
     def sums(numerators) -> np.ndarray:
+        nonlocal table
         cols = smith_keys(system, numerators, lcm).astype(dtype, copy=False)
         total = np.zeros((len(lam), cols.shape[1]), dtype=complex)
         if dtype is np.int64 and n <= min(total.size, _TABLE_MAX):
-            table = _phasor_table(n)
+            if table is None:
+                table = np.fromiter((residue_phasor(k, n) for k in range(n)), complex, n)
             if not scratch or scratch[0].size < total.size:
                 scratch[:] = np.empty(total.size, dtype=np.int64), np.empty(total.size, complex)
             k, term = (a[:total.size].reshape(total.shape) for a in scratch)

@@ -1,5 +1,9 @@
 """Exact root-system data for products of simple rank <= 2 factors.
 
+Systems are products of the factors a1, a2, c2 and g2 of total rank at
+most 3: :func:`assemble_system` refuses a larger rank, and
+:func:`make_system` builds the five supported selectors.
+
 Coordinate conventions used throughout the package:
 
 * weights are integer vectors in the basis of fundamental weights,
@@ -14,7 +18,7 @@ pairings into integer residues and lattice congruences into one integer
 index (see :mod:`eweyl.weyl`).
 
 Long roots are normalised to squared length 2.  That choice fixes every
-Gram matrix and fundamental-domain volume computed here.  All lattice
+Gram matrix computed here, and so every domain volume.  All lattice
 arithmetic is exact (integer residues, or ``fractions.Fraction`` at the
 API edge: points, :func:`pairing`, :func:`exp_phase` and the Gram
 matrices); floating point enters only when a phase ``k / n`` is finally
@@ -173,13 +177,16 @@ class SemisimpleSystem:
 
 @lru_cache(maxsize=None)
 def assemble_system(kinds: tuple[str, ...]) -> SemisimpleSystem:
-    """Assemble any factor list; no restriction to the supported selectors."""
+    """Assemble any factor list of total rank <= 3, a supported selector or not."""
     if not kinds:
         raise ConfigurationError("empty factor list")
     try:
         factors = tuple(_FACTORS[k.lower()] for k in kinds)
     except KeyError as exc:
         raise ConfigurationError(f"unknown simple factor {exc.args[0]!r}") from None
+    rank = sum(f.rank for f in factors)
+    if rank > 3:
+        raise ConfigurationError(f"factor list {list(kinds)!r} has rank {rank}; the limit is 3")
     cartan = block_diagonal([f.cartan for f in factors])
     inv = mat_inverse(cartan)
     det = mat_det(cartan)
@@ -257,7 +264,7 @@ def residue_phasor(k: int, n: int) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Gram matrices and volumes
+# Gram matrices
 # ---------------------------------------------------------------------------
 
 def coroot_gram(factor: SimpleFactor) -> RatMatrix:
@@ -284,31 +291,3 @@ def coweight_gram(system: SemisimpleSystem) -> RatMatrix:
         )
         blocks.append(block)
     return tuple(tuple(Q(v) for v in row) for row in block_diagonal(blocks))
-
-
-def factor_volume(factor: SimpleFactor) -> float:
-    """Volume of the closed fundamental simplex of one simple factor.
-
-    Equals the volume of the torus R^rank / (coroot lattice) divided by
-    the Weyl group order.
-    """
-    det = mat_det(coroot_gram(factor))
-    return math.sqrt(float(det)) / factor.weyl_order
-
-
-def domain_volume(system: SemisimpleSystem, kind: str) -> float:
-    """Volume of the even fundamental domain of the given kind.
-
-    The full even domain glues two copies of the fundamental simplex;
-    the product-even domain glues two per factor.
-    """
-    base = 1.0
-    for f in system.factors:
-        base *= factor_volume(f)
-    if kind == "e":
-        return 2.0 * base
-    if kind == "ee":
-        return float(2 ** len(system.factors)) * base
-    if kind == "w":
-        return base
-    raise UsageError(f"unknown domain kind {kind!r}")

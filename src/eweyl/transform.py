@@ -495,7 +495,8 @@ def continuous_coefficients(
     resolution : int
         The grid modulus ``M``, on every gluing block.  The grid has
         about ``|det C| * M^n / |group|`` points and is refused past
-        ``MAX_GRID_CELLS``; the default 32 keeps every group within it.
+        ``MAX_GRID_CELLS``, after the alias check below; the default 32
+        keeps every group within it.
 
     The coefficient of weight ``lam`` is the integral of
     ``f * conj(Xi_lam)`` over ``|domain| * |group| * d_lam``, which is
@@ -508,10 +509,11 @@ def continuous_coefficients(
     """
     group = even_subgroup(system, check_kind(kind))
     spectrum = enumerate_dominant(system, kind, weight_bound)
-    cells = quadrature_cells(system, kind, resolution)
-    per_factor = (resolution,) * len(system.factors)
+    _, per_factor = check_moduli(system, kind, (resolution,) * len(domain_blocks(system, kind)))
+    resolution = per_factor[0]
     lams = np.array(spectrum, dtype=np.int64).reshape(len(spectrum), system.n)
     stabilizers = _check_alias_free(system, group, lams, per_factor)
+    cells = quadrature_cells(system, kind, resolution)
 
     def sampled():
         for start in range(0, len(cells), _SAMPLE_CELLS):

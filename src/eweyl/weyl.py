@@ -50,6 +50,7 @@ from .lie_data import (
     UsageError,
     Weight,
     block_diagonal,
+    coroot_gram,
     identity_matrix,
     mat_det,
     mat_mul,
@@ -192,6 +193,17 @@ def even_subgroup(system: SemisimpleSystem, kind: str) -> WeylGroup:
     else:
         elements = tuple(w for w in full if all(d == 1 for d in _factor_dets(system, w)))
     return WeylGroup(system, kind, elements)
+
+
+def domain_volume(system: SemisimpleSystem, kind: str) -> float:
+    """Volume of the fundamental domain of the group of this kind.
+
+    The domain tiles the torus ``R^n / Q^v`` under the group, so its
+    volume is ``covol(Q^v) / |group|``, the covolume being the product
+    over factors of ``sqrt(det)`` of the coroot Gram matrix.
+    """
+    covolume = math.prod(math.sqrt(float(mat_det(coroot_gram(f)))) for f in system.factors)
+    return covolume / even_subgroup(system, kind).order
 
 
 # ---------------------------------------------------------------------------

@@ -294,6 +294,15 @@ def test_dense_limit_is_refused_before_any_grid(capsys, monkeypatch):
         raise AssertionError("gram_residual past the dense limit did not refuse")
 
 
+def test_dense_limit_on_the_exact_grid_size_exits_2(capsys):
+    assert run(["verify", "--group", "a1xa1", "--kind", "e", "--M", "64"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: a grid of 8194 points is too large for the dense phase matrix; the limit is 8192"
+    ]
+
+
 def _write_samples(path, system, kind, ms, values):
     rows = [",".join(label_names(system, "s") + ["re", "im"])]
     for gp, v in zip(E.build_point_grid(system, kind, ms), values):

@@ -9,7 +9,6 @@ import eweyl as E
 from eweyl.lie_data import (
     _FACTORS,
     coroot_gram,
-    factor_volume,
     mat_det,
     mat_mul,
 )
@@ -57,12 +56,19 @@ def test_make_system_fields():
 
 def test_systems_hash_by_value():
     # a fresh (uncached) assembly equals the cached one and hashes the same
-    for kinds in (("a1", "g2"), ("a1", "a1", "a1"), ("g2",), ("c2", "a2")):
+    for kinds in (("a1", "g2"), ("a1", "a1", "a1"), ("g2",), ("c2", "a1")):
         cached = E.assemble_system(kinds)
         fresh = E.assemble_system.__wrapped__(kinds)
         assert fresh is not cached
         assert fresh == cached and hash(fresh) == hash(cached)
     assert E.assemble_system(("a1", "a2")) != E.assemble_system(("a2", "a1"))
+
+
+def test_assembly_past_rank_three_is_refused():
+    for kinds in (("a2", "a2"), ("c2", "a2"), ("a1", "a1", "a1", "a1"), ("g2", "a1", "a1")):
+        with pytest.raises(E.ConfigurationError, match="has rank 4; the limit is 3"):
+            E.assemble_system(kinds)
+    assert E.assemble_system(("a2", "a1")).n == 3
 
 
 def test_make_system_rejects_unsupported():
@@ -163,7 +169,15 @@ def test_gram_volume_consistency():
     for f in system.factors:
         vol *= math.sqrt(float(mat_det(coroot_gram(f)))) / f.weyl_order
     assert abs(4 * vol - 2 / math.sqrt(6)) < 1e-14  # |F^ee| = 2/sqrt(6)
-    assert abs(factor_volume(system.factors[0]) - 1 / math.sqrt(2)) < 1e-14
+    assert abs(E.volume(system, "w") - vol) < 1e-15
+    assert abs(E.volume(E.assemble_system(("a1",)), "w") - 1 / math.sqrt(2)) < 1e-14
+
+
+def test_volume_of_an_unknown_kind_is_refused():
+    system = E.system_from_selector("a1xa2")
+    for kind in ("x", "E", None):
+        with pytest.raises(E.UsageError, match="unknown group kind"):
+            E.volume(system, kind)
 
 
 def test_coroot_and_coweight_grams_consistent():

@@ -14,7 +14,8 @@ import eweyl as E
 from eweyl import efunc, transform
 from eweyl.efunc import _orbit_sum_kernel, orbit_sums, scaled_orbit_sums
 from eweyl.grids import MAX_GRID_CELLS, domain_blocks, fraction_rows
-from eweyl.lie_data import UsageError, coweight_gram, domain_volume, mat_det
+from eweyl.lie_data import UsageError, coweight_gram, mat_det
+from eweyl.weyl import domain_volume
 from eweyl.transform import modulus_power, quadrature_cells
 from conftest import traced_peak
 from reference import root_coordinates, spectrum_differences, weight_congruent_mod_mq
@@ -98,6 +99,16 @@ def test_aliasing_resolution_is_refused():
             E.continuous_coefficients(lambda p: 1.0, system, "e", weight_bound=2,
                                       resolution=resolution)
     assert _worst_basis_error(system, "e", 2, 11, mus) <= 1e-12
+
+
+def test_aliasing_is_refused_before_any_cell_is_built(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("cells were built")
+
+    monkeypatch.setattr(transform, "quadrature_cells", refuse)
+    with pytest.raises(UsageError, match="aliases"):
+        E.continuous_coefficients(lambda p: 1.0, E.system_from_selector("a1xg2"), "e",
+                                  weight_bound=2, resolution=8)
 
 
 def test_default_resolution_is_alias_free_and_within_size():

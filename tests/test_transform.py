@@ -510,6 +510,14 @@ def test_torus_fft_matches_the_dense_formulas(monkeypatch):
             assert values.dtype == complex and not values.flags.writeable
 
 
+def test_dense_limit_is_checked_on_the_exact_grid_size():
+    # |T| / |group| = 4 * 64**2 / 2 = 8 192 passes the estimate; the grid has 8 194 points
+    with pytest.raises(E.UsageError) as exc:
+        phase_matrix(E.system_from_selector("a1xa1"), "e", (64,))
+    assert str(exc.value) == ("a grid of 8194 points is too large for the dense phase matrix; "
+                              "the limit is 8192")
+
+
 #: an ``e`` grid past the dense limit: N = 16 120 points, |T| = 8 * 20**3
 PAST_THE_DENSE_LIMIT = ("a1xa1xa1", "e", (20,))
 

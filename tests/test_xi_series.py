@@ -81,8 +81,8 @@ def test_xi_along_drawn_call_sequences_equals_the_oracle(data):
             last = (system, kind, lam, x)
 
 
-#: assembled systems of rank 1, 2 and 4 beside the rank 2 and 3 selectors
-ASSEMBLED = [E.assemble_system(f) for f in (("a1",), ("g2",), ("a2", "a2"))]
+#: assembled systems of rank 1, 2 and 3 beside the rank 2 and 3 selectors
+ASSEMBLED = [E.assemble_system(f) for f in (("a1",), ("g2",), ("a2", "a1"))]
 
 
 @settings(max_examples=30, deadline=None)
