@@ -19,7 +19,10 @@ kernel, the only batch reader of keys (:func:`eweyl.weyl.smith_keys`).
 group and kind, transcribed verbatim; two of those closed forms (both
 for a1xg2) are known to be misprinted, and ``xi_closed`` intentionally
 reproduces the misprints so that the verification suite can exhibit
-them.
+them.  Each form is a factory of the weight that returns the function
+of the point, having computed what reads the weight alone; ``xi_closed``
+keeps that function for the last weight, so an integrand at one weight
+pays per point only for the point's floats and the expression.
 """
 
 from __future__ import annotations
@@ -216,101 +219,147 @@ def _orbit_sum_kernel(system: SemisimpleSystem, kind: str, weights, lcm: int):
 # ---------------------------------------------------------------------------
 # closed forms
 # ---------------------------------------------------------------------------
+#
+# Each form is a factory: called with the weight's floats ``(a, b[, c])``,
+# it returns the function of the point's floats ``(x, y[, z])``.  The factory
+# computes the parts of the tabulated expression that read no coordinate and
+# that the expression evaluates before it reads one: ``math.pi * a``, the left
+# product of ``math.pi * a * x``, the constants, and the integer
+# combinations, named by their terms (``b2_c`` is ``2 * b + c``).  The rest
+# is the tabulated expression as written, each ``e(t) = exp(i t)`` spelled
+# out as ``cmath.exp(1j * t)``, so every value is the expression's double.
 
-def _e(t: float) -> complex:
-    return cmath.exp(1j * t)
+def _a1xa1_ee(a, b):
+    def at(x, y):
+        return cmath.exp(1j * (math.pi * (a * x + b * y)))
 
-
-def _a1xa1_ee(a, b, x, y):
-    return _e(math.pi * (a * x + b * y))
-
-
-def _a1xa1_e(a, b, x, y):
-    return 2 * math.cos(math.pi * (a * x + b * y))
-
-
-def _a1xa2_ee(a, b, c, x, y, z):
-    t = 2 * math.pi / 3
-    inner = (
-        _e(t * ((2 * b + c) * y + (b + 2 * c) * z))
-        + _e(-t * ((y + 2 * z) * b + (z - y) * c))
-        + _e(-t * ((y - z) * b + (2 * y + z) * c))
-    )
-    return _e(math.pi * a * x) * inner
+    return at
 
 
-def _a1xa2_e(a, b, c, x, y, z):
-    t = 2 * math.pi / 3
-    plus = (
-        _e(t * ((2 * b + c) * y + (b + 2 * c) * z))
-        + _e(-t * ((b - c) * y + (2 * b + c) * z))
-        + _e(-t * ((b + 2 * c) * y + (c - b) * z))
-    )
-    minus = (
-        _e(t * ((c - b) * y + (b + 2 * c) * z))
-        + _e(t * ((2 * b + c) * y + (b - c) * z))
-        + _e(-t * ((2 * c + b) * y + (c + 2 * b) * z))
-    )
-    return _e(math.pi * a * x) * plus + _e(-math.pi * a * x) * minus
+def _a1xa1_e(a, b):
+    def at(x, y):
+        return 2 * math.cos(math.pi * (a * x + b * y))
+
+    return at
 
 
-def _a1xc2_ee(a, b, c, x, y, z):
+def _a1xa2_ee(a, b, c):
+    t, pa = 2 * math.pi / 3, math.pi * a
+    b2_c, b_c2 = 2 * b + c, b + 2 * c
+
+    def at(x, y, z):
+        inner = (
+            cmath.exp(1j * (t * (b2_c * y + b_c2 * z)))
+            + cmath.exp(1j * (-t * ((y + 2 * z) * b + (z - y) * c)))
+            + cmath.exp(1j * (-t * ((y - z) * b + (2 * y + z) * c)))
+        )
+        return cmath.exp(1j * (pa * x)) * inner
+
+    return at
+
+
+def _a1xa2_e(a, b, c):
+    t, pa, npa = 2 * math.pi / 3, math.pi * a, -math.pi * a
+    b2_c, b_c2, b_mc, c_mb = 2 * b + c, b + 2 * c, b - c, c - b
+    c2_b, c_b2 = 2 * c + b, c + 2 * b
+
+    def at(x, y, z):
+        plus = (
+            cmath.exp(1j * (t * (b2_c * y + b_c2 * z)))
+            + cmath.exp(1j * (-t * (b_mc * y + b2_c * z)))
+            + cmath.exp(1j * (-t * (b_c2 * y + c_mb * z)))
+        )
+        minus = (
+            cmath.exp(1j * (t * (c_mb * y + b_c2 * z)))
+            + cmath.exp(1j * (t * (b2_c * y + b_mc * z)))
+            + cmath.exp(1j * (-t * (c2_b * y + c_b2 * z)))
+        )
+        return cmath.exp(1j * (pa * x)) * plus + cmath.exp(1j * (npa * x)) * minus
+
+    return at
+
+
+def _a1xc2_ee(a, b, c):
     p = math.pi
-    inner = math.cos(p * ((2 * b + 2 * c) * y + (b + 2 * c) * z)) + math.cos(
-        p * (2 * c * y - b * z)
-    )
-    return 2 * _e(p * a * x) * inner
+    pa, b2_c2, b_c2, c2 = p * a, 2 * b + 2 * c, b + 2 * c, 2 * c
+
+    def at(x, y, z):
+        inner = math.cos(p * (b2_c2 * y + b_c2 * z)) + math.cos(p * (c2 * y - b * z))
+        return 2 * cmath.exp(1j * (pa * x)) * inner
+
+    return at
 
 
-def _a1xc2_e(a, b, c, x, y, z):
+def _a1xc2_e(a, b, c):
     p = math.pi
-    plus = math.cos(p * ((2 * b + 2 * c) * y + (b + 2 * c) * z)) + math.cos(
-        p * (2 * c * y - b * z)
-    )
-    minus = math.cos(p * (2 * c * y + (b + 2 * c) * z)) + math.cos(
-        p * (b * z + (2 * b + 2 * c) * y)
-    )
-    return 2 * _e(p * a * x) * plus + 2 * _e(-p * a * x) * minus
+    pa, npa = p * a, -p * a
+    b2_c2, b_c2, c2 = 2 * b + 2 * c, b + 2 * c, 2 * c
+
+    def at(x, y, z):
+        plus = math.cos(p * (b2_c2 * y + b_c2 * z)) + math.cos(p * (c2 * y - b * z))
+        minus = math.cos(p * (c2 * y + b_c2 * z)) + math.cos(p * (b * z + b2_c2 * y))
+        return 2 * cmath.exp(1j * (pa * x)) * plus + 2 * cmath.exp(1j * (npa * x)) * minus
+
+    return at
 
 
-def _a1xg2_ee(a, b, c, x, y, z):
+def _a1xg2_ee(a, b, c):
     # Transcribed as tabulated; deviates from the generic orbit sum
     # (misprinted inner factors of 2 and an x where a y belongs).
     p = math.pi
-    inner = (
-        math.cos(2 * p * ((2 * b + c) * y + (3 * b + 2 * c) * z))
-        + 2 * math.cos(2 * p * (b * x + (3 * b + c) * z))
-        + 2 * math.cos(2 * p * ((b + c) * y + c * z))
-    )
-    return 2 * _e(p * a * x) * inner
+    p2, pa = 2 * p, p * a
+    b2_c, b3_c2, b3_c, b_c = 2 * b + c, 3 * b + 2 * c, 3 * b + c, b + c
+
+    def at(x, y, z):
+        inner = (
+            math.cos(p2 * (b2_c * y + b3_c2 * z))
+            + 2 * math.cos(p2 * (b * x + b3_c * z))
+            + 2 * math.cos(p2 * (b_c * y + c * z))
+        )
+        return 2 * cmath.exp(1j * (pa * x)) * inner
+
+    return at
 
 
-def _a1xg2_e(a, b, c, x, y, z):
+def _a1xg2_e(a, b, c):
     # Transcribed as tabulated; deviates from the generic orbit sum
     # (an a where a b belongs and a lone pi where siblings carry 2 pi).
     p = math.pi
-    plus = (
-        math.cos(2 * p * ((2 * b + c) * y + (3 * b + 2 * c) * z))
-        + math.cos(2 * p * (a * y + (3 * b + c) * z))
-        + math.cos(2 * p * ((b + c) * y + c * z))
-    )
-    minus = (
-        math.cos(2 * p * ((2 * b + c) * y + (3 * b + c) * z))
-        + math.cos(2 * p * (b * y - c * z))
-        + math.cos(p * ((b + c) * y + (3 * b + 2 * c) * z))
-    )
-    return 2 * _e(p * a * x) * plus + 2 * _e(-p * a * x) * minus
+    p2, pa, npa = 2 * p, p * a, -p * a
+    b2_c, b3_c2, b3_c, b_c = 2 * b + c, 3 * b + 2 * c, 3 * b + c, b + c
+
+    def at(x, y, z):
+        plus = (
+            math.cos(p2 * (b2_c * y + b3_c2 * z))
+            + math.cos(p2 * (a * y + b3_c * z))
+            + math.cos(p2 * (b_c * y + c * z))
+        )
+        minus = (
+            math.cos(p2 * (b2_c * y + b3_c * z))
+            + math.cos(p2 * (b * y - c * z))
+            + math.cos(p * (b_c * y + b3_c2 * z))
+        )
+        return 2 * cmath.exp(1j * (pa * x)) * plus + 2 * cmath.exp(1j * (npa * x)) * minus
+
+    return at
 
 
-def _a1xa1xa1_ee(a, b, c, x, y, z):
-    return _e(math.pi * (a * x + b * y + c * z))
+def _a1xa1xa1_ee(a, b, c):
+    def at(x, y, z):
+        return cmath.exp(1j * (math.pi * (a * x + b * y + c * z)))
+
+    return at
 
 
-def _a1xa1xa1_e(a, b, c, x, y, z):
+def _a1xa1xa1_e(a, b, c):
     p = math.pi
-    return 2 * _e(p * a * x) * math.cos(p * (b * y + c * z)) + 2 * _e(
-        -p * a * x
-    ) * math.cos(p * (b * y - c * z))
+    pa, npa = p * a, -p * a
+
+    def at(x, y, z):
+        return (2 * cmath.exp(1j * (pa * x)) * math.cos(p * (b * y + c * z))
+                + 2 * cmath.exp(1j * (npa * x)) * math.cos(p * (b * y - c * z)))
+
+    return at
 
 
 _CLOSED_FORMS = {
@@ -332,8 +381,9 @@ TRUSTED_CLOSED_FORMS = frozenset(
 )
 
 
-#: the weight of the last ``xi_closed`` call: ``(lam, system, kind, fn, floats)``,
-#: kept only for a tuple of ints, which no later call can change
+#: the weight of the last ``xi_closed`` call: ``(lam, system, kind, at)``, ``at``
+#: its closed form at the weight; kept only for a tuple of ints, which no later
+#: call can change
 _closed_slot = None
 
 
@@ -343,38 +393,47 @@ def xi_closed(system: SemisimpleSystem, kind: str, lam: Weight, x: TorusPoint) -
     Raises :class:`UnsupportedFormulaError` when no closed form is
     tabulated.  The two a1xg2 forms reproduce their misprints; use
     :func:`xi` for a value that is always correct.  The weight is checked
-    as :func:`xi` checks it.  As in :func:`xi`, the last weight is kept:
-    a call that passes the very same tuple object ``lam``, the same
-    ``system`` object and an equal kind reuses its closed form and floats.
+    as :func:`xi` checks it, and the point is taken as ``xi`` takes it,
+    any iterable turned into a tuple once; its coordinates may also be
+    floats.  As in :func:`xi`, the last weight is kept: a call that
+    passes the very same tuple object ``lam``, the same ``system`` object
+    and an equal kind reuses its closed form, already evaluated at the
+    weight.
     """
     global _closed_slot
+    x = tuple(x)
     slot = _closed_slot
     if slot is None or slot[0] is not lam or slot[1] is not system or slot[2] != kind:
         try:
-            fn = _CLOSED_FORMS[system.selector, kind]
+            form = _CLOSED_FORMS[system.selector, kind]
         except (KeyError, TypeError):
             check_kind(kind)
             raise UnsupportedFormulaError(
                 f"no closed form for selector {system.selector!r}, kind {kind!r}"
             ) from None
-        slot = (lam, system, kind, fn, tuple(map(float, _integer_weight(system, lam))))
+        slot = (lam, system, kind, form(*map(float, _integer_weight(system, lam))))
         if type(lam) is tuple and all(type(v) is int for v in lam):
             _closed_slot = slot
     if len(x) != system.n:
         raise length_error(system)
-    return complex(slot[3](*slot[4], *map(_float, x)))
+    # unpacked from a list, not from ``map``: CPython would build that tuple at
+    # a guessed size and shrink it, and the up to 2 000 shrunk tuples that its
+    # free list keeps hold memory the sampling loop frees (+0.6 MB peak RSS)
+    return complex(slot[3](*[*map(_float, x)]))
 
 
 def _float(v) -> float:
     """``float(v)``; a ``Fraction`` of two ints skips ``numbers.Rational.__float__``.
 
     That method is ``int(numerator) / int(denominator)``, so the division
-    here is the same correctly rounded double.  A ``Fraction`` of numpy
-    integers keeps ``float(v)``: numpy would divide two rounded doubles.
+    here is the same correctly rounded double.  The parts are read from
+    ``Fraction``'s ``_numerator`` and ``_denominator`` slots, which the
+    tests pin, not through its properties, which cost as much again.  A
+    ``Fraction`` of numpy integers keeps ``float(v)``: numpy would divide
+    two rounded doubles.
     """
     if type(v) is Fraction:
-        num, den = v.numerator, v.denominator
+        num, den = v._numerator, v._denominator
         if type(num) is int and type(den) is int:
             return num / den
     return float(v)
-

@@ -1,4 +1,6 @@
 import cmath
+import hashlib
+import itertools
 import math
 import random
 import warnings
@@ -10,6 +12,8 @@ import pytest
 import eweyl as E
 from eweyl import efunc
 from eweyl.efunc import TRUSTED_CLOSED_FORMS, scaled_orbit_sums
+from eweyl.grids import fraction_rows
+from eweyl.transform import quadrature_cells
 from eweyl.weyl import even_subgroup, stab_order
 from conftest import SELECTORS, int_weight, rational_point
 from reference import fraction_xi, xi_orbit
@@ -165,15 +169,66 @@ def test_xi_closed_converts_like_float():
             lam = tuple(rng.choice([rng.randrange(-5, 6), np.int64(rng.randrange(-5, 6))])
                         for _ in range(system.n))
             x = tuple(rng.choice(CLOSED_FORM_COORDINATES) for _ in range(system.n))
-            want = complex(fn(*map(float, (*lam, *x))))
+            want = complex(fn(*map(float, lam))(*map(float, x)))
             assert np.array([E.xi_closed(system, kind, lam, x)]).tobytes() == \
                 np.array([want]).tobytes()
         huge = (Q(10**400, 3),) + (0,) * (system.n - 1)
         with pytest.raises(OverflowError) as got:
             E.xi_closed(system, kind, (0,) * system.n, huge)
         with pytest.raises(OverflowError) as want:
-            fn(*map(float, ((0,) * system.n + huge)))
+            fn(*map(float, (0,) * system.n))(*map(float, huge))
         assert str(got.value) == str(want.value)
+
+
+#: sha256 of the values of the closed-form sweep below, as complex128 bytes,
+#: and their count, recorded before the closed forms became factories of
+#: their weight
+CLOSED_FORM_SWEEP_DIGEST = "17c5091d040ffacb732eac9dabb5afbb328b401294a6998fd0df05d786a4a4ca"
+SWEEP_VALUES = 323490
+
+
+def test_closed_forms_keep_their_bits():
+    # all 10 closed forms: each weight of the spectrum at bound 2, and two of
+    # entries 3, 5 and 7, at every quadrature cell of resolution 6; then three
+    # weights, one of numpy ints, at every point whose coordinates are drawn
+    # from CLOSED_FORM_COORDINATES.  Products by 3, 5 and 7 round where those
+    # by 0, 1, 2 and 4 do not, so a regrouped product shows.  The values go
+    # through the platform's exp, cos and sin, as the CLI's golden digests do
+    values = []
+    for sel, kind in sorted(efunc._CLOSED_FORMS):
+        system = E.system_from_selector(sel)
+        odd = [(3, -5, 7)[:system.n], (-7, 3, 5)[:system.n]]
+        weights = E.enumerate_dominant(system, kind, 2) + odd
+        cells = quadrature_cells(system, kind, 6)
+        points = fraction_rows(cells.numerators, cells.denominator)
+        values += [E.xi_closed(system, kind, lam, x) for lam in weights for x in points]
+        typed = list(itertools.product(CLOSED_FORM_COORDINATES, repeat=system.n))
+        for lam in (weights[0], odd[0], tuple(map(np.int64, odd[1]))):
+            values += [E.xi_closed(system, kind, lam, x) for x in typed]
+    assert len(values) == SWEEP_VALUES
+    digest = hashlib.sha256(np.array(values, dtype=complex).tobytes()).hexdigest()
+    assert digest == CLOSED_FORM_SWEEP_DIGEST
+
+
+def test_xi_closed_takes_its_point_as_xi_does():
+    system = E.system_from_selector("a1xa2")
+    x = (Q(1, 5), Q(1, 3), Q(2, 7))
+    want = E.xi_closed(system, "e", (1, 0, 2), x)
+    for point in (iter(x), list(x), (v for v in x), np.array(x, dtype=object)):
+        assert E.xi_closed(system, "e", (1, 0, 2), point) == want
+    for point in (iter(x[:2]), iter((*x, 0))):
+        with pytest.raises(E.UsageError, match="need length 3"):
+            E.xi_closed(system, "e", (1, 0, 2), point)
+    with pytest.raises(TypeError):
+        E.xi_closed(system, "e", (1, 0, 2), 5)
+
+
+def test_fraction_keeps_the_slots_that_float_reads():
+    # efunc._float reads a Fraction's parts from these slots, not its properties
+    assert Q.__slots__ == ("_numerator", "_denominator")
+    v = Q(-(10**30) - 1, 7)
+    assert (v._numerator, v._denominator) == (v.numerator, v.denominator)
+    assert efunc._float(v) == float(v)
 
 
 def test_xi_closed_kind_errors():
@@ -210,7 +265,7 @@ def test_xi_closed_keeps_only_a_weight_no_call_can_change():
 
     def want(system, kind, lam):
         fn = efunc._CLOSED_FORMS[system.selector, kind]
-        return complex(fn(*map(float, (*lam, *x))))
+        return complex(fn(*map(float, lam))(*map(float, x)))
 
     lam = (1, 2, 0)
     for system, kind in ((a1xa2, "e"), (a1xa2, "e"), (a1xa2, "ee"), (a1xc2, "ee"), (a1xc2, "e")):

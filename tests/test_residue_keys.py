@@ -216,6 +216,60 @@ def test_int64_minimum_row_is_indexed_exactly():
     assert [a.tolist() for a in got] == [a.tolist() for a in want]
 
 
+def _plain_indices(group, rows, ms, dual):
+    """The walk's arrays in plain Python: the mixed radix of ``(S m s)_i mod M_f d_i``.
+
+    ``S`` is the block-diagonal ``U_f`` of ``_SMITH`` (``V_f^T`` if ``dual``), ``m``
+    the identity and then each element's coweight (weight if ``dual``) matrix.
+    """
+    system = group.system
+    s, mods, lo = [], [], 0
+    for f, m in zip(system.factors, ms):
+        block = _SMITH[f.kind][1 if dual else 0]
+        for row, d in zip(block, _SMITH[f.kind][2]):
+            s.append([0] * lo + list(row) + [0] * (system.n - lo - len(row)))
+            mods.append(m * d)
+        lo += f.rank
+    identity = [[int(i == j) for j in range(system.n)] for i in range(system.n)]
+    matrices = [identity] + [w.weight_matrix if dual else w.coweight_matrix for w in group]
+    out = []
+    for m in matrices:
+        sm = [[sum(a * m[k][j] for k, a in enumerate(row)) for j in range(system.n)] for row in s]
+        indices = []
+        for r in rows:
+            index = 0
+            for row, mod in zip(sm, mods):
+                index = index * mod + sum(a * v for a, v in zip(row, r)) % mod
+            indices.append(index)
+        out.append(indices)
+    return out, math.prod(mods)
+
+
+@pytest.mark.parametrize("sel", E.SUPPORTED_SELECTORS)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_orbit_indices_are_the_plain_mixed_radix(sel, data):
+    system = E.system_from_selector(sel)
+    kind = data.draw(st.sampled_from(["e", "ee", "w"]))
+    dual = data.draw(st.booleans())
+    group = E.even_subgroup(system, kind)
+    k = len(system.factors)
+    # a modulus of 2**32 + 1 on every factor puts |T| past int64: Python-int indices
+    ms = data.draw(st.one_of(st.tuples(*[st.integers(1, 9)] * k), st.just((2**32 + 1,) * k)))
+    # entries near 2**62 push S m s past int64, entries past 2**63 need Python ints
+    entry = st.one_of(st.integers(-50, 50), st.integers(-(2**62), 2**62),
+                      st.integers(-(2**70), 2**70))
+    rows = data.draw(st.lists(st.tuples(*[entry] * system.n), min_size=1, max_size=6))
+    want, size = _plain_indices(group, rows, ms, dual)
+    given_rows = [rows]
+    if all(-(2**63) <= v < 2**63 for r in rows for v in r):
+        given_rows.append(np.array(rows, dtype=np.int64))
+    for r in given_rows:
+        got = list(orbit_indices(group, r, ms, dual))
+        assert [a.dtype for a in got] == [np.dtype(np.int64 if size < 2**63 else object)] * len(got)
+        assert [a.tolist() for a in got] == want
+
+
 #: the only modules that may name a key or Smith helper
 KEY_MODULES = {"weyl.py", "efunc.py"}
 KEY_HELPERS = {"smith_form", "smith_keys", "_smith_key", "_smith_residues"}
