@@ -422,18 +422,22 @@ def xi_closed(system: SemisimpleSystem, kind: str, lam: Weight, x: TorusPoint) -
     return complex(slot[3](*[*map(_float, x)]))
 
 
-def _float(v) -> float:
-    """``float(v)``; a ``Fraction`` of two ints skips ``numbers.Rational.__float__``.
+if getattr(Fraction, "__slots__", None) == ("_numerator", "_denominator"):
 
-    That method is ``int(numerator) / int(denominator)``, so the division
-    here is the same correctly rounded double.  The parts are read from
-    ``Fraction``'s ``_numerator`` and ``_denominator`` slots, which the
-    tests pin, not through its properties, which cost as much again.  A
-    ``Fraction`` of numpy integers keeps ``float(v)``: numpy would divide
-    two rounded doubles.
-    """
-    if type(v) is Fraction:
-        num, den = v._numerator, v._denominator
-        if type(num) is int and type(den) is int:
-            return num / den
-    return float(v)
+    def _float(v) -> float:
+        """``float(v)``; a ``Fraction`` of two ints skips ``numbers.Rational.__float__``.
+
+        That method is ``int(numerator) / int(denominator)``, so the division
+        here is the same correctly rounded double.  The parts are read from
+        ``Fraction``'s ``_numerator`` and ``_denominator`` slots, not through
+        its properties, which cost as much again.  A ``Fraction`` of numpy
+        integers keeps ``float(v)``: numpy would divide two rounded doubles.
+        """
+        if type(v) is Fraction:
+            num, den = v._numerator, v._denominator
+            if type(num) is int and type(den) is int:
+                return num / den
+        return float(v)
+
+else:  # a Python whose Fraction lacks those private slots converts the public way
+    _float = float

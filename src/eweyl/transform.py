@@ -257,10 +257,10 @@ def _apply_phase(system, kind, ms, x, transpose=False) -> np.ndarray:
 
 
 #: smallest kind ``"e"`` grid transformed by one FFT over ``T``; below it the
-#: warm pair on the cached dense matrix is as fast or faster.  One BLAS
-#: thread, 2 vCPUs: the FFT pair read 0.84-0.90x the dense one on a1xg2 e 18
-#: and 19 (N = 1 026, 1 178), too close to call a win, and at most 0.51x on
-#: every grid of the five groups from N = 1 252 to 1 788
+#: FFT pair is not at most 0.8x the warm pair on the cached dense matrix on
+#: every grid.  One BLAS thread, 2 vCPUs: the FFT pair read 1.04x the dense
+#: one on a1xg2 e 18 and 19 (N = 1 026, 1 178) and at most 0.51x on every
+#: grid of the five groups from N = 1 252 to 1 788
 FFT_MIN_N = 1200
 
 

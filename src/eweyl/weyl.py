@@ -23,11 +23,7 @@ Congruences and pairings read one integer form, the Smith coordinates
 form ``U C V = diag(d)`` maps a point ``s / M`` to ``(U s)_i mod M d_i``
 and a weight to ``(V^T lam)_i mod M d_i``.  Their mixed radix is one
 integer in ``[0, |T|)``; :func:`orbit_indices`, the one walk of orbit
-images, yields it for rows and their images under a group.  Each
-residue column ``(S m s)_i`` is the sum of the Python-int entries of
-row ``i`` of ``S m`` times columns of the rows, read as strided views,
-zero entries skipped: no matrix product per column and no copy of the
-rows.
+images, yields it for rows and their images under a group.
 At a common denominator ``M = L`` of rational points the same residues
 are keys (:func:`smith_keys`; ``_smith_key`` for one point in plain
 ints), and ``<lam, s / L> = sum_i (V^T lam)_i (U s)_i / (L d_i)`` is one
@@ -353,37 +349,15 @@ def _smith_residues(system: SemisimpleSystem, rows, ms, dual: bool, matrices):
 
     Row ``s`` is the point ``s_f / M_f`` of ``T`` or, if ``dual``, the weight
     ``s`` of ``P / MQ``.  The columns ``(S m s)_i mod M_f d_i`` come one at
-    a time (:func:`_residues`), int64 when a bound proves they fit, else
-    exact Python ints.
+    a time, int64 when a bound proves they fit, else exact Python ints.
     """
     form = smith_form(system, FULL_WEYL, dual)
     mods = torus_shape(system, ms)
     rows = integer_rows(system, rows)
     dtype = int_dtype(max(system.n * form.bound * _magnitude(rows), max(mods)))
     rows = rows.astype(dtype, copy=False)
-    # strided views, not a transposed copy: one more array of the rows' size
-    columns = [rows[:, j] for j in range(system.n)]
-    images = (form.images[m].tolist() for m in matrices)
-    return mods, ((_residues(columns, coefficients, mod) for coefficients, mod in zip(b, mods))
-                  for b in images)
-
-
-def _residues(columns, coefficients, mod: int) -> np.ndarray:
-    """``sum_j c_j columns_j mod mod`` in a new array, for Python-int ``c_j``.
-
-    Zero terms are skipped; a row of an invertible ``S m`` has a nonzero
-    entry.  Each term is added as it is formed, so one temporary is live.
-    """
-    total = None
-    for column, c in zip(columns, coefficients):
-        if not c:
-            continue
-        if total is None:
-            total = column * c
-        else:
-            total += column * c
-    total %= mod
-    return total
+    images = (form.images[m].astype(dtype, copy=False) for m in matrices)
+    return mods, ((rows @ col % mod for col, mod in zip(b, mods)) for b in images)
 
 
 def smith_keys(system: SemisimpleSystem, numerators, lcm: int) -> np.ndarray:
@@ -409,17 +383,15 @@ def orbit_indices(group: WeylGroup, rows, ms, dual: bool = False):
     Rows are points ``s_f / M_f`` of ``T``, or weights of ``P / MQ`` if
     ``dual``; elements come in canonical order, the identity included.  It
     is the mixed radix of :func:`_smith_residues`, int64 when ``|T|`` fits,
-    else Python ints, folded into the first residue column; only arrays
-    of one entry per row are live.
+    else Python ints; only arrays of one entry per row are live.
     """
     matrices = [identity_matrix(group.system.n)]
     matrices += [w.weight_matrix if dual else w.coweight_matrix for w in group]
     mods, images = _smith_residues(group.system, rows, ms, dual, matrices)
     dtype = int_dtype(math.prod(mods))
     for columns in images:
-        # the first residue column is a new array: it becomes the index
-        index = next(columns).astype(dtype, copy=False)
-        for col, mod in zip(columns, mods[1:]):
+        index = np.zeros(len(rows), dtype=dtype)
+        for col, mod in zip(columns, mods):
             index *= mod
             index += col.astype(dtype, copy=False)
         yield index

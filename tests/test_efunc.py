@@ -224,7 +224,7 @@ def test_xi_closed_takes_its_point_as_xi_does():
 
 
 def test_fraction_keeps_the_slots_that_float_reads():
-    # efunc._float reads a Fraction's parts from these slots, not its properties
+    # efunc._float reads a Fraction's parts from these slots; without them it is float
     assert Q.__slots__ == ("_numerator", "_denominator")
     v = Q(-(10**30) - 1, 7)
     assert (v._numerator, v._denominator) == (v.numerator, v.denominator)
