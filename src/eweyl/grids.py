@@ -28,9 +28,10 @@ coordinates carry the reflection.
 
 Moduli are normalised in one place, :func:`eweyl.weyl.check_moduli`;
 :func:`glue` refuses grids estimated past ``MAX_GRID_CELLS`` cells
-before any cell is built.  Orbit sizes, stabiliser orders and duplicate
-checks read the index in the finite group ``T`` or its dual of every
-cell's images (:func:`eweyl.weyl.orbit_indices`), one element at a time.
+before any cell is built.  Each record keeps ``owner``, the map of the
+finite group ``T`` (or its dual) to the cell whose orbit holds each
+index (:func:`eweyl.weyl.orbit_owner`), which proves that the orbits
+tile it; orbit sizes and stabiliser orders count its entries.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ from .weyl import (
     even_subgroup,
     int_dtype,
     integer_rows,
-    orbit_indices,
+    orbit_owner,
     simple_reflection,
 )
 
@@ -276,16 +277,6 @@ def fraction_rows(numerators: np.ndarray, denominator: int) -> list[TorusPoint]:
     return list(zip(*table[index.reshape(numerators.shape)].T.tolist()))
 
 
-def _stabiliser_orders(group, rows, per_factor, dual: bool, what: str) -> np.ndarray:
-    """How many elements of ``group`` fix each row in ``T`` or its dual; the rows must differ."""
-    images = orbit_indices(group, rows, per_factor, dual)
-    index = next(images)
-    # a stable argsort: np.sort's SIMD quicksort maps ~0.3 MB more numpy code into RSS
-    if (np.diff(index[np.argsort(index, kind="stable")]) == 0).any():
-        raise AssertionError(f"duplicate {what} in a grid")
-    return sum((image == index for image in images), np.zeros(len(index), dtype=np.int64))
-
-
 class _GridRecord:
     """Read as the items ``_items(rows)`` builds from a slice of the arrays; none is kept."""
 
@@ -307,16 +298,17 @@ class _GridRecord:
 
 @dataclass(frozen=True, eq=False)
 class PointGrid(_GridRecord):
-    """A point grid as read-only int64 arrays, one row per point in canonical order.
+    """A point grid as read-only arrays, one row per point in canonical order.
 
     Point ``k`` is ``numerators[k] / denominator`` with label ``labels[k]``
-    and orbit size ``eps[k]``.
+    and orbit size ``eps[k]``, its count in ``owner``, the orbit map of ``T``.
     """
 
     numerators: np.ndarray
     denominator: int
     labels: np.ndarray
     eps: np.ndarray
+    owner: np.ndarray
 
     def _items(self, rows: slice) -> list[GridPoint]:
         coords = fraction_rows(self.numerators[rows], self.denominator)
@@ -330,13 +322,15 @@ class WeightGrid(_GridRecord):
 
     Weight ``weights[k]`` has label ``labels[k]``, stabiliser order
     ``h[k]`` and the float normaliser ``norms[k]``, the predicted Gram
-    diagonal ``|det C| * |group| * prod_f M_f^rank_f * h[k]``.
+    diagonal ``|det C| * |group| * prod_f M_f^rank_f * h[k]``.  ``h[k]`` is
+    ``|group|`` over the count of ``k`` in ``owner``, the orbit map of ``P / MQ``.
     """
 
     weights: np.ndarray
     labels: np.ndarray
     h: np.ndarray
     norms: np.ndarray
+    owner: np.ndarray
 
     def _items(self, rows: slice) -> list[SpectralPoint]:
         weights, labels = (map(tuple, a[rows].tolist()) for a in (self.weights, self.labels))
@@ -349,13 +343,12 @@ def point_grid_arrays(system: SemisimpleSystem, kind: str, ms) -> PointGrid:
     params, labels = _branches(system, kind, ms, per_factor, dual=False)
     denominator = math.lcm(*per_factor)
     scale = [denominator // m for f, m in zip(system.factors, per_factor) for _ in range(f.rank)]
-    group = even_subgroup(system, kind)
-    eps = group.order // _stabiliser_orders(group, params, per_factor, False,
-                                            "point mod coroot lattice")
+    owner = orbit_owner(even_subgroup(system, kind), params, per_factor)
+    eps = np.bincount(owner)
     numerators = params * np.array(scale, dtype=np.int64)
     for a in (numerators, labels, eps):
         a.setflags(write=False)
-    return PointGrid(numerators, denominator, labels, eps)
+    return PointGrid(numerators, denominator, labels, eps, owner)
 
 
 # bounded caches: a ``tables`` run at one modulus fills 12 entries of each
@@ -384,12 +377,13 @@ def _weight_grid_cached(system: SemisimpleSystem, kind: str, ms: tuple[int, ...]
     _, per_factor = check_moduli(system, kind, ms)
     weights, labels = _branches(system, kind, ms, per_factor, dual=True)
     group = even_subgroup(system, kind)
-    h = _stabiliser_orders(group, weights, per_factor, True, "weight mod M*Q")
+    owner = orbit_owner(group, weights, per_factor, dual=True)
+    h = group.order // np.bincount(owner)
     power = modulus_power(system, kind, ms)
     norms = abs(system.det_cartan) * group.order * power * h.astype(float)
     for a in (weights, labels, h, norms):
         a.setflags(write=False)
-    return WeightGrid(weights, labels, h, norms)
+    return WeightGrid(weights, labels, h, norms, owner)
 
 
 def build_weight_grid(system: SemisimpleSystem, kind: str, ms) -> WeightGrid:

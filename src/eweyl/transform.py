@@ -28,23 +28,22 @@ at least ``SEPARABLE_MIN_N`` points both transforms contract one
 factor at a time and never form the N x N matrix.  On kind ``"e"``
 grids of at least ``FFT_MIN_N`` points both are one FFT over the
 finite group ``T = (1/M) P^v / Q^v`` (Moody & Patera, SIGMA 2 (2006)
-076): the grid's orbits tile ``T`` with sizes ``eps``, so the forward
-sum is ``|group|`` times the DFT of the invariant extension of ``f``,
-read at each weight, and the inverse is the inverse DFT of the
-coefficients placed, times ``h``, on their weights' images
-(:func:`_torus_fft`).  Below both sizes the transforms use the dense
-cached matrix, which is also what :func:`gram_matrix` and
+076): the grid's orbits tile ``T``, so ``f`` read through the point
+record's orbit map ``owner`` is its invariant extension, and the
+forward sum is ``|group|`` times its DFT read at each weight; the
+inverse is the inverse DFT of ``h c`` read through the weight record's
+map (:func:`_torus_fft`).  Below both sizes the transforms use the
+dense cached matrix, which is also what :func:`gram_matrix` and
 :func:`gram_residual` read as an independent check.  Every phase
 matrix, dense or per factor, is refused past ``MAX_PHASE_MATRIX_N``
 grid points so that it stays within 1 GiB, and before its grid is
 built when the fewest points the grid can have
-(:func:`check_dense_size`) already pass it.  The
-dense path holds one N x N array: the matrix is filled in blocks of
-grid columns, and the Gram matrix ``conj(P) diag(eps) P^T`` is formed
-an eighth of its rows at a time, so :func:`gram_residual` never holds
-it whole and :func:`gram_matrix` holds only its own result.  The FFT
-holds one complex box of ``|T|`` entries and index arrays of one entry
-per point or weight.
+(:func:`check_dense_size`) already pass it.  The dense path holds one
+N x N array: the matrix is filled in blocks of grid columns, and the
+Gram matrix ``conj(P) diag(eps) P^T`` is formed an eighth of its rows
+at a time, so :func:`gram_residual` never holds it whole and
+:func:`gram_matrix` holds only its own result.  The FFT holds one
+complex box of ``|T|`` entries beside the records' int32 maps.
 
 The continuous transform integrates against the orbit sums over the
 even fundamental domain on the same point grid, at modulus
@@ -59,14 +58,12 @@ share their index in ``P / MQ`` (:func:`eweyl.weyl.orbit_indices`),
 which :func:`continuous_coefficients` refuses; otherwise ``h`` in
 ``N(lam)`` is ``d_lam``.  The integrand ``f`` receives ``Fraction``
 tuples, built ``_SAMPLE_CELLS`` (2**12) cells at a time from a table of
-the few distinct numerators, and each block's values go to their
-images in the FFT's box before the next block is sampled.  The
-spectrum is the finite truncation of
-:func:`eweyl.grids.enumerate_dominant`.  The dense transforms take
-their orbit sums from the exact integer kernel of :mod:`eweyl.efunc`,
-given the point record's numerators over its one denominator, so every
-phase is exact; the FFT reads the exact integer indices of
-:func:`eweyl.weyl.orbit_indices`.
+the few distinct numerators, into one array of values.  The spectrum
+is the finite truncation of :func:`eweyl.grids.enumerate_dominant`.
+The dense transforms take their orbit sums from the exact integer
+kernel of :mod:`eweyl.efunc`, given the point record's numerators over
+its one denominator, so every phase is exact; the FFT reads the exact
+integer orbit maps of :func:`eweyl.weyl.orbit_owner`.
 
 ``TOL_ORTHOGONALITY`` (1e-9) bounds the Gram residual and the round-trip
 error that ``eweyl verify`` accepts.
@@ -258,40 +255,33 @@ def _apply_phase(system, kind, ms, x, transpose=False) -> np.ndarray:
 
 #: smallest kind ``"e"`` grid transformed by one FFT over ``T``; below it the
 #: FFT pair is not at most 0.8x the warm pair on the cached dense matrix on
-#: every grid.  One BLAS thread, 2 vCPUs: the FFT pair read 1.04x the dense
-#: one on a1xg2 e 18 and 19 (N = 1 026, 1 178) and at most 0.51x on every
-#: grid of the five groups from N = 1 252 to 1 788
-FFT_MIN_N = 1200
+#: every grid.  One BLAS thread, 2 vCPUs, median of 5: the FFT pair read
+#: 0.88-0.90x the dense one on a1xg2 e 14 (N = 490) and at most 0.72x on
+#: every grid of the five groups from N = 514 (a1xa1 e 16) to 1 252
+FFT_MIN_N = 514
 
 
-def _torus_fft(group, ms, blocks, targets, inverse=False) -> np.ndarray:
+def _torus_fft(system, kind, ms, owner, values, targets, inverse=False) -> np.ndarray:
     """One DFT over ``T``, or its dual if ``inverse``, of orbit values, read at ``targets``.
 
-    ``blocks`` yields ``(rows, values)`` pairs, one value per row.
-    Forward, the rows are the points ``s_f / M_f`` of a grid at the
-    per-factor moduli ``ms`` and ``targets`` are weights; the result is
-    ``F^(lam) = sum_(y in T) F(y) exp(-2 pi i <lam, y>)`` for the
-    ``group``-invariant ``F`` that is ``values`` on each point's orbit.
-    Inverse, the rows are weights whose orbits mod ``MQ`` are disjoint,
-    ``targets`` points, and the result is ``sum_mu C(mu) exp(2 pi i <mu, x>)``
-    for ``C`` that is ``values`` on each weight's orbit.  Either side is
-    the box :func:`eweyl.weyl.torus_shape`, addressed by the indices of
-    :func:`eweyl.weyl.orbit_indices`: as the orbits are disjoint, each
-    image is a plain assignment.  The box, ``16 |T|`` bytes, is the one
-    array of its size; the FFT runs in place.
+    ``values`` holds one entry per row of a record of ``(system, kind, ms)``
+    and ``owner`` is its orbit map (:func:`eweyl.weyl.orbit_owner`).
+    Forward, the rows are points, ``targets`` weights, and the result is
+    ``F^(lam) = sum_(y in T) F(y) exp(-2 pi i <lam, y>)`` for ``F = values[owner]``;
+    inverse, the rows are weights, ``targets`` points, and it is
+    ``sum_mu C(mu) exp(2 pi i <mu, x>)`` for ``C = values[owner]``.  The box
+    :func:`eweyl.weyl.torus_shape`, ``16 |T|`` bytes, is the one array of
+    its size: one gather fills it and the FFT runs in place.
     """
-    box = np.zeros(torus_shape(group.system, ms), dtype=complex)
+    _, per_factor = check_moduli(system, kind, ms)
+    box = np.empty(torus_shape(system, per_factor), dtype=complex)
     flat = box.reshape(-1)
-    for rows, values in blocks:
-        images = orbit_indices(group, rows, ms, dual=inverse)
-        next(images)  # the identity comes again among the elements
-        for index in images:
-            flat[index] = values
+    np.take(values, owner, out=flat, mode="clip")  # "raise" would buffer a copy of the box
     if inverse:
         np.fft.ifftn(box, out=box, norm="forward")  # unscaled
     else:
         np.fft.fftn(box, out=box)
-    return flat[next(orbit_indices(group, targets, ms, dual=not inverse))]
+    return flat[next(orbit_indices(even_subgroup(system, kind), targets, per_factor, not inverse))]
 
 
 def forward_discrete(samples: SampleSet) -> CoefficientSet:
@@ -300,11 +290,8 @@ def forward_discrete(samples: SampleSet) -> CoefficientSet:
     spectrum = build_weight_grid(system, kind, ms)
     if kind == FULL_EVEN and len(samples.values) >= FFT_MIN_N:
         # sum_x eps f conj(Xi_lam) = sum_(y in T) F conj(Xi_lam) = |group| F^(lam)
-        group = even_subgroup(system, kind)
-        _, per_factor = check_moduli(system, kind, ms)
-        coeffs = _torus_fft(group, per_factor, [(samples.grid.numerators, samples.values)],
-                            spectrum.weights)
-        coeffs *= group.order
+        coeffs = _torus_fft(system, kind, ms, samples.grid.owner, samples.values, spectrum.weights)
+        coeffs *= even_subgroup(system, kind).order
     else:
         coeffs = np.conj(_apply_phase(system, kind, ms, np.conj(samples.grid.eps * samples.values)))
     coeffs /= spectrum.norms
@@ -318,11 +305,8 @@ def inverse_discrete(coeffs: CoefficientSet) -> SampleSet:
     grid = build_point_grid(system, kind, ms)
     if kind == FULL_EVEN and len(grid) >= FFT_MIN_N:
         # each image of lam is one of its |orbit| = |group| / h_lam points mod MQ
-        _, per_factor = check_moduli(system, kind, ms)
-        spectrum = coeffs.spectrum
-        values = _torus_fft(even_subgroup(system, kind), per_factor,
-                            [(spectrum.weights, coeffs.values * spectrum.h)], grid.numerators,
-                            inverse=True)
+        values = _torus_fft(system, kind, ms, coeffs.spectrum.owner,
+                            coeffs.values * coeffs.spectrum.h, grid.numerators, inverse=True)
     else:
         values = _apply_phase(system, kind, ms, coeffs.values, transpose=True)
     values.setflags(write=False)
@@ -397,13 +381,15 @@ class QuadratureCells(_GridRecord):
     """Cells of :func:`quadrature_cells` as integer numerators over one denominator.
 
     Cell ``k`` is the point ``numerators[k] / denominator`` of the point
-    record with weight ``weights[k]``.  As a sequence it reads as ``(point, weight)`` pairs
+    record with weight ``weights[k]``; ``owner`` is the record's orbit map
+    of ``T``.  As a sequence it reads as ``(point, weight)`` pairs
     with ``Fraction`` coordinates and a float weight, built when read.
     """
 
     numerators: np.ndarray
     denominator: int
     weights: np.ndarray
+    owner: np.ndarray
 
     def __len__(self) -> int:
         return len(self.numerators)
@@ -424,7 +410,7 @@ def quadrature_cells(system: SemisimpleSystem, kind: str, resolution: int) -> Qu
     grid = point_grid_arrays(system, kind, ms)
     weights = grid.eps / (even_subgroup(system, kind).order * modulus_power(system, kind, ms))
     weights.setflags(write=False)
-    return QuadratureCells(grid.numerators, grid.denominator, weights)
+    return QuadratureCells(grid.numerators, grid.denominator, weights, grid.owner)
 
 
 def _check_alias_free(system, group, spectrum, per_factor) -> tuple[int, ...]:
@@ -461,7 +447,7 @@ def _check_alias_free(system, group, spectrum, per_factor) -> tuple[int, ...]:
 
 
 #: cells per block in which the continuous transform samples its integrand:
-#: one block's ``Fraction`` tuples, values and image indices are live at a time
+#: one block's ``Fraction`` tuples are live at a time
 _SAMPLE_CELLS = 2**12
 
 
@@ -510,29 +496,20 @@ def continuous_coefficients(
     """
     group = even_subgroup(system, check_kind(kind))
     spectrum = enumerate_dominant(system, kind, weight_bound)
-    _, per_factor = check_moduli(system, kind, (resolution,) * len(domain_blocks(system, kind)))
+    ms, per_factor = check_moduli(system, kind, (resolution,) * len(domain_blocks(system, kind)))
     resolution = per_factor[0]
     lams = np.array(spectrum, dtype=np.int64).reshape(len(spectrum), system.n)
     stabilizers = _check_alias_free(system, group, lams, per_factor)
     cells = quadrature_cells(system, kind, resolution)
-
-    def sampled():
-        for start in range(0, len(cells), _SAMPLE_CELLS):
-            rows = cells.numerators[start:start + _SAMPLE_CELLS]
-            values = [complex(f(p)) for p in fraction_rows(rows, cells.denominator)]
-            yield rows, np.array(values, dtype=complex)
-
+    values = np.empty(len(cells), dtype=complex)
+    for start in range(0, len(cells), _SAMPLE_CELLS):
+        points = fraction_rows(cells.numerators[start:start + _SAMPLE_CELLS], cells.denominator)
+        values[start:start + len(points)] = [complex(f(p)) for p in points]
     # the weighted sum of f conj(Xi_lam) is F^(lam) / prod_f M_f^rank_f (see _torus_fft)
-    integrals = _torus_fft(group, per_factor, sampled(), lams)
+    integrals = _torus_fft(system, kind, ms, cells.owner, values, lams)
     norm = abs(system.det_cartan) * resolution**system.n
-    return ContinuousCoefficients(
-        system,
-        kind,
-        weight_bound,
-        tuple(spectrum),
-        tuple(v / (norm * d) for v, d in zip(integrals.tolist(), stabilizers)),
-        stabilizers,
-    )
+    values = tuple(v / (norm * d) for v, d in zip(integrals.tolist(), stabilizers))
+    return ContinuousCoefficients(system, kind, weight_bound, tuple(spectrum), values, stabilizers)
 
 
 # ---------------------------------------------------------------------------

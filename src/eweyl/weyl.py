@@ -10,7 +10,7 @@ coordinate ``i`` acts by
 which preserves the pairing ``a . C^{-1} s`` exactly.  Groups are tiny
 (order <= 24) and are materialised as sorted element lists.
 
-Two subgroup selections are supported, addressed by a ``kind`` string:
+Three selections are supported, addressed by a ``kind`` string:
 
 * ``"e"``  -- the full even subgroup, elements of determinant +1;
 * ``"ee"`` -- the product of the per-factor even subgroups, i.e. the
@@ -22,8 +22,9 @@ Congruences and pairings read one integer form, the Smith coordinates
 ``P / MQ`` are ``Z^rank`` modulo ``M C`` and ``M C^T``, and the Smith
 form ``U C V = diag(d)`` maps a point ``s / M`` to ``(U s)_i mod M d_i``
 and a weight to ``(V^T lam)_i mod M d_i``.  Their mixed radix is one
-integer in ``[0, |T|)``; :func:`orbit_indices`, the one walk of orbit
-images, yields it for rows and their images under a group.
+integer in ``[0, |T|)``: :func:`orbit_indices`, the one walk of orbit
+images, yields it for rows and their images under a group, and
+:func:`orbit_owner` maps ``T`` to the rows whose orbits tile it.
 At a common denominator ``M = L`` of rational points the same residues
 are keys (:func:`smith_keys`; ``_smith_key`` for one point in plain
 ints), and ``<lam, s / L> = sum_i (V^T lam)_i (U s)_i / (L d_i)`` is one
@@ -395,3 +396,27 @@ def orbit_indices(group: WeylGroup, rows, ms, dual: bool = False):
             index *= mod
             index += col.astype(dtype, copy=False)
         yield index
+
+
+def orbit_owner(group: WeylGroup, rows, ms, dual: bool = False) -> np.ndarray:
+    """The row whose orbit holds each index of ``T``, or of ``P / MQ`` if ``dual``.
+
+    One pass over :func:`orbit_indices` fills a read-only int32 array of
+    ``|T|`` entries.  Orbits are equal or disjoint, so two rows' orbits
+    meet iff the pass finds an image of one owned by another; that, or
+    an index left unowned, raises ``AssertionError``.
+    """
+    images = orbit_indices(group, rows, ms, dual)
+    k = np.arange(len(rows), dtype=np.int32)
+    owner = np.full(math.prod(torus_shape(group.system, ms)), -1, dtype=np.int32)
+    # of two rows at one index one is not its owner, seen when the identity comes again
+    owner[next(images)] = k
+    for index in images:
+        seen = owner[index]
+        if ((seen != k) & (seen >= 0)).any():
+            raise AssertionError("two rows' orbits meet")
+        owner[index] = k
+    if (owner < 0).any():
+        raise AssertionError("an index is uncovered by the rows' orbits")
+    owner.setflags(write=False)
+    return owner

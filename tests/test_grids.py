@@ -8,10 +8,10 @@ import pytest
 import eweyl as E
 from eweyl import grids
 from eweyl.efunc import scaled_orbit_sums
-from eweyl.grids import PointGrid, WeightGrid, _gluing_reflection, _stabiliser_orders, domain_blocks
+from eweyl.grids import PointGrid, WeightGrid, _gluing_reflection, domain_blocks
 from eweyl.transform import quadrature_cells
-from eweyl.weyl import even_subgroup, simple_reflection
-from conftest import SELECTORS, traced_peak
+from eweyl.weyl import check_moduli, even_subgroup, orbit_indices, orbit_owner, simple_reflection
+from conftest import SELECTORS, discrete_cases, fixed_counts, traced_peak
 from reference import (
     canonical_torus_point,
     oracle_point_grid,
@@ -225,9 +225,63 @@ def test_duplicate_keys_are_caught():
     # at M = 2 an A1 point s / 2 is s mod 4: (5, 2) / 2 is congruent to (1, 2) / 2
     group = even_subgroup(E.system_from_selector("a1xa1"), "ee")
     rows = [(1, 2), (0, 1), (5, 2)]
-    with pytest.raises(AssertionError, match="duplicate"):
-        _stabiliser_orders(group, rows, (2, 2), False, "point")
-    _stabiliser_orders(group, rows[:2], (2, 2), False, "point")
+    with pytest.raises(AssertionError, match="meet"):
+        orbit_owner(group, rows, (2, 2))
+    # the two distinct rows are refused too: their orbits, one index each, leave 14 of
+    # the 16 indices of T uncovered
+    with pytest.raises(AssertionError, match="uncovered"):
+        orbit_owner(group, rows[:2], (2, 2))
+
+
+def _grid_rows(system, kind, ms):
+    """The group, per-factor moduli and the rows ``s_f / M_f`` of both grids of ``(kind, ms)``."""
+    _, per_factor = check_moduli(system, kind, ms)
+    points, weights = E.build_point_grid(system, kind, ms), E.build_weight_grid(system, kind, ms)
+    scale = [points.denominator // m for f, m in zip(system.factors, per_factor)
+             for _ in range(f.rank)]
+    return even_subgroup(system, kind), per_factor, points, points.numerators // scale, weights
+
+
+def _table_cases():
+    """Every group and kind at the moduli 5 to 13 of ``eweyl tables``, one per gluing block."""
+    for sel in SELECTORS:
+        system = E.system_from_selector(sel)
+        for kind in ("e", "ee"):
+            for m in range(5, 14):
+                yield system, kind, (m,) * len(domain_blocks(system, kind))
+
+
+def test_orbit_maps_tile_t_and_count_eps_and_h():
+    for system, kind, ms in [*discrete_cases(), *_table_cases()]:
+        group, per_factor, points, params, weights = _grid_rows(system, kind, ms)
+        torus = abs(system.det_cartan) * grids.modulus_power(system, kind, ms)
+        eps = group.order // fixed_counts(group, params, per_factor)
+        assert points.eps.tolist() == eps.tolist()
+        assert weights.h.tolist() == fixed_counts(group, weights.weights, per_factor, True).tolist()
+        for record, rows, dual in ((points, params, False), (weights, weights.weights, True)):
+            assert record.owner.dtype == np.int32 and len(record.owner) == torus
+            assert np.bincount(record.owner).sum() == torus
+            own = next(orbit_indices(group, rows, per_factor, dual))
+            assert (record.owner[own] == np.arange(len(rows))).all(), (system, kind, ms)
+
+
+def test_orbit_maps_refuse_rows_that_do_not_tile_t():
+    system, kind, ms = E.system_from_selector("a1xa2"), "e", (12,)
+    group, per_factor, points, params, weights = _grid_rows(system, kind, ms)
+    orbit_owner(group, params, per_factor)
+    orbit_owner(group, weights.weights, per_factor, dual=True)
+    # a point moved by a coroot, 12 times a row of C in units of 1/12, is a congruent copy
+    copy = params[1] + 12 * np.array(system.cartan[0], dtype=np.int64)
+    assert torus_congruent(system, [Q(v, 12) for v in copy], points[1].point)
+    tampered = [
+        (params[1:], False, "uncovered"),  # one point dropped
+        (params[: len(params) // 2], False, "uncovered"),  # a partial row set
+        (np.vstack([copy, params[1:]]), False, "meet"),  # point 0 replaced by a copy of point 1
+        (np.vstack([weights.weights, weights.weights[5]]), True, "meet"),  # a weight twice
+    ]
+    for rows, dual, match in tampered:
+        with pytest.raises(AssertionError, match=match):
+            orbit_owner(group, rows, per_factor, dual)
 
 
 def test_grid_records_are_read_only_arrays_of_their_tuples():
@@ -243,10 +297,10 @@ def test_grid_records_are_read_only_arrays_of_their_tuples():
             assert points[0] == items[0] and points[0] is not points[0]
             # a point is stored once, as numerators over one denominator; no keys
             assert [*vars(points)] == [f.name for f in dataclasses.fields(points)] == [
-                "numerators", "denominator", "labels", "eps"]
+                "numerators", "denominator", "labels", "eps", "owner"]
             assert [*vars(weights)] == [f.name for f in dataclasses.fields(weights)]
-            for a in (points.numerators, points.labels, points.eps,
-                      weights.weights, weights.labels, weights.h, weights.norms):
+            for a in (points.numerators, points.labels, points.eps, points.owner,
+                      weights.weights, weights.labels, weights.h, weights.norms, weights.owner):
                 assert not a.flags.writeable
                 with pytest.raises(ValueError):
                     a[0] = 0

@@ -306,8 +306,9 @@ REMOVED_WALKS = {"fixing_counts", "lattice_indices"}
 
 
 def test_orbit_images_are_walked_only_in_weyl():
-    # one walker: the grids count eps and h, and the continuous transform checks
-    # aliasing and reads d, from the arrays of orbit_indices
+    # one walker: the grids count eps and h on the orbit map that orbit_owner reads
+    # from the arrays of orbit_indices, and the continuous transform checks aliasing
+    # and reads d from those arrays
     package = pathlib.Path(E.__file__).parent
     for path in sorted(package.glob("*.py")):
         used = set(_names(ast.parse(path.read_text(encoding="utf-8"))))
@@ -318,4 +319,4 @@ def test_orbit_images_are_walked_only_in_weyl():
             assert "stab_order" not in used, path.name
             assert "orbit_indices" in used, path.name
         if path.name == "grids.py":
-            assert "orbit_indices" in used, path.name
+            assert "orbit_owner" in used and "orbit_indices" not in used, path.name

@@ -550,6 +550,28 @@ def test_torus_fft_holds_one_box_and_arrays_of_n_entries():
     assert max(forward_peak, inverse_peak) <= box + 64 * n
 
 
+def test_warm_fft_pair_walks_only_the_targets(monkeypatch):
+    # the orbits are read from the records' maps: each transform walks one array,
+    # the identity indices of its targets, where a walk of every image took |G| + 1
+    system, kind, ms = E.system_from_selector("a1xa2"), "e", (12,)
+    grid = E.build_point_grid(system, kind, ms)
+    assert len(grid) >= transform.FFT_MIN_N
+    samples = make_samples(system, kind, ms, _random_values(random.Random(23), grid))
+    inverse_discrete(forward_discrete(samples))  # build the records
+    walk, walked = transform.orbit_indices, []
+
+    def counted(*args, **kwargs):
+        for index in walk(*args, **kwargs):
+            walked.append(len(index))
+            yield index
+
+    monkeypatch.setattr(transform, "orbit_indices", counted)
+    coeffs = forward_discrete(samples)
+    assert walked == [len(coeffs.spectrum)]
+    inverse_discrete(coeffs)
+    assert walked == [len(coeffs.spectrum), len(grid)]
+
+
 def test_transforms_never_build_the_grid_tuples():
     def f(x):
         return complex(sum(x), x[-1] ** 2)
